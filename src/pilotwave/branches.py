@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldError, WaveFunction, normalize
-from .guidance import ParticleConfig, simulate_trajectories
+from .guidance import (
+    ParticleConfig, Trajectory, interp_stencil, simulate_trajectories,
+)
 
 COVERAGE_TOL = 1e-6        # hard error if more probability mass is unmasked
 DISJOINT_LEAK_TOL = 1e-6   # branch mass outside its mask counted as "disjoint"
@@ -245,13 +247,19 @@ def occupancy_labels(grid, positions, masks):
 
 @dataclass
 class DeviationResult:
-    """Max trajectory deviation between full-wave and branch-only guidance."""
+    """Max trajectory deviation between full-wave and branch-only guidance.
+
+    `full` and `branch` are the two probes' whole trajectories, also past a
+    truncation.
+    """
 
     max_deviation: float
     time_of_max: float
     truncated: bool
     times: np.ndarray
     deviations: np.ndarray
+    full: Trajectory
+    branch: Trajectory
 
 
 def _periodic_dev(grid, a, b):
@@ -294,13 +302,12 @@ def single_branch_error(full_record, branch_record, x0, stride=1,
     times, devs = times[:cut], devs[:cut]
     imax = int(np.argmax(devs))
     return DeviationResult(float(devs[imax]), float(times[imax]), truncated,
-                           times, devs)
+                           times, devs, tr_full, tr_br)
 
 
 def _density_at(grid, absamp, point):
-    from .guidance import _interp_weights
-    corners = _interp_weights(grid, np.asarray(point, float)[None, :])
+    flat, w = interp_stencil(grid, np.asarray(point, float)[None, :])
     val = 0.0
-    for idx, w in corners:
-        val += float(w[0]) * float(absamp[tuple(i[0] for i in idx)]) ** 2
+    for wc, a in zip(w[:, 0], absamp.reshape(-1).take(flat[:, 0])):
+        val += float(wc) * float(a) ** 2
     return val

@@ -21,7 +21,6 @@ import scipy.fft
 
 from . import __version__
 from .fields import FieldError
-from .propagate import PropagationError
 from .scenarios import SpecError, load_spec, run_scenario
 
 EXIT_PASS = 0
@@ -91,7 +90,7 @@ def cmd_run(spec_path, out_dir, overrides=(), seed=None, threads=None):
     try:
         with scipy.fft.set_workers(threads):
             report = run_scenario(spec)
-    except (FieldError, PropagationError) as e:
+    except (FieldError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

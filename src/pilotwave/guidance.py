@@ -11,6 +11,8 @@ stepping, the speed is capped at dx/dt for that step.
 """
 
 import csv
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,8 @@ from scipy.ndimage import distance_transform_edt
 from .fields import FieldError, PhysicalParams, WaveFunction
 
 EPS_NODE = 1e-8
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -32,14 +36,21 @@ class ParticleConfig:
 
 @dataclass
 class VelocityField:
-    """Per-axis velocity arrays plus the nodal-cell mask."""
+    """Velocity components as one (D, *shape) array plus the nodal-cell mask.
+
+    `components[i]` is the velocity along axis i; a list of per-axis arrays
+    passed to the constructor is stacked once.
+    """
 
     grid: object
-    components: list
+    components: np.ndarray
     nodal: np.ndarray
     time: float = 0.0
     any_nodal: bool = False
     all_nodal: bool = False
+
+    def __post_init__(self):
+        self.components = np.asarray(self.components, dtype=float)
 
 
 @dataclass
@@ -62,15 +73,15 @@ def velocity_field(psi, params=None, eps_node=EPS_NODE):
     nodal = absamp < eps_node * np.max(absamp)
     all_nodal = bool(np.all(nodal))
 
-    comps = []
+    comps = np.empty((grid.dims,) + tuple(grid.shape))
     safe = np.where(nodal, 1.0, amp)  # avoid divide-by-zero; overwritten below
     for i in range(grid.dims):
         k = grid.k_coords(i)
         shp = [1] * grid.dims
         shp[i] = grid.shape[i]
         grad = sfft.ifft(1j * k.reshape(shp) * sfft.fft(amp, axis=i), axis=i)
-        v = (params.hbar / params.masses[i]) * np.imag(grad / safe)
-        comps.append(v)
+        np.multiply(params.hbar / params.masses[i], np.imag(grad / safe),
+                    out=comps[i])
 
     if np.any(nodal) and not all_nodal:
         # fill nodal cells from the nearest non-nodal cell
@@ -83,35 +94,47 @@ def velocity_field(psi, params=None, eps_node=EPS_NODE):
                          any_nodal=bool(np.any(nodal)), all_nodal=all_nodal)
 
 
-def _interp_weights(grid, pts):
-    """Multilinear interpolation stencil for points of shape (M, D).
+def interp_stencil(grid, pts):
+    """Multilinear interpolation stencil for wrapped points of shape (M, D).
 
-    Returns (corner index arrays, weights, nodal-touch template inputs):
-    lists of per-corner tuples usable to index the grid arrays, plus weights
-    of shape (M,) per corner.
+    Returns (flat, weights), both of shape (2**D, M): row c is the corner
+    that takes the upper neighbour along axis i where bit i of c is set,
+    `flat` its index into the raveled grid and `weights` its weight.
     """
-    pts = np.asarray(pts, dtype=float)
-    M, D = pts.shape
-    base = np.empty((M, D), dtype=np.int64)
-    frac = np.empty((M, D))
-    for i in range(D):
-        u = (pts[:, i] - grid.los[i]) / grid.dxs[i]
-        f = np.floor(u)
-        base[:, i] = np.mod(f.astype(np.int64), grid.shape[i])
-        frac[:, i] = u - f
-    corners = []
-    for mask in range(1 << D):
-        idx = []
-        w = np.ones(M)
-        for i in range(D):
-            hi = (mask >> i) & 1
-            ii = base[:, i] + hi
-            if hi:
-                ii = np.mod(ii, grid.shape[i])
-            idx.append(ii)
-            w = w * (frac[:, i] if hi else (1.0 - frac[:, i]))
-        corners.append((tuple(idx), w))
-    return corners
+    u = (pts - grid.los) / grid.dxs
+    f = np.floor(u)
+    frac = (u - f).T
+    lo = np.mod(f.astype(np.int64), grid.shape)
+    hi = lo + 1
+    hi[hi == grid.shape] = 0
+    strides = [math.prod(grid.shape[i + 1:]) for i in range(grid.dims)]
+    lo, hi = (lo * strides).T, (hi * strides).T
+    flat = np.concatenate([lo[:1], hi[:1]])
+    w = np.concatenate([1.0 - frac[:1], frac[:1]])
+    for i in range(1, grid.dims):
+        flat = np.concatenate([flat + lo[i], flat + hi[i]])
+        w = np.concatenate([w * (1.0 - frac[i]), w * frac[i]])
+    return flat, w
+
+
+def _interp(fields, flat, w):
+    """Interpolate velocity fields that share one grid at one stencil.
+
+    Returns (values, nodal): values of shape (L, M, D), one (M, D) block per
+    field, and the nodal flags of every stencil corner, shape (L, 2**D, M).
+    Corners are accumulated in stencil order; another order changes the
+    last bits of the result.
+    """
+    D = fields[0].grid.dims
+    vals = np.empty((len(fields), D) + flat.shape)
+    nodal = np.empty((len(fields),) + flat.shape, dtype=bool)
+    for k, vf in enumerate(fields):
+        vf.components.reshape(D, -1).take(flat, axis=1, out=vals[k])
+        vf.nodal.reshape(-1).take(flat, out=nodal[k])
+    out = np.zeros(vals.shape[:2] + vals.shape[3:])
+    for c in range(len(w)):
+        out += w[c] * vals[:, :, c]
+    return out.transpose(0, 2, 1), nodal
 
 
 def velocity_at_many(vfield, pts, return_inside=False):
@@ -121,20 +144,12 @@ def velocity_at_many(vfield, pts, return_inside=False):
     includes at least one nodal cell; with return_inside, additionally returns
     the mask of points whose entire stencil is nodal.
     """
-    pts = vfield.grid.wrap(np.atleast_2d(pts))
-    M, D = pts.shape
-    corners = _interp_weights(vfield.grid, pts)
-    out = np.zeros((M, D))
-    touched = np.zeros(M, dtype=bool)
-    inside = np.ones(M, dtype=bool)
-    for idx, w in corners:
-        is_nodal = vfield.nodal[idx]
-        touched |= is_nodal
-        inside &= is_nodal
-        for i in range(D):
-            out[:, i] += w * vfield.components[i][idx]
+    grid = vfield.grid
+    flat, w = interp_stencil(grid, grid.wrap(np.atleast_2d(pts)))
+    (out,), (nodal,) = _interp((vfield,), flat, w)
+    touched = nodal.any(axis=0)
     if return_inside:
-        return out, touched, inside
+        return out, touched, nodal.all(axis=0)
     return out, touched
 
 
@@ -145,32 +160,46 @@ def velocity_at(vfield, X):
     return tuple(v[0])
 
 
-def _rk4_many(vf0, vf1, pts, dt, f0=0.0, f1=1.0):
+def _sample(vf0, vf1, pts):
+    """Both snapshots' velocities at points (M, D), from one shared stencil.
+
+    Returns (a, b, touched, inside): the velocities of vf0 and vf1, the
+    points whose stencil touches a nodal cell at either time level, and the
+    points whose entire stencil is nodal at both.
+    """
+    grid = vf0.grid
+    flat, w = interp_stencil(grid, grid.wrap(pts))
+    (a, b), nodal = _interp((vf0, vf1), flat, w)
+    return a, b, nodal.any(axis=(0, 1)), nodal.all(axis=(0, 1))
+
+
+def _rk4_many(vf0, vf1, pts, dt, f0=0.0, f1=1.0, first=None):
     """Vectorized RK4 for dX/dt = v(X, t), v linearly interpolated in time.
 
     The step covers the fraction [f0, f1] of the interval between the two
-    velocity-field snapshots.  Returns (new positions, degenerate mask).
+    velocity-field snapshots; `first`, if given, is `_sample` at `pts`.
+    Returns (new positions, degenerate mask).
     """
     grid = vf0.grid
 
-    def eval_v(p, frac):
-        a, na, ia = velocity_at_many(vf0, p, return_inside=True)
-        b, nb, ib = velocity_at_many(vf1, p, return_inside=True)
+    def eval_v(sample, frac):
+        a, b, touched, inside = sample
         v = (1.0 - frac) * a + frac * b
-        touched = na | nb
         if np.any(touched):
             cap = min(grid.dxs) / dt
             speed = np.sqrt(np.sum(v * v, axis=1))
             over = touched & (speed > cap)
             if np.any(over):
                 v[over] *= (cap / speed[over])[:, None]
-        return v, ia & ib
+        return v, inside
 
     fm = 0.5 * (f0 + f1)
-    k1, deep = eval_v(pts, f0)
-    k2, _ = eval_v(pts + 0.5 * dt * k1, fm)
-    k3, _ = eval_v(pts + 0.5 * dt * k2, fm)
-    k4, _ = eval_v(pts + dt * k3, f1)
+    if first is None:
+        first = _sample(vf0, vf1, pts)
+    k1, deep = eval_v(first, f0)
+    k2, _ = eval_v(_sample(vf0, vf1, pts + 0.5 * dt * k1), fm)
+    k3, _ = eval_v(_sample(vf0, vf1, pts + 0.5 * dt * k2), fm)
+    k4, _ = eval_v(_sample(vf0, vf1, pts + dt * k3), f1)
     new = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # a particle whose entire stencil is nodal at both time levels sits in a
     # region the regularization cannot resolve: freeze and flag it
@@ -213,16 +242,23 @@ def advance_interval(vf0, vf1, pts, dt):
     RK4 step can overshoot through a node into the neighboring flow basin,
     which the exact dynamics forbids.  The substep count is chosen so no
     particle traverses more than SUBSTEP_CFL of a cell per substep at the
-    currently observed speeds.
+    currently observed speeds, at most MAX_SUBSTEPS; a capped interval logs
+    a warning.  The speeds observed at `pts` are also the first substep's
+    first RK4 stage.
     """
-    va, _ = velocity_at_many(vf0, pts)
-    vb, _ = velocity_at_many(vf1, pts)
+    first = _sample(vf0, vf1, pts)
+    va, vb = first[:2]
     vmax = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 0.0)
-    n = int(np.ceil(vmax * dt / (SUBSTEP_CFL * min(vf0.grid.dxs))))
-    n = min(max(n, 1), MAX_SUBSTEPS)
+    need = int(np.ceil(vmax * dt / (SUBSTEP_CFL * min(vf0.grid.dxs))))
+    n = min(max(need, 1), MAX_SUBSTEPS)
+    if need > MAX_SUBSTEPS:
+        log.warning("substep cap: interval of dt=%g needs %d substeps, "
+                    "capped at %d", dt, need, MAX_SUBSTEPS)
     degen_any = np.zeros(len(pts), dtype=bool)
     for k in range(n):
-        pts, degen = _rk4_many(vf0, vf1, pts, dt / n, f0=k / n, f1=(k + 1) / n)
+        pts, degen = _rk4_many(vf0, vf1, pts, dt / n, f0=k / n,
+                               f1=(k + 1) / n, first=first)
+        first = None
         degen_any |= degen
     return pts, degen_any
 

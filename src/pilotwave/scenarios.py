@@ -656,8 +656,6 @@ def _decoherence_metrics(spec):
     full = _full_record(recs)
     x0 = _probe_start(spec, spec["packets"][0]["centers"])
     dev = single_branch_error(full, recs[0], x0)
-    tr_full = simulate_trajectories(full, np.array([x0]))[0]
-    tr_branch = simulate_trajectories(recs[0], np.array([x0]))[0]
 
     sys_axis = spec["roles"]["system_axis"]
     mid = 0.5 * (spec["packets"][0]["centers"][sys_axis]
@@ -683,7 +681,7 @@ def _decoherence_metrics(spec):
         "density": _density_block(full.wave_at(i_rec), sys_axis,
                                   times[i_rec]),
         "trajectories": _trajectory_block(
-            tr_full.times, [tr_full.positions, tr_branch.positions],
+            dev.full.times, [dev.full.positions, dev.branch.positions],
             ["full_wave_probe", "single_branch_probe"]),
     }
 

@@ -75,6 +75,21 @@ class TestRun:
         code = main(["run", "--spec", str(p), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_nan_trajectory_exit_1_one_line(self, tmp_path, capsys,
+                                            monkeypatch):
+        def nan_run(spec):
+            raise RuntimeError("NaN in trajectory output; regularization "
+                               "failed")
+
+        monkeypatch.setattr("pilotwave.cli.run_scenario", nan_run)
+        spec = write_spec(tmp_path, "interference", FAST_INTERFERENCE)
+        code = main(["run", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                     "--threads", "1"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: NaN in trajectory output; regularization "
+                       "failed"]
+
     def test_env_off_override_fails_by_design(self, tmp_path):
         spec = write_spec(tmp_path, "decoherence", FAST_DECOHERENCE)
         code = main(["run", "--spec", str(spec), "--out",

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from pilotwave.fields import (
 )
 from pilotwave.propagate import HamiltonianSpec, PotentialTerm, Schedule, evolve
 from pilotwave.guidance import (
-    ParticleConfig, VelocityField, Trajectory,
-    velocity_field, velocity_at, velocity_at_many, advance_particle,
-    simulate_trajectory, simulate_trajectories,
+    MAX_SUBSTEPS, SUBSTEP_CFL, ParticleConfig, VelocityField, Trajectory,
+    velocity_field, velocity_at, velocity_at_many, advance_interval,
+    advance_particle, simulate_trajectory, simulate_trajectories,
     save_trajectory_csv, save_trajectories_csv,
 )
 
@@ -89,6 +91,181 @@ class TestVelocityAt:
         many, _ = velocity_at_many(vf, pts)
         for p, v in zip(pts, many):
             assert velocity_at(vf, tuple(p))[0] == pytest.approx(v[0], abs=1e-14)
+
+
+# Reference implementation: interpolation with one stencil per time level,
+# built per corner, and an RK4 stage that interpolates each level
+# separately.  The shared-stencil path must reproduce it bit for bit.
+
+def _oracle_corners(grid, pts):
+    M, D = pts.shape
+    base = np.empty((M, D), dtype=np.int64)
+    frac = np.empty((M, D))
+    for i in range(D):
+        u = (pts[:, i] - grid.los[i]) / grid.dxs[i]
+        f = np.floor(u)
+        base[:, i] = np.mod(f.astype(np.int64), grid.shape[i])
+        frac[:, i] = u - f
+    corners = []
+    for mask in range(1 << D):
+        idx = []
+        w = np.ones(M)
+        for i in range(D):
+            hi = (mask >> i) & 1
+            ii = base[:, i] + hi
+            if hi:
+                ii = np.mod(ii, grid.shape[i])
+            idx.append(ii)
+            w = w * (frac[:, i] if hi else (1.0 - frac[:, i]))
+        corners.append((tuple(idx), w))
+    return corners
+
+
+def _oracle_velocity_at_many(vfield, pts):
+    pts = vfield.grid.wrap(np.atleast_2d(pts))
+    M, D = pts.shape
+    out = np.zeros((M, D))
+    touched = np.zeros(M, dtype=bool)
+    inside = np.ones(M, dtype=bool)
+    for idx, w in _oracle_corners(vfield.grid, pts):
+        is_nodal = vfield.nodal[idx]
+        touched |= is_nodal
+        inside &= is_nodal
+        for i in range(D):
+            out[:, i] += w * vfield.components[i][idx]
+    return out, touched, inside
+
+
+def _oracle_rk4(vf0, vf1, pts, dt, f0, f1):
+    grid = vf0.grid
+
+    def eval_v(p, frac):
+        a, na, ia = _oracle_velocity_at_many(vf0, p)
+        b, nb, ib = _oracle_velocity_at_many(vf1, p)
+        v = (1.0 - frac) * a + frac * b
+        touched = na | nb
+        if np.any(touched):
+            cap = min(grid.dxs) / dt
+            speed = np.sqrt(np.sum(v * v, axis=1))
+            over = touched & (speed > cap)
+            if np.any(over):
+                v[over] *= (cap / speed[over])[:, None]
+        return v, ia & ib
+
+    fm = 0.5 * (f0 + f1)
+    k1, deep = eval_v(pts, f0)
+    k2, _ = eval_v(pts + 0.5 * dt * k1, fm)
+    k3, _ = eval_v(pts + 0.5 * dt * k2, fm)
+    k4, _ = eval_v(pts + dt * k3, f1)
+    new = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    degen = deep.copy()
+    if vf0.all_nodal or vf1.all_nodal:
+        degen[:] = True
+    new[degen] = pts[degen]
+    return grid.wrap(new), degen
+
+
+def _oracle_advance_interval(vf0, vf1, pts, dt):
+    va, _, _ = _oracle_velocity_at_many(vf0, pts)
+    vb, _, _ = _oracle_velocity_at_many(vf1, pts)
+    vmax = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 0.0)
+    n = int(np.ceil(vmax * dt / (SUBSTEP_CFL * min(vf0.grid.dxs))))
+    n = min(max(n, 1), MAX_SUBSTEPS)
+    degen_any = np.zeros(len(pts), dtype=bool)
+    for k in range(n):
+        pts, degen = _oracle_rk4(vf0, vf1, pts, dt / n, k / n, (k + 1) / n)
+        degen_any |= degen
+    return pts, degen_any
+
+
+def noded_fields(shape):
+    """Two velocity-field snapshots with nodal cells on a periodic grid."""
+    g = make_grid([{"points": n, "lo": -4.0 - i, "hi": 5.0 + i}
+                   for i, n in enumerate(shape)])
+    rng = np.random.default_rng(7)
+    amp = (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    amp2 = amp + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # eps_node 0.3 flags about a third of the cells of a random wave nodal
+    vf0 = velocity_field(WaveFunction(g, amp, 0.0), eps_node=0.3)
+    vf1 = velocity_field(WaveFunction(g, amp2, 0.1), eps_node=0.3)
+    assert vf0.any_nodal and vf1.any_nodal
+    assert not (vf0.all_nodal or vf1.all_nodal)
+    return g, vf0, vf1
+
+
+def probe_points(g, n=200):
+    """Points inside and far outside the domain, and one on the hi edge."""
+    rng = np.random.default_rng(11)
+    los, lengths = np.asarray(g.los), np.asarray(g.lengths)
+    pts = los + lengths * rng.uniform(-2.0, 3.0, size=(n, g.dims))
+    # the largest coordinate below hi: u = (x - lo) / dx rounds to n
+    edge = np.nextafter(g.his[0], -np.inf)
+    assert (edge - g.los[0]) / g.dxs[0] == g.shape[0]
+    pts[0, 0] = edge
+    return pts
+
+
+class TestSharedStencil:
+    """The shared-stencil RK4 path reproduces the per-level oracle exactly."""
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    def test_velocity_at_many_matches_oracle(self, shape):
+        g, vf0, _ = noded_fields(shape)
+        got = velocity_at_many(vf0, probe_points(g), return_inside=True)
+        want = _oracle_velocity_at_many(vf0, probe_points(g))
+        assert any(np.any(w) for w in want[1:])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 50.0])
+    def test_advance_interval_matches_oracle(self, shape, dt, caplog):
+        g, vf0, vf1 = noded_fields(shape)
+        pts = probe_points(g)
+        with caplog.at_level(logging.WARNING, logger="pilotwave.guidance"):
+            got = advance_interval(vf0, vf1, pts, dt)
+        # below MAX_SUBSTEPS the CFL rule keeps speeds under the nodal speed
+        # cap, so the largest dt is capped to exercise that branch too
+        assert bool(caplog.records) == (dt == 50.0)
+        want = _oracle_advance_interval(vf0, vf1, pts, dt)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_field_built_from_list(self):
+        g, vf0, vf1 = noded_fields((32, 24))
+        listed = VelocityField(g, [vf0.components[0], vf0.components[1]],
+                               vf0.nodal, any_nodal=True)
+        assert isinstance(listed.components, np.ndarray)
+        assert listed.components.shape == (2, 32, 24)
+        assert np.array_equal(listed.components[1], vf0.components[1])
+        pts = probe_points(g)
+        got = advance_interval(listed, vf1, pts, 0.05)
+        want = _oracle_advance_interval(listed, vf1, pts, 0.05)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+class TestSubstepCap:
+    def fast_field(self, speed):
+        g = grid1d(64, 0.0, 16.0)
+        return VelocityField(g, [np.full(64, speed)], np.zeros(64, dtype=bool))
+
+    def test_cap_logs_one_warning_per_interval(self, caplog):
+        vf = self.fast_field(100.0)
+        # 100 * 1.0 / (0.2 * 0.25) = 2000 substeps needed
+        pts = np.array([[1.0], [2.0]])
+        with caplog.at_level(logging.WARNING, logger="pilotwave.guidance"):
+            advance_interval(vf, vf, pts, 1.0)
+            advance_interval(vf, vf, pts, 1.0)
+        msgs = [r.getMessage() for r in caplog.records]
+        assert len(msgs) == 2
+        assert "2000" in msgs[0] and str(MAX_SUBSTEPS) in msgs[0]
+
+    def test_no_warning_under_cap(self, caplog):
+        vf = self.fast_field(1.0)
+        with caplog.at_level(logging.WARNING, logger="pilotwave.guidance"):
+            advance_interval(vf, vf, np.array([[1.0]]), 1.0)
+        assert not caplog.records
 
 
 class TestAdvanceParticle:
