@@ -9,6 +9,7 @@ All operations are pure; none mutate their inputs.
 import struct
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,12 +93,23 @@ class Grid:
         newshape[axis] = self.shape[axis]
         return x.reshape(newshape)
 
+    @cached_property
+    def _wrap_arrays(self):
+        return np.asarray(self.los, dtype=float), np.asarray(self.lengths, dtype=float)
+
     def wrap(self, coords):
-        """Map coordinates into [lo, hi) per axis (periodic topology)."""
-        coords = np.asarray(coords, dtype=float)
-        los = np.asarray(self.los)
-        lengths = np.asarray(self.lengths)
-        return los + np.mod(coords - los, lengths)
+        """Map coordinates into [lo, hi) per axis (periodic topology).
+
+        Equal bit for bit to lo + mod(x - lo, L): `mod` is exact inside
+        [0, L), so it runs only on offsets outside that range (or NaN).
+        """
+        los, lengths = self._wrap_arrays
+        y = np.asarray(coords, dtype=float) - los
+        outside = ~((y >= 0.0) & (y < lengths))
+        if outside.any():
+            y[outside] = np.mod(y[outside], np.broadcast_to(lengths, y.shape)[outside])
+        y += los
+        return y
 
     def contains(self, coords):
         coords = np.asarray(coords, dtype=float)

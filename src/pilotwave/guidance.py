@@ -64,34 +64,50 @@ class Trajectory:
 
 
 def velocity_field(psi, params=None, eps_node=EPS_NODE):
-    """Spectral guidance velocity with nodal regularization."""
+    """Spectral guidance velocity with nodal regularization.
+
+    The ratio grad/Psi is taken only at non-nodal cells; nodal cells are
+    then filled from their nearest non-nodal cell.  A wave that is nodal
+    everywhere keeps hbar/m * Im(grad).
+    """
     if params is None:
         params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
     grid = psi.grid
     amp = psi.amplitudes
     absamp = np.abs(amp)
     nodal = absamp < eps_node * np.max(absamp)
-    all_nodal = bool(np.all(nodal))
+    del absamp
+    live = np.flatnonzero(~nodal)
+    any_nodal = live.size < nodal.size
+    all_nodal = live.size == 0
+    amp_live = amp.reshape(-1)[live]
 
     comps = np.empty((grid.dims,) + tuple(grid.shape))
-    safe = np.where(nodal, 1.0, amp)  # avoid divide-by-zero; overwritten below
+    flat = comps.reshape(grid.dims, -1)
     for i in range(grid.dims):
         k = grid.k_coords(i)
         shp = [1] * grid.dims
         shp[i] = grid.shape[i]
-        grad = sfft.ifft(1j * k.reshape(shp) * sfft.fft(amp, axis=i), axis=i)
-        np.multiply(params.hbar / params.masses[i], np.imag(grad / safe),
-                    out=comps[i])
+        grad = sfft.ifft(1j * k.reshape(shp) * sfft.fft(amp, axis=i), axis=i,
+                         overwrite_x=True)
+        c = params.hbar / params.masses[i]
+        if all_nodal:
+            np.multiply(c, np.imag(grad), out=comps[i])
+        else:
+            flat[i, live] = c * np.imag(grad.reshape(-1)[live] / amp_live)
 
-    if np.any(nodal) and not all_nodal:
+    if any_nodal and not all_nodal:
         # fill nodal cells from the nearest non-nodal cell
         idx = distance_transform_edt(nodal, return_distances=False, return_indices=True)
-        src = tuple(idx[d] for d in range(grid.dims))
+        dead = np.flatnonzero(nodal)
+        src = np.ravel_multi_index(
+            tuple(idx[d].reshape(-1)[dead] for d in range(grid.dims)), grid.shape)
+        del idx
         for i in range(grid.dims):
-            comps[i] = np.where(nodal, comps[i][src], comps[i])
+            flat[i, dead] = flat[i, src]
 
     return VelocityField(grid, comps, nodal, psi.time,
-                         any_nodal=bool(np.any(nodal)), all_nodal=all_nodal)
+                         any_nodal=any_nodal, all_nodal=all_nodal)
 
 
 def interp_stencil(grid, pts):

@@ -24,6 +24,11 @@ import scipy.fft as sfft
 from .fields import FieldError, Grid, PhysicalParams, WaveFunction, save_wavefunction, load_wavefunction
 
 
+# numpy reuses a temporary operand of a binary operation as its output from
+# this size on (NPY_MIN_ELIDE_BYTES)
+_ELIDE_BYTES = 256 * 1024
+
+
 class PropagationError(RuntimeError):
     """Numerical failure (NaN/Inf) or invalid propagation setup."""
 
@@ -176,6 +181,9 @@ class SplitOperator:
             else:
                 self._windowed.append((t.window, v))
         self._exp_v_half_static = np.exp(-1j * self.v_static * self.dt / (2.0 * params.hbar))
+        # (per-window overlaps, phase) of the last step that lay wholly
+        # inside or outside each window; None while no window is active
+        self._window_phase = None
 
         c = hamiltonian.coupling
         if c is not None:
@@ -185,25 +193,47 @@ class SplitOperator:
             shp[c.target_axis] = grid.shape[c.target_axis]
             self._ktarget = kt.reshape(shp)
 
+    def _window_overlaps(self, t):
+        """Overlap of [t, t+dt) with each window; exactly dt when covered."""
+        t1 = t + self.dt
+        return tuple(self.dt if t_on <= t and t1 <= t_off
+                     else _overlap(t_on, t_off, t, t1)
+                     for (t_on, t_off), _ in self._windowed)
+
     def _v_half_phase(self, t):
-        """exp(-i V dt_eff / 2) including windowed terms active in [t, t+dt)."""
-        active = [(w, v) for (w, v) in self._windowed
-                  if _overlap(w[0], w[1], t, t + self.dt) > 0.0]
-        if not active:
+        """exp(-i V dt_eff / 2) including windowed terms active in [t, t+dt).
+
+        Steps that cover every active window whole share one cached phase;
+        a step that only partly overlaps a window computes its own.
+        """
+        taus = self._window_overlaps(t)
+        if not any(tau > 0.0 for tau in taus):
+            self._window_phase = None
             return self._exp_v_half_static
+        if self._window_phase is not None and self._window_phase[0] == taus:
+            return self._window_phase[1]
         v_eff = self.v_static * self.dt
-        for (t_on, t_off), v in active:
-            v_eff = v_eff + v * _overlap(t_on, t_off, t, t + self.dt)
-        return np.exp(-1j * v_eff / (2.0 * self.params.hbar))
+        for (_, v), tau in zip(self._windowed, taus):
+            if tau > 0.0:
+                v_eff = v_eff + v * tau
+        phase = np.exp(-1j * v_eff / (2.0 * self.params.hbar))
+        if all(tau == 0.0 or tau == self.dt for tau in taus):
+            self._window_phase = (taus, phase)
+        return phase
 
     def _apply_coupling_half(self, amp, tau_half):
+        """Coupling half-step; overwrites `amp`, which the caller owns."""
         c = self.H.coupling
-        ft = sfft.fft(amp, axis=c.target_axis)
+        ft = sfft.fft(amp, axis=c.target_axis, overwrite_x=True)
         ft *= np.exp(-1j * c.strength * tau_half * self._src * self._ktarget)
-        return sfft.ifft(ft, axis=c.target_axis)
+        return sfft.ifft(ft, axis=c.target_axis, overwrite_x=True)
 
     def step_array(self, amp, t):
-        """One Strang step of the raw amplitude array from time t."""
+        """One Strang step of the raw amplitude array from time t.
+
+        The caller's array is left unchanged; every later factor works in
+        place on the step's own array.
+        """
         expv = self._v_half_phase(t)
         tau = 0.0
         c = self.H.coupling
@@ -213,10 +243,18 @@ class SplitOperator:
         amp = expv * amp
         if tau > 0.0:
             amp = self._apply_coupling_half(amp, tau / 2.0)
-        amp = sfft.ifftn(self._kin_phase * sfft.fftn(amp))
+        amp = sfft.fftn(amp, overwrite_x=True)
+        # Complex multiply with FMA is not symmetric in its last bit.  This
+        # keeps the order of `k * fftn(amp)`, whose temporary numpy elides
+        # (computing fftn(amp) * k) from _ELIDE_BYTES on.
+        if amp.nbytes >= _ELIDE_BYTES:
+            np.multiply(amp, self._kin_phase, out=amp)
+        else:
+            np.multiply(self._kin_phase, amp, out=amp)
+        amp = sfft.ifftn(amp, overwrite_x=True)
         if tau > 0.0:
             amp = self._apply_coupling_half(amp, tau / 2.0)
-        amp = expv * amp
+        np.multiply(expv, amp, out=amp)
         return amp
 
     def energy(self, amp, t=None):
@@ -325,13 +363,14 @@ def evolve(psi, hamiltonian, schedule, params=None):
     record(0, amp)
     for i in range(schedule.n_steps):
         amp = op.step_array(amp, schedule.time_at(i))
-        if (i + 1) % 64 == 0 or i + 1 == schedule.n_steps:
+        observe = (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps
+        if observe or (i + 1) % 64 == 0:
             if not np.all(np.isfinite(amp.view(float))):
                 raise PropagationError(
                     f"non-finite amplitudes at step {i + 1} "
                     f"(t={schedule.time_at(i + 1):g})"
                 )
-        if (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps:
+        if observe:
             record(i + 1, amp)
 
     return EvolutionRecord(

@@ -317,13 +317,13 @@ def coevolve(components, hamiltonian, schedule, params, probe_groups=(),
         t = schedule.time_at(i)
         for j in range(len(amps)):
             amps[j] = op.step_array(amps[j], t)
-        done = i + 1 == schedule.n_steps
-        if (i + 1) % 64 == 0 or done:
+        observe = (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps
+        if observe or (i + 1) % 64 == 0:
             for a in amps:
                 if not np.all(np.isfinite(a.view(float))):
                     raise PropagationError(
                         f"non-finite amplitudes at step {i + 1}")
-        if (i + 1) % schedule.stride == 0 or done:
+        if observe:
             t_now = schedule.time_at(i + 1)
             for g in groups:
                 vf1 = vfield(g["comps"], t_now)

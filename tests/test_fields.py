@@ -241,3 +241,52 @@ class TestSnapshotFormat:
         p.write_bytes(data[:-16])
         with pytest.raises(FieldError, match="truncated"):
             load_wavefunction(p)
+
+
+class TestWrap:
+    """Grid.wrap equals lo + mod(x - lo, L) bit for bit."""
+
+    @staticmethod
+    def oracle(grid, coords):
+        coords = np.asarray(coords, dtype=float)
+        los = np.asarray(grid.los)
+        return los + np.mod(coords - los, np.asarray(grid.lengths))
+
+    @staticmethod
+    def assert_bits_equal(a, b):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_matches_oracle(self):
+        g = make_grid([{"points": 10, "lo": -3.3, "hi": 4.1},
+                       {"points": 12, "lo": 0.0, "hi": 7.0}])
+        rng = np.random.default_rng(5)
+        los, lengths = np.asarray(g.los), np.asarray(g.lengths)
+        pts = los + lengths * rng.uniform(-0.1, 1.1, size=(500, 2))
+        special = [
+            [0.0, 1.0],                                  # inside
+            [g.his[0], g.his[1]],                        # exactly at hi
+            [np.nextafter(g.his[0], -np.inf), 6.999],    # just below hi
+            [g.los[0], g.los[1]],                        # exactly at lo
+            [np.nextafter(g.los[0], -np.inf), -1e-300],  # just below lo
+            [1e9, -1e9],                                 # far outside
+            [-7.4 * 3, 7.0 * 5],                         # whole periods away
+            [0.0, -0.0],                                 # -0.0 offset (lo 0.0)
+            [np.nan, 2.0],
+            [1.0, np.nan],
+            [np.inf, -np.inf],
+        ]
+        pts = np.concatenate([pts, special])
+        self.assert_bits_equal(g.wrap(pts), self.oracle(g, pts))
+
+    def test_single_point_and_scalar(self):
+        g = make_grid([{"points": 8, "lo": -1.0, "hi": 1.0}])
+        for x in (0.25, -0.0, 1.0, -5.5, np.nan, [0.3], [[0.3], [7.0]]):
+            self.assert_bits_equal(g.wrap(x), self.oracle(g, x))
+
+    def test_does_not_return_or_change_input(self):
+        g = make_grid([{"points": 8, "lo": -1.0, "hi": 1.0}])
+        pts = np.array([[0.5], [3.0]])
+        out = g.wrap(pts)
+        assert out is not pts
+        assert np.array_equal(pts, [[0.5], [3.0]])

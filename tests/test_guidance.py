@@ -63,6 +63,87 @@ class TestVelocityField:
         np.testing.assert_allclose(vf.components[0], k / 4.0, atol=1e-12)
 
 
+# Reference implementation: the full-grid velocity field, dividing by a
+# safe copy of the wave everywhere and filling nodal cells with np.where.
+
+def _oracle_velocity_field(psi, params=None, eps_node=1e-8):
+    from scipy.ndimage import distance_transform_edt
+    import scipy.fft as sfft
+
+    if params is None:
+        params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
+    grid = psi.grid
+    amp = psi.amplitudes
+    absamp = np.abs(amp)
+    nodal = absamp < eps_node * np.max(absamp)
+    all_nodal = bool(np.all(nodal))
+    comps = np.empty((grid.dims,) + tuple(grid.shape))
+    safe = np.where(nodal, 1.0, amp)
+    for i in range(grid.dims):
+        k = grid.k_coords(i)
+        shp = [1] * grid.dims
+        shp[i] = grid.shape[i]
+        grad = sfft.ifft(1j * k.reshape(shp) * sfft.fft(amp, axis=i), axis=i)
+        np.multiply(params.hbar / params.masses[i], np.imag(grad / safe),
+                    out=comps[i])
+    if np.any(nodal) and not all_nodal:
+        idx = distance_transform_edt(nodal, return_distances=False,
+                                     return_indices=True)
+        src = tuple(idx[d] for d in range(grid.dims))
+        for i in range(grid.dims):
+            comps[i] = np.where(nodal, comps[i][src], comps[i])
+    return comps, nodal, bool(np.any(nodal)), all_nodal
+
+
+class TestVelocityFieldOracle:
+    """Dividing only at non-nodal cells reproduces the full-grid field."""
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("eps_node,expect", [(1e-8, "none"),
+                                                 (0.3, "some"),
+                                                 (2.0, "all")])
+    def test_matches_oracle(self, shape, eps_node, expect):
+        g = make_grid([{"points": n, "lo": -4.0 - i, "hi": 5.0 + i}
+                       for i, n in enumerate(shape)])
+        rng = np.random.default_rng(3)
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        params = PhysicalParams(masses=tuple(1.0 + 0.5 * i
+                                             for i in range(len(shape))))
+        psi = WaveFunction(g, amp, 0.25)
+        vf = velocity_field(psi, params, eps_node=eps_node)
+        comps, nodal, any_nodal, all_nodal = _oracle_velocity_field(
+            psi, params, eps_node=eps_node)
+        assert (any_nodal, all_nodal) == {"none": (False, False),
+                                          "some": (True, False),
+                                          "all": (True, True)}[expect]
+        assert np.array_equal(vf.components, comps)
+        assert np.array_equal(vf.nodal, nodal)
+        assert (vf.any_nodal, vf.all_nodal) == (any_nodal, all_nodal)
+        assert vf.time == 0.25
+
+    def test_nodal_gaussian_matches_oracle(self):
+        # a smooth wave whose tails are nodal, as in the shipped scenarios
+        g = make_grid([{"points": 24, "lo": -12, "hi": 12},
+                       {"points": 20, "lo": -10, "hi": 10},
+                       {"points": 20, "lo": -15, "hi": 15}])
+        a = init_gaussian(g, [-3.0, 0.0, 1.0], [0.7, 0.6, 1.0], [0.0, 0.4, 0.0])
+        b = init_gaussian(g, [3.0, 1.0, -1.0], [0.7, 0.6, 1.0], [0.0, -0.4, 0.0])
+        psi = superpose([(1 / np.sqrt(2), a), (1 / np.sqrt(2), b)])
+        vf = velocity_field(psi)
+        comps, nodal, _, _ = _oracle_velocity_field(psi)
+        assert 0.3 < np.mean(nodal) < 1.0
+        assert np.array_equal(vf.components, comps)
+        assert np.array_equal(vf.nodal, nodal)
+
+    def test_input_unchanged(self):
+        g = make_grid([{"points": 32, "lo": -4, "hi": 4}])
+        rng = np.random.default_rng(4)
+        amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+        kept = amp.copy()
+        velocity_field(WaveFunction(g, amp), eps_node=0.3)
+        assert np.array_equal(amp, kept)
+
+
 class TestVelocityAt:
     def make_linear_field(self, c=0.3):
         g = grid1d(64, 0.0, 16.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from pilotwave.fields import (
     FieldError, PhysicalParams, make_grid, init_gaussian, normalize,
@@ -7,9 +8,10 @@ from pilotwave.fields import (
 )
 from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
-    PropagationError, step, apply_conditional_displacement, evolve,
-    save_record, load_record, hamiltonian_hash,
+    PropagationError, SplitOperator, step, apply_conditional_displacement,
+    evolve, save_record, load_record, hamiltonian_hash, _overlap,
 )
+from pilotwave.scenarios import coevolve
 
 
 def grid1d(n=256, lo=-16.0, hi=16.0):
@@ -235,3 +237,155 @@ class TestEvolve:
             Schedule(0, 1, -0.1)
         with pytest.raises(FieldError):
             Schedule(0, 1, 0.3)
+
+
+# Reference implementation: the step that evaluates the windowed potential
+# phase afresh with the overlap (t+dt) - t and transforms out of place.
+
+def _oracle_v_half_phase(op, t):
+    active = [(w, v) for (w, v) in op._windowed
+              if _overlap(w[0], w[1], t, t + op.dt) > 0.0]
+    if not active:
+        return op._exp_v_half_static
+    v_eff = op.v_static * op.dt
+    for (t_on, t_off), v in active:
+        v_eff = v_eff + v * _overlap(t_on, t_off, t, t + op.dt)
+    return np.exp(-1j * v_eff / (2.0 * op.params.hbar))
+
+
+def _oracle_step_array(op, amp, t):
+    def coupling_half(amp, tau_half):
+        c = op.H.coupling
+        ft = sfft.fft(amp, axis=c.target_axis)
+        ft *= np.exp(-1j * c.strength * tau_half * op._src * op._ktarget)
+        return sfft.ifft(ft, axis=c.target_axis)
+
+    expv = _oracle_v_half_phase(op, t)
+    tau = 0.0
+    c = op.H.coupling
+    if c is not None and c.strength != 0.0:
+        tau = _overlap(c.t_on, c.t_off, t, t + op.dt)
+    amp = expv * amp
+    if tau > 0.0:
+        amp = coupling_half(amp, tau / 2.0)
+    amp = sfft.ifftn(op._kin_phase * sfft.fftn(amp))
+    if tau > 0.0:
+        amp = coupling_half(amp, tau / 2.0)
+    amp = expv * amp
+    return amp
+
+
+DT = 0.03
+WINDOW = (0.1, 0.3)
+GATE = (0.35, 0.4)
+TIMES = [i * DT for i in range(15)]   # as Schedule.time_at gives them
+
+
+def inside_window(t):
+    return WINDOW[0] <= t and t + DT <= WINDOW[1]
+
+
+def outside_window(t):
+    return t + DT <= WINDOW[0] or t >= WINDOW[1]
+
+
+def windowed_operator(shape):
+    """2-D operator with a static well, a windowed term and a gate."""
+    g = make_grid([{"points": n, "lo": -8.0 - i, "hi": 8.0 + i}
+                   for i, n in enumerate(shape)])
+    H = HamiltonianSpec(
+        (PotentialTerm.make("harmonic", [0], omega=0.8),
+         PotentialTerm.make("linear_coupling", [0, 1], window=WINDOW,
+                            strength=3.0)),
+        MeasurementCoupling(0, 1, 2.0, *GATE))
+    op = SplitOperator(g, PhysicalParams(masses=(1.0, 2.0)), H, DT)
+    psi = init_gaussian(g, [-1.0, 0.5], [0.6, 0.7], [0.3, -0.2], params=op.params)
+    return op, psi.amplitudes
+
+
+# one grid below and one at numpy's 256 KiB temporary-elision size
+SHAPES = [(32, 24), (256, 64)]
+
+
+class TestStepArrayOracle:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("t", [t for t in TIMES if not inside_window(t)])
+    def test_bitwise_equal_to_oracle(self, shape, t):
+        # static steps, steps straddling a window edge and gate steps
+        op, amp = windowed_operator(shape)
+        kept = amp.copy()
+        got = op.step_array(amp, t)
+        assert np.array_equal(amp, kept)
+        assert np.array_equal(got, _oracle_step_array(op, kept, t))
+
+    def test_times_cover_every_kind_of_step(self):
+        op, _ = windowed_operator((32, 24))
+        overlaps = [op._window_overlaps(t)[0] for t in TIMES]
+        gated = [_overlap(*GATE, t, t + DT) for t in TIMES]
+        assert any(0.0 < tau < DT for tau in overlaps)
+        assert any(0.0 < tau < DT for tau in gated)
+        assert any(tau > 0.0 and not inside_window(t)
+                   for tau, t in zip(gated, TIMES))
+
+    def test_steps_inside_window_use_dt(self):
+        op, amp = windowed_operator((32, 24))
+        inexact = 0
+        for t in filter(inside_window, TIMES):
+            assert op._window_overlaps(t) == (DT,)
+            inexact += (t + DT) - t != DT
+            kept = amp.copy()
+            got = op.step_array(amp, t)
+            assert np.array_equal(amp, kept)
+            np.testing.assert_allclose(op._v_half_phase(t),
+                                       _oracle_v_half_phase(op, t),
+                                       rtol=1e-14, atol=0.0)
+            want = _oracle_step_array(op, amp, t)
+            np.testing.assert_allclose(got, want, rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(want)))
+            amp = got
+        # the old overlap (t+dt) - t is not dt at some of these steps
+        assert inexact > 0
+
+    def test_one_cached_phase_dropped_after_window(self):
+        op, amp = windowed_operator((32, 24))
+        for t in TIMES:
+            amp = op.step_array(amp, t)
+            cached = op._window_phase
+            if inside_window(t):
+                taus, phase = cached
+                assert taus == (DT,)
+                assert op._v_half_phase(t) is phase
+            elif outside_window(t):
+                assert cached is None
+            else:
+                # a straddling step computes its phase and does not keep it
+                assert cached is None or cached[0] == (DT,)
+        assert op._window_phase is None
+
+    def test_components_share_one_phase(self):
+        op, amp = windowed_operator((32, 24))
+        first = op._v_half_phase(0.15)
+        op.step_array(amp, 0.15)
+        op.step_array(2.0 * amp, 0.15)
+        assert op._v_half_phase(0.18) is first
+
+
+class TestFiniteAtObservations:
+    def nan_case(self):
+        g = grid1d(64)
+        bad = np.zeros(64)
+        bad[10] = np.nan
+        H = HamiltonianSpec((PotentialTerm.make("custom_grid", [0], values=bad),))
+        return init_gaussian(g, [0.0], [1.0]), H
+
+    def test_evolve_checks_each_observation(self):
+        psi, H = self.nan_case()
+        with pytest.raises(PropagationError,
+                           match=r"non-finite amplitudes at step 5 \(t=0.05\)"):
+            evolve(psi, H, Schedule(0, 1, 0.01, 5))
+
+    def test_coevolve_checks_each_observation(self):
+        psi, H = self.nan_case()
+        with pytest.raises(PropagationError,
+                           match=r"non-finite amplitudes at step 5$"):
+            coevolve([psi], H, Schedule(0, 1, 0.01, 5), PhysicalParams())
