@@ -24,11 +24,6 @@ import scipy.fft as sfft
 from .fields import FieldError, Grid, PhysicalParams, WaveFunction, save_wavefunction, load_wavefunction
 
 
-# numpy reuses a temporary operand of a binary operation as its output from
-# this size on (NPY_MIN_ELIDE_BYTES)
-_ELIDE_BYTES = 256 * 1024
-
-
 class PropagationError(RuntimeError):
     """Numerical failure (NaN/Inf) or invalid propagation setup."""
 
@@ -244,13 +239,7 @@ class SplitOperator:
         if tau > 0.0:
             amp = self._apply_coupling_half(amp, tau / 2.0)
         amp = sfft.fftn(amp, overwrite_x=True)
-        # Complex multiply with FMA is not symmetric in its last bit.  This
-        # keeps the order of `k * fftn(amp)`, whose temporary numpy elides
-        # (computing fftn(amp) * k) from _ELIDE_BYTES on.
-        if amp.nbytes >= _ELIDE_BYTES:
-            np.multiply(amp, self._kin_phase, out=amp)
-        else:
-            np.multiply(self._kin_phase, amp, out=amp)
+        np.multiply(self._kin_phase, amp, out=amp)
         amp = sfft.ifftn(amp, overwrite_x=True)
         if tau > 0.0:
             amp = self._apply_coupling_half(amp, tau / 2.0)
