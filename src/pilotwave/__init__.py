@@ -16,8 +16,8 @@ from .propagate import (
     step, apply_conditional_displacement, evolve,
 )
 from .guidance import (
-    ParticleConfig, VelocityField, Trajectory,
-    velocity_field, velocity_at, advance_particle, simulate_trajectory,
+    VelocityField, Trajectory,
+    velocity_field, velocity_at, simulate_trajectory,
 )
 from .ensemble import sample_initial, run_ensemble, equivariance_test, h_function
 from .branches import (

@@ -11,13 +11,13 @@ is the normalized overlap of their conditional environment profiles; r -> 0
 means the empty branch can no longer steer the particle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldError, WaveFunction, normalize
 from .guidance import (
-    ParticleConfig, Trajectory, interp_stencil, simulate_trajectories,
+    Trajectory, interp_stencil, simulate_trajectories,
 )
 
 COVERAGE_TOL = 1e-6        # hard error if more probability mass is unmasked
@@ -221,7 +221,7 @@ def branch_occupancy(grid, X, masks):
     Cells are resolved on the grid; a configuration on a boundary cell
     tie-breaks to the lowest mask index; returns "none" outside every mask.
     """
-    coords = np.asarray(X.coords if isinstance(X, ParticleConfig) else X, float)
+    coords = np.asarray(X, float)
     return str(occupancy_labels(grid, coords[None, :], masks)[0])
 
 

@@ -8,7 +8,7 @@ ensemble bit for bit on any platform.
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats

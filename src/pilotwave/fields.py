@@ -6,19 +6,14 @@ types defined here: a periodic uniform :class:`Grid` of 1-3 axes, a complex
 All operations are pure; none mutate their inputs.
 """
 
-import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 NORM_TOL = 1e-9
 BOUNDARY_TAIL = 1e-12
-
-MAGIC_COMPLEX = b"BPWF"
-MAGIC_REAL = b"BPRF"
-FORMAT_VERSION = 1
 
 
 class FieldError(ValueError):
@@ -38,10 +33,6 @@ class PhysicalParams:
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if any(m <= 0 for m in self.masses):
             raise FieldError(f"all masses must be positive, got {self.masses}")
-
-    def for_axes(self, axes):
-        """Parameters restricted to a subset of axes."""
-        return PhysicalParams(self.hbar, tuple(self.masses[a] for a in axes))
 
 
 @dataclass(frozen=True)
@@ -110,12 +101,6 @@ class Grid:
             y[outside] = np.mod(y[outside], np.broadcast_to(lengths, y.shape)[outside])
         y += los
         return y
-
-    def contains(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        los = np.asarray(self.los)
-        his = np.asarray(self.his)
-        return bool(np.all(coords >= los) and np.all(coords < his))
 
     def subgrid(self, axes):
         """Grid restricted to a subset of axes (order as given)."""
@@ -254,18 +239,14 @@ def superpose(components):
         raise FieldError("superpose needs at least one component")
     grid = components[0][1].grid
     total = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs = []
     for c, psi in components:
         if psi.grid != grid:
             raise FieldError("superpose components must share one grid")
         total += complex(c) * psi.amplitudes
-        coeffs.append(complex(c))
     out = WaveFunction(grid, total, components[0][1].time)
     if out.norm() < 1e-300:
         raise FieldError("superposition is identically zero")
-    out = normalize(out)
-    out.coefficients = coeffs
-    return out
+    return normalize(out)
 
 
 def density(psi):
@@ -294,73 +275,3 @@ def marginal_density(psi, axes):
     perm = [kept_in_order.index(a) for a in axes]
     rho = np.transpose(rho, perm)
     return DensityField(psi.grid.subgrid(axes), rho, psi.time)
-
-
-# ---------------------------------------------------------------------------
-# binary field snapshots
-
-def _write_header(fh, magic, grid, time):
-    fh.write(magic)
-    fh.write(struct.pack("<II", FORMAT_VERSION, grid.dims))
-    for n, lo, hi in zip(grid.shape, grid.los, grid.his):
-        fh.write(struct.pack("<Qdd", n, lo, hi))
-    fh.write(struct.pack("<d", time))
-
-
-def _read_header(fh, expect_magic):
-    magic = fh.read(4)
-    if magic != expect_magic:
-        raise FieldError(f"bad magic {magic!r}, expected {expect_magic!r}")
-    version, dims = struct.unpack("<II", fh.read(8))
-    if version != FORMAT_VERSION:
-        raise FieldError(f"unsupported format version {version}")
-    if not 1 <= dims <= 3:
-        raise FieldError(f"invalid dims {dims} in header")
-    shape, los, his = [], [], []
-    for _ in range(dims):
-        n, lo, hi = struct.unpack("<Qdd", fh.read(24))
-        shape.append(int(n))
-        los.append(lo)
-        his.append(hi)
-    (time,) = struct.unpack("<d", fh.read(8))
-    return Grid(tuple(shape), tuple(los), tuple(his)), time
-
-
-def save_wavefunction(path, psi):
-    """Write a wave function in the binary snapshot format (magic BPWF)."""
-    with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_COMPLEX, psi.grid, psi.time)
-        inter = np.empty(psi.amplitudes.size * 2, dtype="<f8")
-        flat = np.ravel(psi.amplitudes, order="C")
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
-
-
-def load_wavefunction(path):
-    """Read a BPWF snapshot; validates magic and payload shape."""
-    with open(path, "rb") as fh:
-        grid, time = _read_header(fh, MAGIC_COMPLEX)
-        count = int(np.prod(grid.shape)) * 2
-        inter = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if inter.size != count:
-            raise FieldError("truncated snapshot payload")
-    amp = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return WaveFunction(grid, amp, time)
-
-
-def save_real_field(path, fld):
-    """Write a real field in the binary format variant (magic BPRF)."""
-    with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_REAL, fld.grid, fld.time)
-        fh.write(np.ravel(fld.values, order="C").astype("<f8").tobytes())
-
-
-def load_real_field(path):
-    with open(path, "rb") as fh:
-        grid, time = _read_header(fh, MAGIC_REAL)
-        count = int(np.prod(grid.shape))
-        vals = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if vals.size != count:
-            raise FieldError("truncated field payload")
-    return DensityField(grid, vals.reshape(grid.shape).copy(), time)

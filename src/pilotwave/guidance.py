@@ -10,28 +10,19 @@ nearest non-nodal cell and, when a query stencil touches a nodal cell during
 stepping, the speed is capped at dx/dt for that step.
 """
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.ndimage import distance_transform_edt
 
-from .fields import FieldError, PhysicalParams, WaveFunction
+from .fields import PhysicalParams
 
 EPS_NODE = 1e-8
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ParticleConfig:
-    """Actual configuration: one position per grid axis, at a time."""
-
-    coords: tuple
-    time: float = 0.0
 
 
 @dataclass
@@ -60,7 +51,6 @@ class Trajectory:
     times: np.ndarray
     positions: np.ndarray  # shape (T, D)
     degenerate: bool = False
-    metadata: dict = field(default_factory=dict)
 
 
 def velocity_field(psi, params=None, eps_node=EPS_NODE):
@@ -170,9 +160,8 @@ def velocity_at_many(vfield, pts, return_inside=False):
 
 
 def velocity_at(vfield, X):
-    """Velocity at one configuration (per-axis tuple or ParticleConfig)."""
-    coords = X.coords if isinstance(X, ParticleConfig) else X
-    v, _ = velocity_at_many(vfield, np.asarray(coords, dtype=float)[None, :])
+    """Velocity at one configuration (one coordinate per axis)."""
+    v, _ = velocity_at_many(vfield, np.asarray(X, dtype=float)[None, :])
     return tuple(v[0])
 
 
@@ -260,11 +249,13 @@ def advance_interval(vf0, vf1, pts, dt):
     particle traverses more than SUBSTEP_CFL of a cell per substep at the
     currently observed speeds, at most MAX_SUBSTEPS; a capped interval logs
     a warning.  The speeds observed at `pts` are also the first substep's
-    first RK4 stage.
+    first RK4 stage; a non-finite one raises RuntimeError.
     """
     first = _sample(vf0, vf1, pts)
     va, vb = first[:2]
-    vmax = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 0.0)
+    vmax = float(np.maximum(np.max(np.abs(va)), np.max(np.abs(vb))))
+    if not math.isfinite(vmax):
+        raise RuntimeError("NaN in trajectory output; regularization failed")
     need = int(np.ceil(vmax * dt / (SUBSTEP_CFL * min(vf0.grid.dxs))))
     n = min(max(need, 1), MAX_SUBSTEPS)
     if need > MAX_SUBSTEPS:
@@ -279,16 +270,20 @@ def advance_interval(vf0, vf1, pts, dt):
     return pts, degen_any
 
 
-def advance_particle(psi_t, psi_next, X, dt, params=None):
-    """One guidance step between two wave snapshots dt apart."""
-    if psi_t.grid != psi_next.grid:
-        raise FieldError("wave snapshots must share one grid")
-    vf0 = velocity_field(psi_t, params)
-    vf1 = velocity_field(psi_next, params)
-    coords = X.coords if isinstance(X, ParticleConfig) else X
-    new, degen = _rk4_many(vf0, vf1, np.asarray(coords, float)[None, :], dt)
-    t_new = (X.time if isinstance(X, ParticleConfig) else psi_t.time) + dt
-    return ParticleConfig(tuple(new[0]), t_new), bool(degen[0])
+def advance_group(vf0, vf1, pts, frozen, coupling, t0, t1):
+    """Advance a particle group over [t0, t1] between two velocity fields.
+
+    Half the gate kick, the adaptive interval, the other half kick.  A
+    particle flagged degenerate joins `frozen` (updated in place); frozen
+    particles stay where they were at t0.  Returns the new positions.
+    """
+    grid = vf0.grid
+    kicked = gate_kick(grid, pts, coupling, t0, t1, 0.5)
+    new, degen = advance_interval(vf0, vf1, kicked, t1 - t0)
+    new = gate_kick(grid, new, coupling, t0, t1, 0.5)
+    frozen |= degen
+    new[frozen] = pts[frozen]
+    return new
 
 
 def simulate_trajectory(record, x0, stride=1, params=None):
@@ -301,7 +296,7 @@ def simulate_trajectory(record, x0, stride=1, params=None):
     return trajs[0]
 
 
-def simulate_trajectories(record, x0s, stride=1, params=None, metadata=None):
+def simulate_trajectories(record, x0s, stride=1, params=None):
     """Integrate many particles at once (shared velocity fields).
 
     x0s: array (N, D) of initial configurations at record.times[0].
@@ -309,69 +304,23 @@ def simulate_trajectories(record, x0s, stride=1, params=None, metadata=None):
     """
     if params is None:
         params = record.params
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     n_snap = len(record.snapshots)
     idxs = list(range(0, n_snap, stride))
     if idxs[-1] != n_snap - 1:
         idxs.append(n_snap - 1)
 
-    pts = record.grid.wrap(x0s)
+    pts = record.grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
     frozen = np.zeros(len(pts), dtype=bool)
-    times = [record.times[idxs[0]]]
-    path = [pts.copy()]
-
-    coupling = getattr(record.hamiltonian, "coupling", None)
+    path = [pts]
     vf0 = velocity_field(record.wave_at(idxs[0]), params)
     for a, b in zip(idxs[:-1], idxs[1:]):
         vf1 = velocity_field(record.wave_at(b), params)
-        dt = record.times[b] - record.times[a]
-        t0, t1 = record.times[a], record.times[b]
-        pts = gate_kick(record.grid, pts, coupling, t0, t1, 0.5)
-        new, degen = advance_interval(vf0, vf1, pts, dt)
-        new = gate_kick(record.grid, new, coupling, t0, t1, 0.5)
-        newly = degen & ~frozen
-        if np.any(newly):
-            new[newly] = pts[newly]  # freeze, keep recording
-            frozen |= newly
-        new[frozen] = pts[frozen]
-        pts = new
-        times.append(record.times[b])
-        path.append(pts.copy())
+        pts = advance_group(vf0, vf1, pts, frozen, record.hamiltonian.coupling,
+                            record.times[a], record.times[b])
+        path.append(pts)
         vf0 = vf1
 
-    times = np.asarray(times)
+    times = record.times[idxs]
     path = np.asarray(path)  # (T, N, D)
-    if not np.all(np.isfinite(path)):
-        raise RuntimeError("NaN in trajectory output; regularization failed")
-    out = []
-    for j in range(path.shape[1]):
-        out.append(Trajectory(times, path[:, j, :], bool(frozen[j]),
-                              dict(metadata or {})))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-
-def save_trajectories_csv(path, trajectories):
-    """Combined CSV: trajectory_id, time, x_1..x_D, degenerate_flag."""
-    D = trajectories[0].positions.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trajectory_id", "time"] + [f"x_{i + 1}" for i in range(D)]
-                   + ["degenerate_flag"])
-        for j, tr in enumerate(trajectories):
-            for t, x in zip(tr.times, tr.positions):
-                w.writerow([j, repr(float(t))] + [repr(float(c)) for c in x]
-                           + [int(tr.degenerate)])
-
-
-def save_trajectory_csv(path, trajectory):
-    """Single-trajectory CSV: time, x_1..x_D, degenerate_flag."""
-    D = trajectory.positions.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time"] + [f"x_{i + 1}" for i in range(D)] + ["degenerate_flag"])
-        for t, x in zip(trajectory.times, trajectory.positions):
-            w.writerow([repr(float(t))] + [repr(float(c)) for c in x]
-                       + [int(trajectory.degenerate)])
+    return [Trajectory(times, path[:, j, :], bool(frozen[j]))
+            for j in range(path.shape[1])]

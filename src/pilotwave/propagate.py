@@ -12,16 +12,13 @@ need not align with step boundaries.  Every factor is exactly unitary, making
 the composition second-order accurate and norm-preserving to rounding.
 """
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import FieldError, Grid, PhysicalParams, WaveFunction, save_wavefunction, load_wavefunction
+from .fields import FieldError, Grid, PhysicalParams, WaveFunction
 
 
 class PropagationError(RuntimeError):
@@ -307,6 +304,30 @@ def apply_conditional_displacement(psi, coupling, tau):
     return WaveFunction(grid, sfft.ifft(ft, axis=c.target_axis), psi.time)
 
 
+def _observed_steps(op, amps, schedule):
+    """Step every array of `amps` through the schedule, replacing it in place.
+
+    Yields (i, t) at step 0 and after every observation step (each `stride`
+    steps, and the last).  Amplitudes are checked finite at every
+    observation and every 64 steps.
+    """
+    yield 0, schedule.time_at(0)
+    for i in range(schedule.n_steps):
+        t = schedule.time_at(i)
+        for j in range(len(amps)):
+            amps[j] = op.step_array(amps[j], t)
+        observe = (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps
+        if observe or (i + 1) % 64 == 0:
+            for a in amps:
+                if not np.all(np.isfinite(a.view(float))):
+                    raise PropagationError(
+                        f"non-finite amplitudes at step {i + 1} "
+                        f"(t={schedule.time_at(i + 1):g})"
+                    )
+        if observe:
+            yield i + 1, schedule.time_at(i + 1)
+
+
 @dataclass
 class EvolutionRecord:
     """Snapshots at a fixed stride plus conserved-quantity time series."""
@@ -319,10 +340,6 @@ class EvolutionRecord:
     snapshots: list = field(default_factory=list)
     norms: np.ndarray = None
     energies: np.ndarray = None  # NaN where a gate/window made <H> time-dependent
-
-    @property
-    def snapshot_dt(self):
-        return self.schedule.dt * self.schedule.stride
 
     def wave_at(self, index):
         return WaveFunction(self.grid, self.snapshots[index], self.times[index])
@@ -337,30 +354,16 @@ def evolve(psi, hamiltonian, schedule, params=None):
     if params is None:
         params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
     op = SplitOperator(psi.grid, params, hamiltonian, schedule.dt)
-    amp = psi.amplitudes.copy()
+    amps = [psi.amplitudes]
 
     times, snaps, norms, energies = [], [], [], []
-
-    def record(i, a):
-        t = schedule.time_at(i)
+    for i, t in _observed_steps(op, amps, schedule):
+        a = amps[0]
         times.append(t)
         snaps.append(a.copy())
         norms.append(float(np.sqrt(np.sum(np.abs(a) ** 2) * psi.grid.dV)))
         e = op.energy(a, t if i < schedule.n_steps else None)
         energies.append(np.nan if e is None else e)
-
-    record(0, amp)
-    for i in range(schedule.n_steps):
-        amp = op.step_array(amp, schedule.time_at(i))
-        observe = (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps
-        if observe or (i + 1) % 64 == 0:
-            if not np.all(np.isfinite(amp.view(float))):
-                raise PropagationError(
-                    f"non-finite amplitudes at step {i + 1} "
-                    f"(t={schedule.time_at(i + 1):g})"
-                )
-        if observe:
-            record(i + 1, amp)
 
     return EvolutionRecord(
         grid=psi.grid,
@@ -371,77 +374,4 @@ def evolve(psi, hamiltonian, schedule, params=None):
         snapshots=snaps,
         norms=np.asarray(norms),
         energies=np.asarray(energies),
-    )
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def hamiltonian_to_dict(h):
-    d = {"terms": [], "coupling": None}
-    for t in h.terms:
-        p = {k: (np.asarray(v).tolist() if isinstance(v, np.ndarray) else v)
-             for k, v in t.pdict.items()}
-        d["terms"].append({"kind": t.kind, "axes": list(t.axes),
-                           "params": p, "window": list(t.window) if t.window else None})
-    if h.coupling is not None:
-        c = h.coupling
-        d["coupling"] = {"source_axis": c.source_axis, "target_axis": c.target_axis,
-                         "strength": c.strength, "t_on": c.t_on, "t_off": c.t_off}
-    return d
-
-
-def hamiltonian_hash(h):
-    blob = json.dumps(hamiltonian_to_dict(h), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def save_record(dirpath, record):
-    """Persist an EvolutionRecord: JSON manifest plus per-snapshot BPWF files."""
-    os.makedirs(dirpath, exist_ok=True)
-    manifest = {
-        "hamiltonian": hamiltonian_to_dict(record.hamiltonian),
-        "hamiltonian_hash": hamiltonian_hash(record.hamiltonian),
-        "schedule": {"t_start": record.schedule.t_start, "t_end": record.schedule.t_end,
-                     "dt": record.schedule.dt, "stride": record.schedule.stride},
-        "params": {"hbar": record.params.hbar, "masses": list(record.params.masses)},
-        "times": record.times.tolist(),
-        "norms": record.norms.tolist(),
-        "energies": [None if np.isnan(e) else e for e in record.energies],
-        "snapshot_files": [],
-    }
-    for i in range(len(record.snapshots)):
-        step_idx = int(round((record.times[i] - record.schedule.t_start) / record.schedule.dt))
-        name = f"snapshot_{step_idx:08d}.bpwf"
-        save_wavefunction(os.path.join(dirpath, name), record.wave_at(i))
-        manifest["snapshot_files"].append(name)
-    with open(os.path.join(dirpath, "evolution.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-
-
-def load_record(dirpath):
-    with open(os.path.join(dirpath, "evolution.json")) as fh:
-        m = json.load(fh)
-    terms = []
-    for t in m["hamiltonian"]["terms"]:
-        params = {k: (np.asarray(v) if isinstance(v, list) else v)
-                  for k, v in t["params"].items()}
-        terms.append(PotentialTerm.make(t["kind"], t["axes"],
-                                        window=tuple(t["window"]) if t["window"] else None,
-                                        **params))
-    cdict = m["hamiltonian"]["coupling"]
-    coupling = MeasurementCoupling(**cdict) if cdict else None
-    h = HamiltonianSpec(tuple(terms), coupling)
-    sched = Schedule(**m["schedule"])
-    params = PhysicalParams(m["params"]["hbar"], tuple(m["params"]["masses"]))
-    snaps, grid = [], None
-    for name in m["snapshot_files"]:
-        psi = load_wavefunction(os.path.join(dirpath, name))
-        grid = psi.grid
-        snaps.append(psi.amplitudes)
-    return EvolutionRecord(
-        grid=grid, params=params, hamiltonian=h, schedule=sched,
-        times=np.asarray(m["times"]), snapshots=snaps,
-        norms=np.asarray(m["norms"]),
-        energies=np.asarray([np.nan if e is None else e for e in m["energies"]]),
     )

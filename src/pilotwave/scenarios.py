@@ -33,14 +33,11 @@ from .fields import (
 )
 from .propagate import (
     HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule,
-    SplitOperator, EvolutionRecord, PropagationError, evolve,
+    SplitOperator, EvolutionRecord, evolve, _observed_steps,
 )
-from .guidance import (
-    velocity_field, advance_interval, gate_kick, simulate_trajectories,
-)
+from .guidance import velocity_field, advance_group, simulate_trajectories
 from .ensemble import (
     rng_for, sample_initial, run_ensemble, equivariance_test, h_function,
-    Ensemble,
 )
 from .branches import (
     halfspace_mask, decompose, interference_term, overlap_factor,
@@ -283,21 +280,14 @@ def coevolve(components, hamiltonian, schedule, params, probe_groups=(),
     """Step all components through one schedule, advancing probes in stride.
 
     Components share the Hamiltonian (evolution is linear, so their sum is
-    the full wave at all times).  Probes advance one RK4 step per observation
+    the full wave at all times).  Probes advance over each observation
     interval, guided by the summed wave of their component subset.  The
     observer, if given, is called at every observation time with
     (t, list of amplitude arrays) and its return values are collected.
     """
     grid = components[0].grid
     op = SplitOperator(grid, params, hamiltonian, schedule.dt)
-    amps = [c.amplitudes.copy() for c in components]
-
-    groups = []
-    for g in probe_groups:
-        pts = grid.wrap(np.atleast_2d(np.asarray(g.x0s, dtype=float)))
-        groups.append({"pts": pts, "comps": tuple(g.components),
-                       "frozen": np.zeros(len(pts), dtype=bool),
-                       "path": [pts.copy()], "vf": None})
+    amps = [c.amplitudes for c in components]
 
     def vfield(comps, t):
         total = amps[comps[0]]
@@ -305,44 +295,25 @@ def coevolve(components, hamiltonian, schedule, params, probe_groups=(),
             total = total + amps[ci]
         return velocity_field(WaveFunction(grid, total, t), params)
 
-    times = [schedule.t_start]
-    for g in groups:
-        g["vf"] = vfield(g["comps"], schedule.t_start)
-    observations = []
-    if observer is not None:
-        observations.append(observer(schedule.t_start, amps))
+    groups = []
+    for g in probe_groups:
+        pts = grid.wrap(np.atleast_2d(np.asarray(g.x0s, dtype=float)))
+        groups.append({"pts": pts, "comps": tuple(g.components),
+                       "frozen": np.zeros(len(pts), dtype=bool),
+                       "path": [pts], "vf": None})
 
-    t_prev = schedule.t_start
-    for i in range(schedule.n_steps):
-        t = schedule.time_at(i)
-        for j in range(len(amps)):
-            amps[j] = op.step_array(amps[j], t)
-        observe = (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps
-        if observe or (i + 1) % 64 == 0:
-            for a in amps:
-                if not np.all(np.isfinite(a.view(float))):
-                    raise PropagationError(
-                        f"non-finite amplitudes at step {i + 1}")
-        if observe:
-            t_now = schedule.time_at(i + 1)
-            for g in groups:
-                vf1 = vfield(g["comps"], t_now)
-                pts = gate_kick(grid, g["pts"], hamiltonian.coupling,
-                                t_prev, t_now, 0.5)
-                new, degen = advance_interval(g["vf"], vf1, pts,
-                                              t_now - t_prev)
-                new = gate_kick(grid, new, hamiltonian.coupling,
-                                t_prev, t_now, 0.5)
-                newly = degen & ~g["frozen"]
-                g["frozen"] |= newly
-                new[g["frozen"]] = g["pts"][g["frozen"]]
-                g["pts"] = new
-                g["path"].append(new.copy())
-                g["vf"] = vf1
-            times.append(t_now)
-            if observer is not None:
-                observations.append(observer(t_now, amps))
-            t_prev = t_now
+    times, observations = [], []
+    for i, t in _observed_steps(op, amps, schedule):
+        for g in groups:
+            vf1 = vfield(g["comps"], t)
+            if i > 0:
+                g["pts"] = advance_group(g["vf"], vf1, g["pts"], g["frozen"],
+                                         hamiltonian.coupling, times[-1], t)
+                g["path"].append(g["pts"])
+            g["vf"] = vf1
+        times.append(t)
+        if observer is not None:
+            observations.append(observer(t, amps))
 
     return StreamResult(
         times=np.asarray(times),

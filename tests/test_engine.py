@@ -1,0 +1,225 @@
+"""The stepping loop and the particle advance, checked against reference loops.
+
+`evolve` and `coevolve` share one stepping loop, and `simulate_trajectories`
+and the probes of `coevolve` share one particle-advance routine.  The
+reference functions below are the separate loops those replaced, kept as
+oracles: on every case where the old loops agreed with each other, the shared
+code must give the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from pilotwave.fields import PhysicalParams, WaveFunction, init_gaussian, make_grid, normalize
+from pilotwave.guidance import (
+    advance_interval, gate_kick, simulate_trajectories, velocity_field,
+)
+from pilotwave.propagate import (
+    EvolutionRecord, HamiltonianSpec, MeasurementCoupling, PotentialTerm,
+    Schedule, SplitOperator, evolve,
+)
+from pilotwave.scenarios import ProbeGroup, coevolve
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+def reference_evolve(psi, hamiltonian, schedule, params):
+    op = SplitOperator(psi.grid, params, hamiltonian, schedule.dt)
+    amp = psi.amplitudes.copy()
+    times, snaps, norms, energies = [], [], [], []
+
+    def record(i, a):
+        t = schedule.time_at(i)
+        times.append(t)
+        snaps.append(a.copy())
+        norms.append(float(np.sqrt(np.sum(np.abs(a) ** 2) * psi.grid.dV)))
+        e = op.energy(a, t if i < schedule.n_steps else None)
+        energies.append(np.nan if e is None else e)
+
+    record(0, amp)
+    for i in range(schedule.n_steps):
+        amp = op.step_array(amp, schedule.time_at(i))
+        if (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps:
+            record(i + 1, amp)
+    return EvolutionRecord(psi.grid, params, hamiltonian, schedule,
+                           np.asarray(times), snaps, np.asarray(norms),
+                           np.asarray(energies))
+
+
+def reference_trajectories(record, x0s):
+    """Paths (T, N, D) and frozen flags; frozen particles take the kick."""
+    pts = record.grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
+    frozen = np.zeros(len(pts), dtype=bool)
+    path = [pts.copy()]
+    coupling = record.hamiltonian.coupling
+    vf0 = velocity_field(record.wave_at(0), record.params)
+    for a in range(len(record.snapshots) - 1):
+        b = a + 1
+        vf1 = velocity_field(record.wave_at(b), record.params)
+        t0, t1 = record.times[a], record.times[b]
+        pts = gate_kick(record.grid, pts, coupling, t0, t1, 0.5)
+        new, degen = advance_interval(vf0, vf1, pts, t1 - t0)
+        new = gate_kick(record.grid, new, coupling, t0, t1, 0.5)
+        newly = degen & ~frozen
+        new[newly] = pts[newly]
+        frozen |= newly
+        new[frozen] = pts[frozen]
+        pts = new
+        path.append(pts.copy())
+        vf0 = vf1
+    return np.asarray(path), frozen
+
+
+def reference_probes(psi, hamiltonian, schedule, params, x0s):
+    """Paths (T, N, D) and frozen flags of one probe group on one component."""
+    grid = psi.grid
+    op = SplitOperator(grid, params, hamiltonian, schedule.dt)
+    amp = psi.amplitudes.copy()
+    pts = grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
+    frozen = np.zeros(len(pts), dtype=bool)
+    path = [pts.copy()]
+    vf = velocity_field(WaveFunction(grid, amp, schedule.t_start), params)
+    t_prev = schedule.t_start
+    for i in range(schedule.n_steps):
+        amp = op.step_array(amp, schedule.time_at(i))
+        if (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps:
+            t_now = schedule.time_at(i + 1)
+            vf1 = velocity_field(WaveFunction(grid, amp, t_now), params)
+            kicked = gate_kick(grid, pts, hamiltonian.coupling, t_prev, t_now, 0.5)
+            new, degen = advance_interval(vf, vf1, kicked, t_now - t_prev)
+            new = gate_kick(grid, new, hamiltonian.coupling, t_prev, t_now, 0.5)
+            frozen |= degen & ~frozen
+            new[frozen] = pts[frozen]
+            pts = new
+            path.append(new.copy())
+            vf = vf1
+            t_prev = t_now
+    return np.asarray(path), frozen
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+def case_1d():
+    g = make_grid([{"points": 256, "lo": -16.0, "hi": 16.0}])
+    a = init_gaussian(g, [-4.0], [0.7], [2.0])
+    b = init_gaussian(g, [4.0], [0.7], [-2.0])
+    psi = normalize(WaveFunction(g, a.amplitudes + b.amplitudes))
+    H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=0.2),))
+    x0s = np.linspace(-6.0, 6.0, 25)[:, None]
+    return psi, H, Schedule(0, 1.5, 0.01, 5), PhysicalParams(), x0s
+
+
+def case_2d_nodes():
+    # ground x first excited along axis 0: a nodal line at x = 0, plus a
+    # windowed potential; the last two starts sit where the wave is nodal
+    g = make_grid([{"points": 48, "lo": -6.0, "hi": 6.0},
+                   {"points": 40, "lo": -5.0, "hi": 5.0}])
+    x, y = g.mesh(0), g.mesh(1)
+    amp = (1.0 + 0.8 * x) * np.exp(-(x ** 2 + y ** 2) / 2.0)
+    psi = normalize(WaveFunction(g, amp.astype(complex)))
+    H = HamiltonianSpec((
+        PotentialTerm.make("harmonic", [0], omega=1.0),
+        PotentialTerm.make("harmonic", [1], omega=1.0),
+        PotentialTerm.make("gaussian_barrier", [1], window=(0.1, 0.3),
+                           height=0.5, width=1.0),
+    ))
+    x0s = np.array([[-1.0, 0.5], [-0.3, -0.2], [0.2, 0.1], [1.1, 0.7],
+                    [0.5, -1.2], [5.5, 4.5], [-5.5, -4.6]])
+    return psi, H, Schedule(0, 0.6, 0.02, 3), PhysicalParams(masses=(1.0, 1.0)), x0s
+
+
+def case_2d_gated():
+    g = make_grid([{"points": 48, "lo": -8.0, "hi": 8.0},
+                   {"points": 64, "lo": -8.0, "hi": 8.0}])
+    params = PhysicalParams(masses=(1.0, 20.0))
+    sa = init_gaussian(g, [-2.0, 0.0], [0.6, 0.5], params=params)
+    sb = init_gaussian(g, [2.0, 0.0], [0.6, 0.5], params=params)
+    psi = normalize(WaveFunction(g, sa.amplitudes + 0.6 * sb.amplitudes))
+    H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 1.5, 0.05, 0.25))
+    x0s = np.array([[-2.3, 0.2], [-1.8, -0.3], [1.9, 0.4], [2.4, -0.1],
+                    [0.1, 0.0]])
+    return psi, H, Schedule(0, 0.4, 0.01, 4), params, x0s
+
+
+CASES = {"1d": case_1d, "2d_nodes": case_2d_nodes, "2d_gated": case_2d_gated}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_evolve_matches_reference(name):
+    psi, H, sched, params, _ = CASES[name]()
+    rec = evolve(psi, H, sched, params)
+    ref = reference_evolve(psi, H, sched, params)
+    assert np.array_equal(rec.times, ref.times)
+    assert len(rec.snapshots) == len(ref.snapshots)
+    for a, b in zip(rec.snapshots, ref.snapshots):
+        assert np.array_equal(a, b)
+    assert np.array_equal(rec.norms, ref.norms)
+    assert np.array_equal(rec.energies, ref.energies, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trajectories_match_reference(name):
+    psi, H, sched, params, x0s = CASES[name]()
+    rec = evolve(psi, H, sched, params)
+    trs = simulate_trajectories(rec, x0s)
+    path, frozen = reference_trajectories(rec, x0s)
+    assert np.array_equal(np.stack([tr.positions for tr in trs], axis=1), path)
+    assert np.array_equal([tr.degenerate for tr in trs], frozen)
+    assert np.array_equal(trs[0].times, rec.times)
+    if name == "2d_nodes":
+        assert frozen[-2:].all() and not frozen[:-2].any()
+    if name == "2d_gated":
+        # the old loops disagree on frozen particles under a gate
+        assert not frozen.any()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coevolve_probes_match_reference(name):
+    psi, H, sched, params, x0s = CASES[name]()
+    res = coevolve([psi], H, sched, params,
+                   probe_groups=[ProbeGroup(x0s, (0,))])
+    path, frozen = reference_probes(psi, H, sched, params, x0s)
+    assert np.array_equal(res.probe_paths[0], path)
+    assert np.array_equal(res.probe_degenerate[0], frozen)
+    ref = reference_evolve(psi, H, sched, params)
+    assert np.array_equal(res.times, ref.times)
+    assert np.array_equal(res.final_components[0].amplitudes, ref.snapshots[-1])
+
+
+# ---------------------------------------------------------------------------
+# behaviour the two old particle loops did not share
+
+def gated_gaussian():
+    g = make_grid([{"points": 64, "lo": -8.0, "hi": 8.0}] * 2)
+    psi = init_gaussian(g, [0.0, 0.0], [0.5, 0.5])
+    H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 1.0, 0.0, 0.2))
+    return psi, H, Schedule(0, 0.2, 0.01, 5), PhysicalParams(masses=(1.0, 1.0))
+
+
+def test_frozen_particle_stays_put_under_gate():
+    # (6, 3) is deep in the tail of a sigma=0.5 packet: its stencil is nodal,
+    # so it freezes at once; the gate would kick it by 0.15 per half interval
+    psi, H, sched, params = gated_gaussian()
+    x0 = np.array([[6.0, 3.0]])
+    tr = simulate_trajectories(evolve(psi, H, sched, params), x0)[0]
+    res = coevolve([psi], H, sched, params, probe_groups=[ProbeGroup(x0, (0,))])
+    for path, frozen in ((tr.positions, tr.degenerate),
+                         (res.probe_paths[0][:, 0], res.probe_degenerate[0][0])):
+        assert frozen
+        assert len(path) == 5
+        assert np.all(path == [6.0, 3.0])
+
+
+def test_nan_start_raises_runtime_error():
+    psi, H, sched, params = gated_gaussian()
+    x0 = np.array([[np.nan, 0.0]])
+    rec = evolve(psi, H, sched, params)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError, match="NaN in trajectory output"):
+            simulate_trajectories(rec, x0)
+        with pytest.raises(RuntimeError, match="NaN in trajectory output"):
+            coevolve([psi], H, sched, params,
+                     probe_groups=[ProbeGroup(x0, (0,))])
+

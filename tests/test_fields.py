@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from pilotwave.fields import (
     FieldError, PhysicalParams, make_grid, init_gaussian, superpose, density,
     marginal_density, normalize, WaveFunction, DensityField,
-    save_wavefunction, load_wavefunction, save_real_field, load_real_field,
 )
 
 
@@ -191,7 +190,11 @@ def test_normalize_and_phase_properties(center, sigma, momentum, phase):
     psi = init_gaussian(grid1d(), [center], [sigma], [momentum])
     assert abs(psi.norm() - 1.0) <= 1e-9
     rotated = WaveFunction(psi.grid, np.exp(1j * phase) * psi.amplitudes)
-    assert np.max(np.abs(density(rotated).values - density(psi).values)) <= 1e-15
+    rho = density(psi).values
+    # relative to rho, in units u = eps/2: |exp(i phase)|^2 is 1 +- 2u, one complex
+    # multiply adds 2 sqrt(5) u, abs()**2 3u on each side; sum < 13u < 8 eps
+    bound = 8 * np.finfo(float).eps * rho.max()
+    assert np.max(np.abs(density(rotated).values - rho)) <= bound
 
 
 def test_marginal_order_consistency():
@@ -207,40 +210,6 @@ def test_marginal_order_consistency():
     direct = marginal_density(psi, (2,)).values
     np.testing.assert_allclose(ab, direct, atol=1e-12)
     np.testing.assert_allclose(bb, direct, atol=1e-12)
-
-
-class TestSnapshotFormat:
-    def test_complex_roundtrip(self, tmp_path):
-        psi = init_gaussian(grid1d(64, -8, 8), [0.5], [1.0], [1.5])
-        psi.time = 2.25
-        p = tmp_path / "f.bpwf"
-        save_wavefunction(p, psi)
-        back = load_wavefunction(p)
-        assert back.grid == psi.grid and back.time == 2.25
-        np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
-
-    def test_real_roundtrip(self, tmp_path):
-        psi = init_gaussian(grid1d(64, -8, 8), [0.0], [1.0])
-        fld = density(psi)
-        p = tmp_path / "f.bprf"
-        save_real_field(p, fld)
-        back = load_real_field(p)
-        np.testing.assert_array_equal(back.values, fld.values)
-
-    def test_magic_validated(self, tmp_path):
-        p = tmp_path / "bad.bpwf"
-        p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(FieldError, match="magic"):
-            load_wavefunction(p)
-
-    def test_truncation_detected(self, tmp_path):
-        psi = init_gaussian(grid1d(64, -8, 8), [0.0], [1.0])
-        p = tmp_path / "f.bpwf"
-        save_wavefunction(p, psi)
-        data = p.read_bytes()
-        p.write_bytes(data[:-16])
-        with pytest.raises(FieldError, match="truncated"):
-            load_wavefunction(p)
 
 
 class TestWrap:

@@ -8,10 +8,9 @@ from pilotwave.fields import (
 )
 from pilotwave.propagate import HamiltonianSpec, PotentialTerm, Schedule, evolve
 from pilotwave.guidance import (
-    MAX_SUBSTEPS, SUBSTEP_CFL, ParticleConfig, VelocityField, Trajectory,
+    MAX_SUBSTEPS, SUBSTEP_CFL, VelocityField,
     velocity_field, velocity_at, velocity_at_many, advance_interval,
-    advance_particle, simulate_trajectory, simulate_trajectories,
-    save_trajectory_csv, save_trajectories_csv,
+    simulate_trajectory, simulate_trajectories,
 )
 
 
@@ -350,27 +349,37 @@ class TestSubstepCap:
 
 
 class TestAdvanceParticle:
+    """advance_interval on one particle, the wave the same at both ends."""
+
+    @staticmethod
+    def advance(psi, x, dt):
+        vf = velocity_field(psi)
+        new, degen = advance_interval(vf, vf, np.array([[x]]), dt)
+        return new[0, 0], bool(degen[0])
+
+    @staticmethod
+    def plane_wave():
+        g = grid1d(64, 0.0, 16.0)
+        k = 2 * np.pi * 3 / 16.0
+        x = g.axis_coords(0)
+        return normalize(WaveFunction(g, np.exp(1j * k * x))), k
+
     def test_stationary_for_zero_velocity(self):
         psi = init_gaussian(grid1d(), [0.0], [np.sqrt(0.5)])
-        X, degen = advance_particle(psi, psi, ParticleConfig((0.7,)), 0.01)
-        assert X.coords[0] == pytest.approx(0.7, abs=1e-10)
+        x, degen = self.advance(psi, 0.7, 0.01)
+        assert x == pytest.approx(0.7, abs=1e-10)
         assert not degen
 
     def test_plane_wave_constant_drift(self):
-        g = grid1d(64, 0.0, 16.0)
-        k = 2 * np.pi * 3 / 16.0
-        x = g.axis_coords(0)
-        psi = normalize(WaveFunction(g, np.exp(1j * k * x)))
-        X, _ = advance_particle(psi, psi, ParticleConfig((5.0,)), 0.25)
-        assert X.coords[0] == pytest.approx(5.0 + k * 0.25, abs=1e-10)
+        psi, k = self.plane_wave()
+        x, _ = self.advance(psi, 5.0, 0.25)
+        assert x == pytest.approx(5.0 + k * 0.25, abs=1e-10)
 
     def test_periodic_wrap(self):
-        g = grid1d(64, 0.0, 16.0)
-        k = 2 * np.pi * 3 / 16.0
-        x = g.axis_coords(0)
-        psi = normalize(WaveFunction(g, np.exp(1j * k * x)))
-        X, _ = advance_particle(psi, psi, ParticleConfig((15.9,)), 1.0)
-        assert 0.0 <= X.coords[0] < 16.0
+        psi, k = self.plane_wave()
+        x, _ = self.advance(psi, 15.9, 1.0)
+        assert 0.0 <= x < 16.0
+        assert x == pytest.approx(15.9 + k - 16.0, abs=1e-10)
 
 
 class TestSimulateTrajectory:
@@ -423,24 +432,3 @@ class TestSimulateTrajectory:
         for tr in trs:
             assert np.all(np.isfinite(tr.positions))
         assert sum(tr.degenerate for tr in trs) == 0
-
-
-class TestCsvOutput:
-    def test_combined_roundtrip(self, tmp_path):
-        times = np.array([0.0, 0.1])
-        trs = [Trajectory(times, np.array([[0.0, 1.0], [0.1, 1.1]])),
-               Trajectory(times, np.array([[2.0, 3.0], [2.1, 3.1]]), True)]
-        p = tmp_path / "traj.csv"
-        save_trajectories_csv(p, trs)
-        rows = p.read_text().strip().split("\n")
-        assert rows[0] == "trajectory_id,time,x_1,x_2,degenerate_flag"
-        assert len(rows) == 5
-        assert rows[-1].endswith(",1")
-
-    def test_single(self, tmp_path):
-        tr = Trajectory(np.array([0.0, 0.5]), np.array([[1.0], [1.5]]))
-        p = tmp_path / "one.csv"
-        save_trajectory_csv(p, tr)
-        rows = p.read_text().strip().split("\n")
-        assert rows[0] == "time,x_1,degenerate_flag"
-        assert rows[1].startswith("0.0,1.0")

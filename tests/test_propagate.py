@@ -9,7 +9,7 @@ from pilotwave.fields import (
 from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
     PropagationError, SplitOperator, step, apply_conditional_displacement,
-    evolve, save_record, load_record, hamiltonian_hash, _overlap,
+    evolve, _overlap,
 )
 from pilotwave.scenarios import coevolve
 
@@ -219,19 +219,6 @@ class TestEvolve:
         peak = a[np.argmax(marg.values * (a > 0))]
         assert peak == pytest.approx(3.0, abs=0.3)
 
-    def test_record_roundtrip(self, tmp_path):
-        g = grid1d(64)
-        H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=1.0),))
-        psi = init_gaussian(g, [0.5], [np.sqrt(0.5)])
-        rec = evolve(psi, H, Schedule(0, 0.2, 0.01, 5))
-        save_record(tmp_path / "run", rec)
-        back = load_record(tmp_path / "run")
-        assert back.grid == rec.grid
-        np.testing.assert_array_equal(back.times, rec.times)
-        for a, b in zip(back.snapshots, rec.snapshots):
-            np.testing.assert_array_equal(a, b)
-        assert hamiltonian_hash(back.hamiltonian) == hamiltonian_hash(rec.hamiltonian)
-
     def test_schedule_validation(self):
         with pytest.raises(FieldError):
             Schedule(0, 1, -0.1)
@@ -394,8 +381,15 @@ class TestFiniteAtObservations:
                            match=r"non-finite amplitudes at step 5 \(t=0.05\)"):
             evolve(psi, H, Schedule(0, 1, 0.01, 5))
 
+    def test_checks_every_64_steps(self):
+        # no observation falls on step 64 here
+        psi, H = self.nan_case()
+        with pytest.raises(PropagationError,
+                           match=r"non-finite amplitudes at step 64 \(t=0.64\)$"):
+            evolve(psi, H, Schedule(0, 1, 0.01, 100))
+
     def test_coevolve_checks_each_observation(self):
         psi, H = self.nan_case()
         with pytest.raises(PropagationError,
-                           match=r"non-finite amplitudes at step 5$"):
+                           match=r"non-finite amplitudes at step 5 \(t=0.05\)$"):
             coevolve([psi], H, Schedule(0, 1, 0.01, 5), PhysicalParams())
