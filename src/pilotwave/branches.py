@@ -21,7 +21,7 @@ from .guidance import (
 )
 
 COVERAGE_TOL = 1e-6        # hard error if more probability mass is unmasked
-DISJOINT_LEAK_TOL = 1e-6   # branch mass outside its mask counted as "disjoint"
+SUPPORT_FLOOR = 1e-10      # branch support: density above this * its max
 
 
 class BranchError(FieldError):
@@ -269,20 +269,19 @@ def _periodic_dev(grid, a, b):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def single_branch_error(full_record, branch_record, x0, stride=1,
-                        support_floor=1e-10):
+def single_branch_error(full_record, branch_record, x0):
     """Guide the same particle under the full wave and under one branch.
 
     branch_record should evolve the (renormalized) occupied branch alone on
     the same grid and schedule.  Returns the max deviation over time; if the
     branch-only particle leaves the branch support (local density below
-    support_floor of the max), the comparison is truncated there and flagged.
+    SUPPORT_FLOOR of the max), the comparison is truncated there and flagged.
     """
     if full_record.grid != branch_record.grid:
         raise BranchError("records must share one grid")
     x0 = np.asarray(x0, float)
-    tr_full = simulate_trajectories(full_record, x0[None, :], stride=stride)[0]
-    tr_br = simulate_trajectories(branch_record, x0[None, :], stride=stride)[0]
+    tr_full = simulate_trajectories(full_record, x0[None, :])[0]
+    tr_br = simulate_trajectories(branch_record, x0[None, :])[0]
     grid = full_record.grid
 
     times = tr_full.times
@@ -295,7 +294,7 @@ def single_branch_error(full_record, branch_record, x0, stride=1,
         si = int(np.argmin(np.abs(snap_times - t)))
         amp = np.abs(branch_record.snapshots[si])
         corners_val = _density_at(grid, amp, tr_br.positions[i])
-        if corners_val < support_floor * float(np.max(amp)) ** 2:
+        if corners_val < SUPPORT_FLOOR * float(np.max(amp)) ** 2:
             truncated = True
             cut = i + 1
             break

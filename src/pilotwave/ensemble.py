@@ -115,7 +115,7 @@ def sample_initial(psi, n, seed):
 def run_ensemble(record, n, seed, stride=1):
     """Sample |Psi(t_start)|^2 and integrate all trajectories through a record."""
     x0 = sample_initial(record.wave_at(0), n, seed)
-    trajs = simulate_trajectories(record, x0, stride=stride, params=record.params)
+    trajs = simulate_trajectories(record, x0, stride=stride)
     times = trajs[0].times
     positions = np.stack([tr.positions for tr in trajs], axis=1)
     degenerate = np.array([tr.degenerate for tr in trajs], dtype=bool)

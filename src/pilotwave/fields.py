@@ -77,12 +77,18 @@ class Grid:
         n = self.shape[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.dxs[axis])
 
-    def mesh(self, axis):
-        """Axis coordinates broadcast to the full grid shape."""
-        x = self.axis_coords(axis)
+    def _along(self, axis, values):
         newshape = [1] * self.dims
         newshape[axis] = self.shape[axis]
-        return x.reshape(newshape)
+        return values.reshape(newshape)
+
+    def mesh(self, axis):
+        """Axis coordinates broadcast to the full grid shape."""
+        return self._along(axis, self.axis_coords(axis))
+
+    def k_mesh(self, axis):
+        """Axis wavenumbers broadcast to the full grid shape."""
+        return self._along(axis, self.k_coords(axis))
 
     @cached_property
     def _wrap_arrays(self):

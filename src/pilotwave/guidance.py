@@ -19,6 +19,7 @@ import scipy.fft as sfft
 from scipy.ndimage import distance_transform_edt
 
 from .fields import PhysicalParams
+from .propagate import _overlap
 
 EPS_NODE = 1e-8
 
@@ -53,7 +54,7 @@ class Trajectory:
     degenerate: bool = False
 
 
-def velocity_field(psi, params=None, eps_node=EPS_NODE):
+def velocity_field(psi, params=None):
     """Spectral guidance velocity with nodal regularization.
 
     The ratio grad/Psi is taken only at non-nodal cells; nodal cells are
@@ -65,7 +66,7 @@ def velocity_field(psi, params=None, eps_node=EPS_NODE):
     grid = psi.grid
     amp = psi.amplitudes
     absamp = np.abs(amp)
-    nodal = absamp < eps_node * np.max(absamp)
+    nodal = absamp < EPS_NODE * np.max(absamp)
     del absamp
     live = np.flatnonzero(~nodal)
     any_nodal = live.size < nodal.size
@@ -75,10 +76,7 @@ def velocity_field(psi, params=None, eps_node=EPS_NODE):
     comps = np.empty((grid.dims,) + tuple(grid.shape))
     flat = comps.reshape(grid.dims, -1)
     for i in range(grid.dims):
-        k = grid.k_coords(i)
-        shp = [1] * grid.dims
-        shp[i] = grid.shape[i]
-        grad = sfft.ifft(1j * k.reshape(shp) * sfft.fft(amp, axis=i), axis=i,
+        grad = sfft.ifft(1j * grid.k_mesh(i) * sfft.fft(amp, axis=i), axis=i,
                          overwrite_x=True)
         c = params.hbar / params.masses[i]
         if all_nodal:
@@ -218,24 +216,25 @@ def _rk4_many(vf0, vf1, pts, dt, f0=0.0, f1=1.0, first=None):
 
 SUBSTEP_CFL = 0.2       # max fraction of a cell traversed per substep
 MAX_SUBSTEPS = 256
+_NAN_MSG = "NaN in trajectory output; regularization failed"
 
 
-def gate_kick(grid, pts, coupling, t0, t1, fraction=1.0):
-    """Advective displacement from a momentum coupling g * x_src * p_tgt.
+def gate_kick(grid, pts, coupling, t0, t1):
+    """Half the displacement due to a momentum coupling g * x_src * p_tgt.
 
     That Hamiltonian term adds g * x_src to the target-axis probability
     current, on top of the phase-gradient velocity; over [t0, t1] it
     translates the target coordinate by g * tau * x_src (tau = overlap with
-    the gate window).  Callers apply half before and half after the
-    field-guided step to keep the splitting symmetric.
+    the gate window).  Callers apply it before and after the field-guided
+    step to keep the splitting symmetric.
     """
     if coupling is None or coupling.strength == 0.0:
         return pts
-    tau = max(0.0, min(coupling.t_off, t1) - max(coupling.t_on, t0))
+    tau = _overlap(coupling.t_on, coupling.t_off, t0, t1)
     if tau <= 0.0:
         return pts
     pts = pts.copy()
-    pts[:, coupling.target_axis] += (fraction * coupling.strength * tau
+    pts[:, coupling.target_axis] += (0.5 * coupling.strength * tau
                                      * pts[:, coupling.source_axis])
     return grid.wrap(pts)
 
@@ -249,13 +248,15 @@ def advance_interval(vf0, vf1, pts, dt):
     particle traverses more than SUBSTEP_CFL of a cell per substep at the
     currently observed speeds, at most MAX_SUBSTEPS; a capped interval logs
     a warning.  The speeds observed at `pts` are also the first substep's
-    first RK4 stage; a non-finite one raises RuntimeError.
+    first RK4 stage.  A non-finite position or speed raises RuntimeError.
     """
+    if not np.isfinite(pts).all():
+        raise RuntimeError(_NAN_MSG)
     first = _sample(vf0, vf1, pts)
     va, vb = first[:2]
     vmax = float(np.maximum(np.max(np.abs(va)), np.max(np.abs(vb))))
     if not math.isfinite(vmax):
-        raise RuntimeError("NaN in trajectory output; regularization failed")
+        raise RuntimeError(_NAN_MSG)
     need = int(np.ceil(vmax * dt / (SUBSTEP_CFL * min(vf0.grid.dxs))))
     n = min(max(need, 1), MAX_SUBSTEPS)
     if need > MAX_SUBSTEPS:
@@ -278,32 +279,26 @@ def advance_group(vf0, vf1, pts, frozen, coupling, t0, t1):
     particles stay where they were at t0.  Returns the new positions.
     """
     grid = vf0.grid
-    kicked = gate_kick(grid, pts, coupling, t0, t1, 0.5)
+    kicked = gate_kick(grid, pts, coupling, t0, t1)
     new, degen = advance_interval(vf0, vf1, kicked, t1 - t0)
-    new = gate_kick(grid, new, coupling, t0, t1, 0.5)
+    new = gate_kick(grid, new, coupling, t0, t1)
     frozen |= degen
     new[frozen] = pts[frozen]
     return new
 
 
-def simulate_trajectory(record, x0, stride=1, params=None):
-    """Integrate one particle through an EvolutionRecord's snapshots.
-
-    The guidance step equals the snapshot spacing times `stride`.
-    """
-    trajs = simulate_trajectories(record, np.asarray(x0, float)[None, :],
-                                  stride=stride, params=params)
-    return trajs[0]
+def simulate_trajectory(record, x0):
+    """Integrate one particle through an EvolutionRecord's snapshots."""
+    return simulate_trajectories(record, np.asarray(x0, float)[None, :])[0]
 
 
-def simulate_trajectories(record, x0s, stride=1, params=None):
+def simulate_trajectories(record, x0s, stride=1):
     """Integrate many particles at once (shared velocity fields).
 
     x0s: array (N, D) of initial configurations at record.times[0].
-    Returns a list of Trajectory, one per particle, on the strided time axis.
+    Returns a list of Trajectory, one per particle, on the strided time axis;
+    the guidance step is the snapshot spacing times `stride`.
     """
-    if params is None:
-        params = record.params
     n_snap = len(record.snapshots)
     idxs = list(range(0, n_snap, stride))
     if idxs[-1] != n_snap - 1:
@@ -312,9 +307,9 @@ def simulate_trajectories(record, x0s, stride=1, params=None):
     pts = record.grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
     frozen = np.zeros(len(pts), dtype=bool)
     path = [pts]
-    vf0 = velocity_field(record.wave_at(idxs[0]), params)
+    vf0 = velocity_field(record.wave_at(idxs[0]), record.params)
     for a, b in zip(idxs[:-1], idxs[1:]):
-        vf1 = velocity_field(record.wave_at(b), params)
+        vf1 = velocity_field(record.wave_at(b), record.params)
         pts = advance_group(vf0, vf1, pts, frozen, record.hamiltonian.coupling,
                             record.times[a], record.times[b])
         path.append(pts)

@@ -157,10 +157,7 @@ class SplitOperator:
         # kinetic phase: exp(-i dt hbar k^2 / 2m) summed over axes
         ksq = np.zeros(grid.shape)
         for i in range(grid.dims):
-            k = grid.k_coords(i)
-            shp = [1] * grid.dims
-            shp[i] = grid.shape[i]
-            ksq = ksq + (params.hbar * k.reshape(shp) ** 2) / (2.0 * params.masses[i])
+            ksq = ksq + (params.hbar * grid.k_mesh(i) ** 2) / (2.0 * params.masses[i])
         self._kin_phase = np.exp(-1j * self.dt * ksq)
         self._ksq_over = ksq  # hbar k^2 / 2m, reused for <H>
 
@@ -180,10 +177,7 @@ class SplitOperator:
         c = hamiltonian.coupling
         if c is not None:
             self._src = grid.mesh(c.source_axis)
-            kt = grid.k_coords(c.target_axis)
-            shp = [1] * grid.dims
-            shp[c.target_axis] = grid.shape[c.target_axis]
-            self._ktarget = kt.reshape(shp)
+            self._ktarget = grid.k_mesh(c.target_axis)
 
     def _window_overlaps(self, t):
         """Overlap of [t, t+dt) with each window; exactly dt when covered."""
@@ -213,6 +207,13 @@ class SplitOperator:
             self._window_phase = (taus, phase)
         return phase
 
+    def _gate_overlap(self, t):
+        """Overlap of [t, t+dt) with the coupling gate; 0 without one."""
+        c = self.H.coupling
+        if c is None or c.strength == 0.0:
+            return 0.0
+        return _overlap(c.t_on, c.t_off, t, t + self.dt)
+
     def _apply_coupling_half(self, amp, tau_half):
         """Coupling half-step; overwrites `amp`, which the caller owns."""
         c = self.H.coupling
@@ -227,11 +228,7 @@ class SplitOperator:
         place on the step's own array.
         """
         expv = self._v_half_phase(t)
-        tau = 0.0
-        c = self.H.coupling
-        if c is not None and c.strength != 0.0:
-            tau = _overlap(c.t_on, c.t_off, t, t + self.dt)
-
+        tau = self._gate_overlap(t)
         amp = expv * amp
         if tau > 0.0:
             amp = self._apply_coupling_half(amp, tau / 2.0)
@@ -245,13 +242,9 @@ class SplitOperator:
 
     def energy(self, amp, t=None):
         """<H> (kinetic + static potential); None while a window is active."""
-        if t is not None:
-            for (t_on, t_off), _ in self._windowed:
-                if _overlap(t_on, t_off, t, t + self.dt) > 0.0:
-                    return None
-            c = self.H.coupling
-            if c is not None and c.strength != 0.0 and _overlap(c.t_on, c.t_off, t, t + self.dt) > 0.0:
-                return None
+        if t is not None and (any(tau > 0.0 for tau in self._window_overlaps(t))
+                              or self._gate_overlap(t) > 0.0):
+            return None
         ft = sfft.fftn(amp) / np.sqrt(amp.size)
         kin = np.sum(np.abs(ft) ** 2 * self._ksq_over) * self.params.hbar
         # ft normalized so that sum |ft|^2 = sum |amp|^2; convert to integrals
@@ -296,11 +289,8 @@ def apply_conditional_displacement(psi, coupling, tau):
         )
     if c.strength * tau == 0.0:
         return psi.copy()
-    kt = grid.k_coords(c.target_axis)
-    shp = [1] * grid.dims
-    shp[c.target_axis] = grid.shape[c.target_axis]
     ft = sfft.fft(psi.amplitudes, axis=c.target_axis)
-    ft *= np.exp(-1j * c.strength * tau * src * kt.reshape(shp))
+    ft *= np.exp(-1j * c.strength * tau * src * grid.k_mesh(c.target_axis))
     return WaveFunction(grid, sfft.ifft(ft, axis=c.target_axis), psi.time)
 
 

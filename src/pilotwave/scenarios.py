@@ -21,7 +21,7 @@ import copy
 import hashlib
 import json
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -38,6 +38,7 @@ from .propagate import (
 from .guidance import velocity_field, advance_group, simulate_trajectories
 from .ensemble import (
     rng_for, sample_initial, run_ensemble, equivariance_test, h_function,
+    _axis_density,
 )
 from .branches import (
     halfspace_mask, decompose, interference_term, overlap_factor,
@@ -179,21 +180,16 @@ def spec_hash(d):
 def load_spec(path, overrides=()):
     """Load, override, and validate a scenario spec file."""
     with open(path) as fh:
-        d = json.load(fh)
-    if overrides:
-        d = apply_overrides(d, overrides)
-    return validate_spec_dict(d)
+        return validate_spec_dict(apply_overrides(json.load(fh), overrides))
 
 
 def builtin_spec(kind, overrides=()):
     """One of the shipped, calibrated scenario spec files."""
     if kind not in KINDS:
         raise SpecError(f"kind: unknown scenario kind {kind!r}")
-    with resources.files("pilotwave").joinpath(f"specs/{kind}.json").open() as fh:
-        d = json.load(fh)
-    if overrides:
-        d = apply_overrides(d, overrides)
-    return validate_spec_dict(d)
+    shipped = resources.files("pilotwave") / "specs" / f"{kind}.json"
+    with resources.as_file(shipped) as path:
+        return load_spec(path, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +242,19 @@ def _components_of(spec, grid, params):
         comps.append(WaveFunction(grid, p["coefficient"] * psi.amplitudes,
                                   psi.time))
     return comps
+
+
+def _simulation_of(spec):
+    """Grid, physical parameters, schedule and Hamiltonian of a spec."""
+    return (_grid_of(spec), _params_of(spec), _schedule_of(spec),
+            _hamiltonian_of(spec))
+
+
+def _evolve_packets(spec):
+    """EvolutionRecord of each packet under the spec's Hamiltonian."""
+    grid, params, sched, H = _simulation_of(spec)
+    return [evolve(c, H, sched, params)
+            for c in _components_of(spec, grid, params)]
 
 
 def _twin_spec(spec):
@@ -356,6 +365,15 @@ class ScenarioReport:
             json.dump(self.to_dict(), fh, indent=1)
 
 
+def _report(spec, t0, metrics, verdicts, twin=None):
+    """Report of a run started at t0; a twin run steps the schedule twice."""
+    steps = _schedule_of(spec).n_steps * (1 if twin is None else 2)
+    return ScenarioReport(
+        kind=spec["kind"], spec=spec, spec_hash=spec_hash(spec),
+        metrics=metrics, verdicts=verdicts, twin=twin,
+        runtime={"seconds": _time.time() - t0, "steps": steps})
+
+
 def load_report(path):
     with open(path) as fh:
         d = json.load(fh)
@@ -402,18 +420,16 @@ def _fringe_spacing(rho, x, window):
     return float(np.mean(np.diff(peaks)))
 
 
-def _eq3_residual(psi, masks):
-    """Max pointwise residual of rho = sum |b_i|^2 + cross terms."""
-    branches = decompose(psi, masks)
-    rho = np.abs(psi.amplitudes) ** 2
-    acc = np.zeros_like(rho)
-    for b in branches:
-        acc += np.abs(b.wave.amplitudes) ** 2
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            fld, _ = interference_term(branches[i], branches[j])
-            acc += fld
-    return float(np.max(np.abs(rho - acc)))
+def _eq3_residual(psi, axis, split):
+    """Max pointwise residual of rho = |b_lo|^2 + |b_hi|^2 + cross term.
+
+    The branches are the halfspaces of `axis` below and above `split`.
+    """
+    lo, hi = decompose(psi, [halfspace_mask(psi.grid, axis, split, side)
+                             for side in ("below", "above")])
+    acc = np.abs(lo.wave.amplitudes) ** 2 + np.abs(hi.wave.amplitudes) ** 2
+    acc += interference_term(lo, hi)[0]
+    return float(np.max(np.abs(np.abs(psi.amplitudes) ** 2 - acc)))
 
 
 def _order_preserved(positions):
@@ -423,14 +439,24 @@ def _order_preserved(positions):
     return bool(np.all(np.diff(sorted_paths, axis=1) >= -1e-12))
 
 
-def _lobe_metrics(marg, coords, split=0.0):
-    """Masses of the two pointer lobes and the relative density at the split."""
+def _lobe_metrics(psi, axis):
+    """Pointer lobes either side of 0 along `axis`.
+
+    Returns the masses below and above 0 and the marginal density at 0
+    relative to its maximum.
+    """
+    marg = marginal_density(psi, (axis,)).values
+    coords = psi.grid.axis_coords(axis)
     dx = coords[1] - coords[0]
-    below = float(np.sum(marg[coords < split]) * dx)
-    above = float(np.sum(marg[coords >= split]) * dx)
-    i_split = int(np.argmin(np.abs(coords - split)))
-    gap_rel = float(marg[i_split] / marg.max())
+    below = float(np.sum(marg[coords < 0.0]) * dx)
+    above = float(np.sum(marg[coords >= 0.0]) * dx)
+    gap_rel = float(marg[int(np.argmin(np.abs(coords)))] / marg.max())
     return below, above, gap_rel
+
+
+def _index_at(times, t):
+    """Index of the first time at or after t (to 1e-12), else the last."""
+    return min(int(np.searchsorted(times, t - 1e-12)), len(times) - 1)
 
 
 def _full_record(branch_records):
@@ -451,20 +477,44 @@ def _full_record(branch_records):
                            energies=np.full(len(snaps), np.nan))
 
 
-def _probe_start(spec, default):
-    probe = spec.get("probe", {})
-    return list(probe.get("start", default))
+def _probe_start(spec):
+    """The probe's start: `probe.start`, else the first packet's center."""
+    return list(spec.get("probe", {}).get("start",
+                                          spec["packets"][0]["centers"]))
+
+
+@dataclass
+class _BranchPair:
+    """What both two-packet runners derive from their packets' records."""
+
+    recs: list                 # EvolutionRecord per packet
+    full: EvolutionRecord      # the summed wave
+    l1: np.ndarray             # interference-term L1 per snapshot
+    norm_drift: float          # of the full wave
+    dev: object                # DeviationResult: full wave vs packet 0
+    mid: float                 # packets' midpoint on the split axis
+    eq3: float                 # density identity at t=0, split at mid
+
+
+def _branch_pair(spec, axis):
+    """Evolve each packet; L1(t), full record, probe and density identity."""
+    recs = _evolve_packets(spec)
+    l1 = np.asarray([interference_term(recs[0].wave_at(i), recs[1].wave_at(i))[1]
+                     for i in range(len(recs[0].times))])
+    full = _full_record(recs)
+    drift = float(np.max(np.abs(full.norms - full.norms[0])))
+    dev = single_branch_error(full, recs[0], _probe_start(spec))
+    mid = 0.5 * (spec["packets"][0]["centers"][axis]
+                 + spec["packets"][1]["centers"][axis])
+    return _BranchPair(recs, full, l1, drift, dev, mid,
+                       _eq3_residual(full.wave_at(0), axis, mid))
 
 
 def _density_block(psi, axis, t):
     """Plot-source block: 1D marginal density along one axis."""
-    if psi.grid.dims == 1:
-        marg = density(psi)
-    else:
-        marg = marginal_density(psi, (axis,))
     return {"axis": int(axis), "t": float(t),
             "x": psi.grid.axis_coords(axis).tolist(),
-            "rho": marg.values.tolist()}
+            "rho": _axis_density(psi, axis).values.tolist()}
 
 
 def _trajectory_block(times, paths, labels):
@@ -473,10 +523,9 @@ def _trajectory_block(times, paths, labels):
             "paths": [np.asarray(p).tolist() for p in paths]}
 
 
-def _some_paths(times, positions, k=8):
-    """First k particle paths out of a bundle with shape (T, N, D)."""
-    n = positions.shape[1]
-    idx = list(range(min(k, n)))
+def _some_paths(times, positions):
+    """First 8 particle paths out of a bundle with shape (T, N, D)."""
+    idx = range(min(8, positions.shape[1]))
     return _trajectory_block(times, [positions[:, j] for j in idx],
                              [f"particle_{j}" for j in idx])
 
@@ -488,42 +537,24 @@ def run_interference_scenario(spec):
     if spec["kind"] != "interference":
         raise SpecError("kind: expected interference")
     t0 = _time.time()
-    grid = _grid_of(spec)
-    params = _params_of(spec)
-    sched = _schedule_of(spec)
-    H = _hamiltonian_of(spec)
     thr = spec["thresholds"]
+    grid = _grid_of(spec)
     dx = grid.dxs[0]
 
-    comps = _components_of(spec, grid, params)
-    recs = [evolve(c, H, sched, params) for c in comps]
-    times = recs[0].times
-
-    metrics = {"times": times.tolist()}
-    verdicts = {}
-
-    if len(comps) < 2:
+    if len(spec["packets"]) < 2:
         # degenerate spec: a single packet has nothing to interfere with
-        metrics["l1_series"] = [0.0] * len(times)
-        metrics["l1_peak"] = 0.0
-        verdicts["overlap_reached"] = "inconclusive"
-        return ScenarioReport(
-            kind="interference", spec=spec, spec_hash=spec_hash(spec),
-            metrics=metrics, verdicts=verdicts,
-            runtime={"seconds": _time.time() - t0, "steps": sched.n_steps})
+        times = _evolve_packets(spec)[0].times.tolist()
+        metrics = {"times": times, "l1_series": [0.0] * len(times),
+                   "l1_peak": 0.0}
+        return _report(spec, t0, metrics, {"overlap_reached": "inconclusive"})
 
-    l1 = []
-    for i in range(len(times)):
-        _, v = interference_term(recs[0].wave_at(i), recs[1].wave_at(i))
-        l1.append(v)
-    l1 = np.asarray(l1)
+    pair = _branch_pair(spec, 0)
+    full, l1, times = pair.full, pair.l1, pair.full.times
     i_peak = int(np.argmax(l1))
-    metrics["l1_series"] = l1.tolist()
-    metrics["l1_peak"] = float(l1[i_peak])
-    metrics["t_peak"] = float(times[i_peak])
-
-    full = _full_record(recs)
-    metrics["norm_drift"] = float(np.max(np.abs(full.norms - full.norms[0])))
+    metrics = {"times": times.tolist(), "l1_series": l1.tolist(),
+               "l1_peak": float(l1[i_peak]), "t_peak": float(times[i_peak]),
+               "norm_drift": pair.norm_drift}
+    verdicts = {}
 
     if l1[i_peak] < thr["l1_floor"]:
         verdicts["overlap_reached"] = "inconclusive"
@@ -532,7 +563,8 @@ def run_interference_scenario(spec):
         # fringe spacing at the recombination snapshot, near the midpoint
         k_rel = abs(spec["packets"][0].get("momenta", [0.0])[0]
                     - spec["packets"][1].get("momenta", [0.0])[0]) / 2.0
-        expected = np.pi * params.hbar / k_rel if k_rel > 0 else float("nan")
+        hbar = _params_of(spec).hbar
+        expected = np.pi * hbar / k_rel if k_rel > 0 else float("nan")
         rho = density(full.wave_at(i_peak)).values
         spacing = _fringe_spacing(rho, grid.axis_coords(0),
                                   window=4.0 * expected)
@@ -544,8 +576,7 @@ def run_interference_scenario(spec):
         verdicts["l1_peak"] = _vd(l1[i_peak] >= thr["l1_min"])
 
     # empty-branch steering: full-wave vs single-branch guidance
-    x0 = _probe_start(spec, spec["packets"][0]["centers"])
-    dev = single_branch_error(full, recs[0], x0)
+    dev = pair.dev
     metrics["deviation_max"] = dev.max_deviation
     metrics["deviation_time"] = dev.time_of_max
     metrics["deviation_truncated"] = dev.truncated
@@ -553,10 +584,8 @@ def run_interference_scenario(spec):
         dev.max_deviation >= thr["deviation_min_dx"] * dx)
 
     # symmetry probe at the midpoint between the packets
-    mid = 0.5 * (spec["packets"][0]["centers"][0]
-                 + spec["packets"][1]["centers"][0])
-    tr_mid = simulate_trajectories(full, np.array([[mid]]))[0]
-    sym_dev = float(np.max(np.abs(tr_mid.positions[:, 0] - mid)))
+    tr_mid = simulate_trajectories(full, np.array([[pair.mid]]))[0]
+    sym_dev = float(np.max(np.abs(tr_mid.positions[:, 0] - pair.mid)))
     metrics["symmetry_max_dev"] = sym_dev
     verdicts["symmetry"] = _vd(sym_dev <= thr["symmetry_max_dx"] * dx)
 
@@ -583,16 +612,9 @@ def run_interference_scenario(spec):
     metrics["trajectories"] = _some_paths(ens.times, ens.positions)
 
     # density identity on a halfspace decomposition at the start
-    masks = [halfspace_mask(grid, 0, mid, "below", "left"),
-             halfspace_mask(grid, 0, mid, "above", "right")]
-    metrics["eq3_residual"] = _eq3_residual(full.wave_at(0), masks)
+    metrics["eq3_residual"] = pair.eq3
     verdicts["density_identity"] = _vd(metrics["eq3_residual"] <= thr["eq3_max"])
-
-    return ScenarioReport(
-        kind="interference", spec=spec, spec_hash=spec_hash(spec),
-        metrics=metrics, verdicts=verdicts,
-        runtime={"seconds": _time.time() - t0, "steps": sched.n_steps},
-    )
+    return _report(spec, t0, metrics, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -600,55 +622,30 @@ def run_interference_scenario(spec):
 
 def _decoherence_metrics(spec):
     """Branch evolution, r(t), L1(t), and the single-branch deviation."""
-    grid = _grid_of(spec)
-    params = _params_of(spec)
-    sched = _schedule_of(spec)
-    H = _hamiltonian_of(spec)
-    env_axis = spec["roles"]["env_axis"]
-
-    comps = _components_of(spec, grid, params)
-    recs = [evolve(c, H, sched, params) for c in comps]
-    times = recs[0].times
-
-    r_series, l1_series = [], []
-    for i in range(len(times)):
-        w1, w2 = recs[0].wave_at(i), recs[1].wave_at(i)
-        r_series.append(overlap_factor(w1, w2, (env_axis,)))
-        _, v = interference_term(w1, w2)
-        l1_series.append(v)
-    r_series = np.asarray(r_series)
-    l1_series = np.asarray(l1_series)
-
-    env = spec["couplings"]["env"]
-    i_gate = int(np.searchsorted(times, env["t_off"] - 1e-12))
-    i_gate = min(i_gate, len(times) - 1)
-    i_rec = int(np.argmax(l1_series))
-
-    full = _full_record(recs)
-    x0 = _probe_start(spec, spec["packets"][0]["centers"])
-    dev = single_branch_error(full, recs[0], x0)
-
     sys_axis = spec["roles"]["system_axis"]
-    mid = 0.5 * (spec["packets"][0]["centers"][sys_axis]
-                 + spec["packets"][1]["centers"][sys_axis])
-    masks = [halfspace_mask(grid, sys_axis, mid, "below", "left"),
-             halfspace_mask(grid, sys_axis, mid, "above", "right")]
-    eq3 = _eq3_residual(full.wave_at(0), masks)
+    env_axis = spec["roles"]["env_axis"]
+    pair = _branch_pair(spec, sys_axis)
+    recs, full, dev, times = pair.recs, pair.full, pair.dev, pair.full.times
+    r_series = np.asarray([
+        overlap_factor(recs[0].wave_at(i), recs[1].wave_at(i), (env_axis,))
+        for i in range(len(times))])
+    i_gate = _index_at(times, spec["couplings"]["env"]["t_off"])
+    i_rec = int(np.argmax(pair.l1))
 
     return {
         "times": times.tolist(),
         "r_series": r_series.tolist(),
-        "l1_series": l1_series.tolist(),
+        "l1_series": pair.l1.tolist(),
         "r_gate_close": float(r_series[i_gate]),
         "t_gate_close": float(times[i_gate]),
-        "l1_recombination": float(l1_series[i_rec]),
+        "l1_recombination": float(pair.l1[i_rec]),
         "t_recombination": float(times[i_rec]),
         "deviation_max": dev.max_deviation,
         "deviation_time": dev.time_of_max,
         "deviation_truncated": dev.truncated,
         "deviation_series": dev.deviations.tolist(),
-        "norm_drift": float(np.max(np.abs(full.norms - full.norms[0]))),
-        "eq3_residual": eq3,
+        "norm_drift": pair.norm_drift,
+        "eq3_residual": pair.eq3,
         "density": _density_block(full.wave_at(i_rec), sys_axis,
                                   times[i_rec]),
         "trajectories": _trajectory_block(
@@ -682,22 +679,16 @@ def run_decoherence_scenario(spec):
             * max(metrics["deviation_max"], 1e-300)),
         "density_identity": _vd(metrics["eq3_residual"] <= thr["eq3_max"]),
     }
-    sched = _schedule_of(spec)
-    return ScenarioReport(
-        kind="decoherence", spec=spec, spec_hash=spec_hash(spec),
-        metrics=metrics, verdicts=verdicts, twin=twin,
-        runtime={"seconds": _time.time() - t0, "steps": 2 * sched.n_steps},
-    )
+    return _report(spec, t0, metrics, verdicts, twin)
 
 
 # ---------------------------------------------------------------------------
 # measurement
 
-def _system_reference_record(spec, packet_index, sched=None):
+def _system_reference_record(spec, packet_index):
     """1D record of one system packet evolved under the system axis alone."""
     sys_axis = spec["roles"]["system_axis"]
-    gspec = [spec["grid"][sys_axis]]
-    grid1 = make_grid(gspec)
+    grid1 = make_grid([spec["grid"][sys_axis]])
     params1 = PhysicalParams(spec["physical"].get("hbar", 1.0),
                              (spec["physical"]["masses"][sys_axis],))
     p = spec["packets"][packet_index]
@@ -705,24 +696,16 @@ def _system_reference_record(spec, packet_index, sched=None):
                         [p["sigmas"][sys_axis]],
                         [p.get("momenta", [0.0] * len(p["centers"]))[sys_axis]],
                         params=params1)
-    terms = []
-    for t in spec.get("potentials", []):
-        if tuple(t["axes"]) == (sys_axis,):
-            window = tuple(t["window"]) if t.get("window") else None
-            terms.append(PotentialTerm.make(t["kind"], (0,), window=window,
-                                            **t["params"]))
-    H1 = HamiltonianSpec(tuple(terms))
-    return evolve(psi, H1, sched or _schedule_of(spec), params1)
+    terms = tuple(replace(t, axes=(0,)) for t in _potential_terms(spec)
+                  if t.axes == (sys_axis,))
+    return evolve(psi, HamiltonianSpec(terms), _schedule_of(spec), params1)
 
 
 def run_measurement_scenario(spec):
     if spec["kind"] != "measurement":
         raise SpecError("kind: expected measurement")
     t0 = _time.time()
-    grid = _grid_of(spec)
-    params = _params_of(spec)
-    sched = _schedule_of(spec)
-    H = _hamiltonian_of(spec)
+    grid, params, sched, H = _simulation_of(spec)
     thr = spec["thresholds"]
     ptr = spec["roles"]["pointer_axis"]
 
@@ -741,9 +724,7 @@ def run_measurement_scenario(spec):
     verdicts = {}
 
     # pointer marginal lobes at the end
-    marg = marginal_density(psi_end, (ptr,))
-    a = grid.axis_coords(ptr)
-    below, above, gap_rel = _lobe_metrics(marg.values, a, split=0.0)
+    below, above, gap_rel = _lobe_metrics(psi_end, ptr)
     metrics["lobe_mass_below"] = below
     metrics["lobe_mass_above"] = above
     metrics["lobe_gap_rel"] = gap_rel
@@ -804,37 +785,26 @@ def run_measurement_scenario(spec):
 
     # identity check on a proper pointer-axis partition (occupancy masks may
     # coincide for single-packet specs)
-    part = [halfspace_mask(grid, ptr, 0.0, "below", "lo"),
-            halfspace_mask(grid, ptr, 0.0, "above", "hi")]
-    metrics["eq3_residual"] = _eq3_residual(psi_end, part)
+    metrics["eq3_residual"] = _eq3_residual(psi_end, ptr, 0.0)
     verdicts["density_identity"] = _vd(metrics["eq3_residual"] <= thr["eq3_max"])
 
     metrics["norm_end"] = float(psi_end.norm())
-
-    return ScenarioReport(
-        kind="measurement", spec=spec, spec_hash=spec_hash(spec),
-        metrics=metrics, verdicts=verdicts,
-        runtime={"seconds": _time.time() - t0, "steps": sched.n_steps},
-    )
+    return _report(spec, t0, metrics, verdicts)
 
 
 # ---------------------------------------------------------------------------
 # preparation
 
 def _preparation_metrics(spec):
-    grid = _grid_of(spec)
-    params = _params_of(spec)
-    sched = _schedule_of(spec)
-    H = _hamiltonian_of(spec)
+    grid, params, sched, H = _simulation_of(spec)
     roles = spec["roles"]
     s_ax, a_ax, e_ax = roles["system_axis"], roles["pointer_axis"], roles["env_axis"]
     gate = spec["couplings"]["gate"]
 
     comps = _components_of(spec, grid, params)
-    x0 = np.asarray(_probe_start(spec, spec["packets"][0]["centers"]), float)
+    x0 = np.asarray(_probe_start(spec), float)
 
-    obs_state = {"a_coords": grid.axis_coords(a_ax), "gate_close": None,
-                 "eq3": None}
+    obs_state = {"gate_close": None, "eq3": None}
 
     def observer(t, amps):
         w1 = WaveFunction(grid, amps[0], t)
@@ -844,12 +814,8 @@ def _preparation_metrics(spec):
         row = {"t": t, "r": r, "l1": l1}
         if obs_state["gate_close"] is None and t >= gate["t_off"]:
             total = WaveFunction(grid, amps[0] + amps[1], t)
-            marg = marginal_density(total, (a_ax,))
-            below, above, gap = _lobe_metrics(marg.values,
-                                              obs_state["a_coords"])
-            masks = [halfspace_mask(grid, a_ax, 0.0, "below", "lo"),
-                     halfspace_mask(grid, a_ax, 0.0, "above", "hi")]
-            obs_state["eq3"] = _eq3_residual(total, masks)
+            below, above, gap = _lobe_metrics(total, a_ax)
+            obs_state["eq3"] = _eq3_residual(total, a_ax, 0.0)
             obs_state["gate_close"] = {
                 "t": t, "lobe_mass_below": below, "lobe_mass_above": above,
                 "lobe_gap_rel": gap}
@@ -860,7 +826,7 @@ def _preparation_metrics(spec):
                       observer=observer)
 
     # reference: the prepared eigenstate alone, on the system axis
-    ref_rec = _system_reference_record(spec, 0, sched)
+    ref_rec = _system_reference_record(spec, 0)
     s0 = np.array([[x0[s_ax]]])
     tr_ref = simulate_trajectories(ref_rec, s0)[0]
 
@@ -872,10 +838,8 @@ def _preparation_metrics(spec):
     dev = np.abs((s_full - s_ref + L / 2.0) % L - L / 2.0)
     post = times >= gate["t_off"]
 
-    env = spec["couplings"]["env"]
     r_series = np.asarray([row["r"] for row in result.observations])
-    i_env = int(np.searchsorted(times, env["t_off"] - 1e-12))
-    i_env = min(i_env, len(times) - 1)
+    i_env = _index_at(times, spec["couplings"]["env"]["t_off"])
 
     return {
         "times": times.tolist(),
@@ -906,8 +870,7 @@ def run_preparation_scenario(spec):
         raise SpecError("kind: expected preparation")
     t0 = _time.time()
     thr = spec["thresholds"]
-    grid = _grid_of(spec)
-    dx = grid.dxs[spec["roles"]["system_axis"]]
+    dx = _grid_of(spec).dxs[spec["roles"]["system_axis"]]
 
     metrics = _preparation_metrics(spec)
     twin = _preparation_metrics(_twin_spec(spec))
@@ -929,13 +892,7 @@ def run_preparation_scenario(spec):
     verdicts["density_identity"] = _vd(
         metrics["eq3_residual"] is not None
         and metrics["eq3_residual"] <= thr["eq3_max"])
-
-    sched = _schedule_of(spec)
-    return ScenarioReport(
-        kind="preparation", spec=spec, spec_hash=spec_hash(spec),
-        metrics=metrics, verdicts=verdicts, twin=twin,
-        runtime={"seconds": _time.time() - t0, "steps": 2 * sched.n_steps},
-    )
+    return _report(spec, t0, metrics, verdicts, twin)
 
 
 # ---------------------------------------------------------------------------
@@ -960,28 +917,28 @@ def run_relaxation_scenario(spec):
     if spec["kind"] != "relaxation":
         raise SpecError("kind: expected relaxation")
     t0 = _time.time()
-    grid = _grid_of(spec)
-    params = _params_of(spec)
-    sched = _schedule_of(spec)
+    grid, params, sched, H = _simulation_of(spec)
     thr = spec["thresholds"]
     rx = spec["relaxation"]
     n = spec["ensemble"]["n_particles"]
-    coarse_len = rx["coarse_len"]
 
     psi0 = _box_modes_state(grid, rx["modes"], spec["seed"])
-    H = _hamiltonian_of(spec)
     rec = evolve(psi0, H, sched, params)
+
+    def h_run(x):
+        """Paths (T, N, D), frozen flags and H(t) of particles from x."""
+        trajs = simulate_trajectories(rec, x)
+        pos = np.stack([tr.positions for tr in trajs], axis=1)
+        return pos, [tr.degenerate for tr in trajs], [
+            h_function(pos[i], rec.wave_at(i), rx["coarse_len"])
+            for i in range(len(rec.times))]
 
     # non-equilibrium start: uniform over the configured sub-box
     rng = rng_for(spec["seed"] + 1)
     box = np.asarray(rx["subbox"], dtype=float)
     x0 = box[:, 0] + rng.random((n, grid.dims)) * (box[:, 1] - box[:, 0])
-    trajs = simulate_trajectories(rec, x0)
-    positions = np.stack([tr.positions for tr in trajs], axis=1)
-    degenerate = float(np.mean([tr.degenerate for tr in trajs]))
-
-    h_series = [h_function(positions[i], rec.wave_at(i), coarse_len)
-                for i in range(len(rec.times))]
+    positions, frozen, h_series = h_run(x0)
+    degenerate = float(np.mean(frozen))
 
     metrics = {
         "times": rec.times.tolist(),
@@ -997,11 +954,7 @@ def run_relaxation_scenario(spec):
     verdicts = {}
 
     if rx.get("equilibrium_control", True):
-        xeq = sample_initial(psi0, n, spec["seed"] + 2)
-        eq_trajs = simulate_trajectories(rec, xeq)
-        eq_pos = np.stack([tr.positions for tr in eq_trajs], axis=1)
-        h_eq = [h_function(eq_pos[i], rec.wave_at(i), coarse_len)
-                for i in range(len(rec.times))]
+        h_eq = h_run(sample_initial(psi0, n, spec["seed"] + 2))[2]
         metrics["h_eq_series"] = h_eq
         verdicts["equilibrium_flat"] = _vd(max(h_eq) <= thr["eq_h_max"])
 
@@ -1012,12 +965,7 @@ def run_relaxation_scenario(spec):
         verdicts["relaxation"] = _vd(
             h_series[-1] <= (1.0 - thr["h_drop_min"]) * h_series[0])
     verdicts["node_safety"] = _vd(degenerate < thr["degenerate_max_fraction"])
-
-    return ScenarioReport(
-        kind="relaxation", spec=spec, spec_hash=spec_hash(spec),
-        metrics=metrics, verdicts=verdicts,
-        runtime={"seconds": _time.time() - t0, "steps": sched.n_steps},
-    )
+    return _report(spec, t0, metrics, verdicts)
 
 
 # ---------------------------------------------------------------------------

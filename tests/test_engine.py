@@ -58,9 +58,9 @@ def reference_trajectories(record, x0s):
         b = a + 1
         vf1 = velocity_field(record.wave_at(b), record.params)
         t0, t1 = record.times[a], record.times[b]
-        pts = gate_kick(record.grid, pts, coupling, t0, t1, 0.5)
+        pts = gate_kick(record.grid, pts, coupling, t0, t1)
         new, degen = advance_interval(vf0, vf1, pts, t1 - t0)
-        new = gate_kick(record.grid, new, coupling, t0, t1, 0.5)
+        new = gate_kick(record.grid, new, coupling, t0, t1)
         newly = degen & ~frozen
         new[newly] = pts[newly]
         frozen |= newly
@@ -86,9 +86,9 @@ def reference_probes(psi, hamiltonian, schedule, params, x0s):
         if (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps:
             t_now = schedule.time_at(i + 1)
             vf1 = velocity_field(WaveFunction(grid, amp, t_now), params)
-            kicked = gate_kick(grid, pts, hamiltonian.coupling, t_prev, t_now, 0.5)
+            kicked = gate_kick(grid, pts, hamiltonian.coupling, t_prev, t_now)
             new, degen = advance_interval(vf, vf1, kicked, t_now - t_prev)
-            new = gate_kick(grid, new, hamiltonian.coupling, t_prev, t_now, 0.5)
+            new = gate_kick(grid, new, hamiltonian.coupling, t_prev, t_now)
             frozen |= degen & ~frozen
             new[frozen] = pts[frozen]
             pts = new
@@ -212,14 +212,15 @@ def test_frozen_particle_stays_put_under_gate():
         assert np.all(path == [6.0, 3.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_start_raises_runtime_error():
+    # the start is rejected before any numpy cast of it can warn
     psi, H, sched, params = gated_gaussian()
     x0 = np.array([[np.nan, 0.0]])
     rec = evolve(psi, H, sched, params)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(RuntimeError, match="NaN in trajectory output"):
-            simulate_trajectories(rec, x0)
-        with pytest.raises(RuntimeError, match="NaN in trajectory output"):
-            coevolve([psi], H, sched, params,
-                     probe_groups=[ProbeGroup(x0, (0,))])
+    with pytest.raises(RuntimeError, match="NaN in trajectory output"):
+        simulate_trajectories(rec, x0)
+    with pytest.raises(RuntimeError, match="NaN in trajectory output"):
+        coevolve([psi], H, sched, params,
+                 probe_groups=[ProbeGroup(x0, (0,))])
 

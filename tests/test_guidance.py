@@ -7,6 +7,7 @@ from pilotwave.fields import (
     PhysicalParams, make_grid, init_gaussian, normalize, superpose, WaveFunction,
 )
 from pilotwave.propagate import HamiltonianSpec, PotentialTerm, Schedule, evolve
+from pilotwave import guidance
 from pilotwave.guidance import (
     MAX_SUBSTEPS, SUBSTEP_CFL, VelocityField,
     velocity_field, velocity_at, velocity_at_many, advance_interval,
@@ -101,7 +102,7 @@ class TestVelocityFieldOracle:
     @pytest.mark.parametrize("eps_node,expect", [(1e-8, "none"),
                                                  (0.3, "some"),
                                                  (2.0, "all")])
-    def test_matches_oracle(self, shape, eps_node, expect):
+    def test_matches_oracle(self, shape, eps_node, expect, monkeypatch):
         g = make_grid([{"points": n, "lo": -4.0 - i, "hi": 5.0 + i}
                        for i, n in enumerate(shape)])
         rng = np.random.default_rng(3)
@@ -109,7 +110,8 @@ class TestVelocityFieldOracle:
         params = PhysicalParams(masses=tuple(1.0 + 0.5 * i
                                              for i in range(len(shape))))
         psi = WaveFunction(g, amp, 0.25)
-        vf = velocity_field(psi, params, eps_node=eps_node)
+        monkeypatch.setattr(guidance, "EPS_NODE", eps_node)
+        vf = velocity_field(psi, params)
         comps, nodal, any_nodal, all_nodal = _oracle_velocity_field(
             psi, params, eps_node=eps_node)
         assert (any_nodal, all_nodal) == {"none": (False, False),
@@ -134,12 +136,13 @@ class TestVelocityFieldOracle:
         assert np.array_equal(vf.components, comps)
         assert np.array_equal(vf.nodal, nodal)
 
-    def test_input_unchanged(self):
+    def test_input_unchanged(self, monkeypatch):
         g = make_grid([{"points": 32, "lo": -4, "hi": 4}])
         rng = np.random.default_rng(4)
         amp = rng.normal(size=32) + 1j * rng.normal(size=32)
         kept = amp.copy()
-        velocity_field(WaveFunction(g, amp), eps_node=0.3)
+        monkeypatch.setattr(guidance, "EPS_NODE", 0.3)
+        velocity_field(WaveFunction(g, amp))
         assert np.array_equal(amp, kept)
 
 
@@ -265,9 +268,11 @@ def noded_fields(shape):
     rng = np.random.default_rng(7)
     amp = (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     amp2 = amp + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    # eps_node 0.3 flags about a third of the cells of a random wave nodal
-    vf0 = velocity_field(WaveFunction(g, amp, 0.0), eps_node=0.3)
-    vf1 = velocity_field(WaveFunction(g, amp2, 0.1), eps_node=0.3)
+    # EPS_NODE 0.3 flags about a third of the cells of a random wave nodal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "EPS_NODE", 0.3)
+        vf0 = velocity_field(WaveFunction(g, amp, 0.0))
+        vf1 = velocity_field(WaveFunction(g, amp2, 0.1))
     assert vf0.any_nodal and vf1.any_nodal
     assert not (vf0.all_nodal or vf1.all_nodal)
     return g, vf0, vf1
