@@ -28,28 +28,17 @@ class BranchError(FieldError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMask:
     """Boolean region over a subset of axes, with a label."""
 
     axes: tuple
-    cells: tuple  # nested tuple of bools; kept hashable
+    array: np.ndarray  # bool, one axis per entry of `axes`
     label: str
 
     @staticmethod
     def from_array(axes, cells, label):
-        cells = np.asarray(cells, dtype=bool)
-        return RegionMask(tuple(axes), _freeze(cells), label)
-
-    @property
-    def array(self):
-        return np.asarray(self.cells, dtype=bool)
-
-
-def _freeze(a):
-    if a.ndim == 1:
-        return tuple(bool(v) for v in a)
-    return tuple(_freeze(row) for row in a)
+        return RegionMask(tuple(axes), np.asarray(cells, dtype=bool), label)
 
 
 def halfspace_mask(grid, axis, threshold, side, label=None):
@@ -76,7 +65,6 @@ class Branch:
     wave: WaveFunction
     label: str
     weight: float
-    parent_id: str = ""
 
 
 def _indicator(grid, mask):
@@ -96,7 +84,7 @@ def _indicator(grid, mask):
                         for a in range(grid.dims)])
 
 
-def decompose(psi, masks, parent_id=""):
+def decompose(psi, masks):
     """Split psi into branches by disjoint region masks.
 
     Errors on overlapping masks or if the probability mass left uncovered
@@ -124,7 +112,7 @@ def decompose(psi, masks, parent_id=""):
     for m, ind in zip(masks, inds):
         amp = psi.amplitudes * ind
         w = float(np.sum(np.abs(amp) ** 2)) * grid.dV
-        branches.append(Branch(WaveFunction(grid, amp, psi.time), m.label, w, parent_id))
+        branches.append(Branch(WaveFunction(grid, amp, psi.time), m.label, w))
     return branches
 
 

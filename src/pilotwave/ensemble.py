@@ -8,7 +8,7 @@ ensemble bit for bit on any platform.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -37,8 +37,6 @@ class Ensemble:
     positions: np.ndarray
     degenerate: np.ndarray
     seed: int
-    method: str = "born_inverse_cdf"
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_particles(self):
@@ -59,7 +57,6 @@ class EquivarianceReport:
     chi2: np.ndarray
     p_value: np.ndarray
     bin_edges: np.ndarray
-    axis: int
     n_particles: int
     seed: int
     bootstrap_resamples: int
@@ -77,7 +74,6 @@ class EquivarianceReport:
                                              self.tv_band_sigma, self.chi2, self.p_value)
             ],
             "bin_edges": self.bin_edges.tolist(),
-            "axis": self.axis,
             "n_particles": self.n_particles,
             "seed": self.seed,
             "bootstrap_resamples": self.bootstrap_resamples,
@@ -120,7 +116,7 @@ def run_ensemble(record, n, seed, stride=1):
     positions = np.stack([tr.positions for tr in trajs], axis=1)
     degenerate = np.array([tr.degenerate for tr in trajs], dtype=bool)
     return Ensemble(times=times, positions=positions, degenerate=degenerate,
-                    seed=int(seed), metadata={"n": int(n), "stride": int(stride)})
+                    seed=int(seed))
 
 
 def _axis_density(psi, axis):
@@ -129,30 +125,30 @@ def _axis_density(psi, axis):
     return marginal_density(psi, (axis,))
 
 
-def binning_for(record, axis=0, bins=DEFAULT_BINS):
-    """Bin edges covering the cells occupied anywhere in the evolution.
+def binning_for(record, bins=DEFAULT_BINS):
+    """Axis-0 bin edges covering the cells occupied anywhere in the evolution.
 
-    The range is clipped to coordinates where the marginal density exceeds
+    The range is clipped to coordinates where the axis-0 density exceeds
     DENSITY_CLIP of its maximum at some snapshot (avoids empty-bin
     pathologies in the chi-square statistic).
     """
     lo, hi = np.inf, -np.inf
-    x = record.grid.axis_coords(axis)
-    dx = record.grid.dxs[axis]
+    x = record.grid.axis_coords(0)
+    dx = record.grid.dxs[0]
     for i in range(len(record.snapshots)):
-        rho = _axis_density(record.wave_at(i), axis).values
+        rho = _axis_density(record.wave_at(i), 0).values
         occ = x[rho > DENSITY_CLIP * rho.max()]
         lo = min(lo, occ.min())
         hi = max(hi, occ.max() + dx)
     return np.linspace(lo, hi, bins + 1)
 
 
-def _expected_bin_mass(psi, axis, edges):
-    """Integral of the marginal density over each bin (midpoint-free, exact
+def _expected_bin_mass(psi, edges):
+    """Integral of the axis-0 density over each bin (midpoint-free, exact
     per-cell accumulation)."""
-    rho = _axis_density(psi, axis)
-    x = rho.grid.axis_coords(0) if psi.grid.dims > 1 else psi.grid.axis_coords(axis)
-    dx = psi.grid.dxs[axis]
+    rho = _axis_density(psi, 0)
+    x = psi.grid.axis_coords(0)
+    dx = psi.grid.dxs[0]
     which = np.digitize(x + 0.5 * dx, edges) - 1
     mass = np.zeros(len(edges) - 1)
     ok = (which >= 0) & (which < len(mass))
@@ -160,18 +156,18 @@ def _expected_bin_mass(psi, axis, edges):
     return mass
 
 
-def equivariance_test(ensemble, record, axis=0, bins=DEFAULT_BINS,
-                      resamples=BOOTSTRAP_RESAMPLES, seed=None):
-    """Compare the empirical position histogram to |Psi_t|^2 over time.
+def equivariance_test(ensemble, record, bins=DEFAULT_BINS,
+                      resamples=BOOTSTRAP_RESAMPLES):
+    """Compare the empirical axis-0 histogram to |Psi_t|^2 over time.
 
     TV distance and chi-square at each ensemble time; the bootstrap band
-    resamples the t=0 draw (trajectory-level, B resamples) so the band
-    reflects pure sampling noise under exact equivariance.
+    resamples the t=0 draw (trajectory-level, B resamples, seeded by the
+    ensemble seed + 1) so the band reflects pure sampling noise under exact
+    equivariance.
     """
-    edges = binning_for(record, axis, bins)
+    edges = binning_for(record, bins)
     n = ensemble.n_particles
-    if seed is None:
-        seed = ensemble.seed + 1
+    seed = ensemble.seed + 1
     rng = rng_for(seed)
     boot_idx = rng.integers(0, n, size=(resamples, n))
 
@@ -182,8 +178,8 @@ def equivariance_test(ensemble, record, axis=0, bins=DEFAULT_BINS,
         si = int(np.argmin(np.abs(snap_times - t)))
         if abs(snap_times[si] - t) > 1e-9 * max(1.0, abs(t)):
             raise FieldError("ensemble times do not align with snapshots")
-        expected = _expected_bin_mass(record.wave_at(si), axis, edges)
-        xs = ensemble.positions[ti, :, axis]
+        expected = _expected_bin_mass(record.wave_at(si), edges)
+        xs = ensemble.positions[ti, :, 0]
         which = np.digitize(xs, edges) - 1
         inside = (which >= 0) & (which < len(expected))
         counts = np.bincount(which[inside], minlength=len(expected)).astype(float)
@@ -223,7 +219,7 @@ def equivariance_test(ensemble, record, axis=0, bins=DEFAULT_BINS,
         times=np.asarray(ensemble.times), tv=np.asarray(tvs),
         tv_band_mean=np.asarray(means), tv_band_sigma=np.asarray(sigmas),
         chi2=np.asarray(chis), p_value=np.asarray(ps),
-        bin_edges=edges, axis=axis, n_particles=n, seed=int(seed),
+        bin_edges=edges, n_particles=n, seed=int(seed),
         bootstrap_resamples=resamples,
     )
 

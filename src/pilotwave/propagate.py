@@ -56,16 +56,12 @@ class PotentialTerm:
 
     kind: str
     axes: tuple
-    params: tuple  # sorted (key, value) pairs; kept hashable for spec hashing
+    params: dict
     window: tuple = None
 
     @staticmethod
     def make(kind, axes, window=None, **params):
-        return PotentialTerm(kind, tuple(axes), tuple(sorted(params.items())), window)
-
-    @property
-    def pdict(self):
-        return dict(self.params)
+        return PotentialTerm(kind, tuple(axes), params, window)
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class HamiltonianSpec:
                 if not 0 <= a < grid.dims:
                     raise FieldError(f"potential term binds missing axis {a}")
             if t.kind == "custom_grid":
-                v = np.asarray(t.pdict["values"])
+                v = np.asarray(t.params["values"])
                 if v.shape != grid.shape:
                     raise FieldError("custom_grid term shape does not match grid")
         if self.coupling is not None:
@@ -118,7 +114,7 @@ class Schedule:
 
 def potential_grid(grid, term):
     """Evaluate one potential term on the grid (its static spatial profile)."""
-    p = term.pdict
+    p = term.params
     if term.kind == "harmonic":
         (axis,) = term.axes
         x = grid.mesh(axis)

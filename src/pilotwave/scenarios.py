@@ -87,6 +87,18 @@ def _schema():
         return json.load(fh)
 
 
+# what each kind requires: grid axes, top-level or coupling blocks, roles
+_REQUIRES = {
+    "interference": (1, ("packets", "ensemble"), ()),
+    "decoherence": (2, ("packets", "couplings.env"), ("system_axis", "env_axis")),
+    "measurement": (2, ("packets", "couplings.gate", "ensemble"),
+                    ("system_axis", "pointer_axis")),
+    "preparation": (3, ("packets", "couplings.env", "couplings.gate"),
+                    ("system_axis", "pointer_axis", "env_axis")),
+    "relaxation": (2, ("relaxation", "ensemble"), ()),
+}
+
+
 def validate_spec_dict(d):
     """Schema plus kind-specific validation; raises SpecError naming the key."""
     try:
@@ -98,43 +110,28 @@ def validate_spec_dict(d):
     ndim = len(d["grid"])
     if len(d["physical"]["masses"]) != ndim:
         raise SpecError("physical.masses: need one mass per grid axis")
-    need_dims = {"interference": 1, "decoherence": 2, "measurement": 2,
-                 "preparation": 3, "relaxation": 2}
-    if ndim != need_dims[kind]:
-        raise SpecError(f"grid: kind {kind!r} needs {need_dims[kind]} axes")
-    if kind == "relaxation":
-        if "relaxation" not in d:
-            raise SpecError("relaxation: required block missing for this kind")
-    else:
-        if not d.get("packets"):
-            raise SpecError("packets: at least one packet required")
+    n_axes, blocks, roles = _REQUIRES[kind]
+    if ndim != n_axes:
+        raise SpecError(f"grid: kind {kind!r} needs {n_axes} axes")
+    for block in blocks:
+        node = d
+        for key in block.split("."):
+            node = node.get(key) or {}
+        if not node:
+            raise SpecError(f"{block}: required for kind {kind!r}")
+    if "packets" in blocks:
         for i, p in enumerate(d["packets"]):
-            for key in ("centers", "sigmas"):
-                if len(p[key]) != ndim:
+            for key in ("centers", "sigmas", "momenta"):
+                if key in p and len(p[key]) != ndim:
                     raise SpecError(f"packets.{i}.{key}: need {ndim} entries")
-            if "momenta" in p and len(p["momenta"]) != ndim:
-                raise SpecError(f"packets.{i}.momenta: need {ndim} entries")
         total = sum(p["coefficient"] ** 2 for p in d["packets"])
         if abs(total - 1.0) > 1e-9:
             raise SpecError("packets: squared coefficients must sum to 1")
-    if kind in ("decoherence", "preparation"):
-        if "env" not in d.get("couplings", {}):
-            raise SpecError("couplings.env: required for this kind")
-    if kind in ("measurement", "preparation"):
-        if "gate" not in d.get("couplings", {}):
-            raise SpecError("couplings.gate: required for this kind")
-    if kind in ("interference", "measurement", "relaxation") and "ensemble" not in d:
-        raise SpecError("ensemble: required for this kind")
-    if kind != "interference" and kind != "relaxation":
-        roles = d.get("roles", {})
-        needed = {"decoherence": ("system_axis", "env_axis"),
-                  "measurement": ("system_axis", "pointer_axis"),
-                  "preparation": ("system_axis", "pointer_axis", "env_axis")}
-        for key in needed[kind]:
-            if key not in roles:
-                raise SpecError(f"roles.{key}: required for kind {kind!r}")
-            if not 0 <= roles[key] < ndim:
-                raise SpecError(f"roles.{key}: axis out of range")
+    for key in roles:
+        if key not in d.get("roles", {}):
+            raise SpecError(f"roles.{key}: required for kind {kind!r}")
+        if not 0 <= d["roles"][key] < ndim:
+            raise SpecError(f"roles.{key}: axis out of range")
     thr = dict(DEFAULT_THRESHOLDS[kind])
     for k, v in d.get("thresholds", {}).items():
         if k not in thr:
@@ -160,15 +157,13 @@ def apply_overrides(d, overrides):
             value = raw
         keys = path.split(".")
         node = d
-        for k in keys[:-1]:
-            k = int(k) if isinstance(node, list) else k
-            try:
-                nxt = node[k]
-            except (KeyError, IndexError, ValueError, TypeError):
-                raise SpecError(f"override {path!r}: no such key {k!r}") from None
-            node = nxt
-        last = int(keys[-1]) if isinstance(node, list) else keys[-1]
-        node[last] = value
+        try:
+            for k in keys[:-1]:
+                node = node[int(k) if isinstance(node, list) else k]
+            k = keys[-1]
+            node[int(k) if isinstance(node, list) else k] = value
+        except (KeyError, IndexError, ValueError, TypeError):
+            raise SpecError(f"override {path!r}: no such key {k!r}") from None
     return d
 
 
@@ -268,66 +263,53 @@ def _twin_spec(spec):
 # streaming co-evolution engine
 
 @dataclass
-class ProbeGroup:
-    """Particles guided by the sum of a subset of the evolving components."""
-
-    x0s: np.ndarray            # (N, D)
-    components: tuple          # indices into the component list
-
-
-@dataclass
 class StreamResult:
     times: np.ndarray                  # observation times
-    probe_paths: list                  # per group: (T, N, D)
-    probe_degenerate: list             # per group: (N,) bool
+    probe_paths: np.ndarray            # (T, N, D); N = 0 without probes
+    probe_degenerate: np.ndarray       # (N,) bool
     observations: list                 # per observation: observer return value
     final_components: list             # WaveFunction per component
 
 
-def coevolve(components, hamiltonian, schedule, params, probe_groups=(),
+def coevolve(components, hamiltonian, schedule, params, x0s=None,
              observer=None):
     """Step all components through one schedule, advancing probes in stride.
 
     Components share the Hamiltonian (evolution is linear, so their sum is
-    the full wave at all times).  Probes advance over each observation
-    interval, guided by the summed wave of their component subset.  The
+    the full wave at all times).  The probes `x0s` (N, D) advance over each
+    observation interval, guided by the sum of all components.  The
     observer, if given, is called at every observation time with
     (t, list of amplitude arrays) and its return values are collected.
     """
     grid = components[0].grid
     op = SplitOperator(grid, params, hamiltonian, schedule.dt)
     amps = [c.amplitudes for c in components]
+    if x0s is None:
+        pts = np.empty((0, grid.dims))
+    else:
+        pts = grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
+    frozen = np.zeros(len(pts), dtype=bool)
 
-    def vfield(comps, t):
-        total = amps[comps[0]]
-        for ci in comps[1:]:
-            total = total + amps[ci]
-        return velocity_field(WaveFunction(grid, total, t), params)
-
-    groups = []
-    for g in probe_groups:
-        pts = grid.wrap(np.atleast_2d(np.asarray(g.x0s, dtype=float)))
-        groups.append({"pts": pts, "comps": tuple(g.components),
-                       "frozen": np.zeros(len(pts), dtype=bool),
-                       "path": [pts], "vf": None})
-
-    times, observations = [], []
+    times, paths, observations, vf0 = [], [], [], None
     for i, t in _observed_steps(op, amps, schedule):
-        for g in groups:
-            vf1 = vfield(g["comps"], t)
+        if len(pts):
+            # the full wave, summed in component order; held by no name, so
+            # its array is freed before the next steps
+            vf1 = velocity_field(
+                WaveFunction(grid, sum(amps[1:], amps[0]), t), params)
             if i > 0:
-                g["pts"] = advance_group(g["vf"], vf1, g["pts"], g["frozen"],
-                                         hamiltonian.coupling, times[-1], t)
-                g["path"].append(g["pts"])
-            g["vf"] = vf1
+                pts = advance_group(vf0, vf1, pts, frozen,
+                                    hamiltonian.coupling, times[-1], t)
+            vf0 = vf1
+        paths.append(pts)
         times.append(t)
         if observer is not None:
             observations.append(observer(t, amps))
 
     return StreamResult(
         times=np.asarray(times),
-        probe_paths=[np.asarray(g["path"]) for g in groups],
-        probe_degenerate=[g["frozen"] for g in groups],
+        probe_paths=np.asarray(paths),
+        probe_degenerate=frozen,
         observations=observations,
         final_components=[WaveFunction(grid, a, schedule.t_end) for a in amps],
     )
@@ -714,11 +696,9 @@ def run_measurement_scenario(spec):
     n = spec["ensemble"]["n_particles"]
     x0s = sample_initial(full0, n, spec["seed"])
 
-    result = coevolve([full0], H, sched, params,
-                      probe_groups=[ProbeGroup(x0s, (0,))])
+    result = coevolve([full0], H, sched, params, x0s)
     psi_end = result.final_components[0]
-    positions = result.probe_paths[0]           # (T, N, 2)
-    degenerate = result.probe_degenerate[0]
+    positions = result.probe_paths              # (T, N, 2)
 
     metrics = {"times": result.times.tolist()}
     verdicts = {}
@@ -776,7 +756,7 @@ def run_measurement_scenario(spec):
     verdicts["born_occupancy"] = _vd(occupancy_ok)
     verdicts["effective_fidelity"] = _vd(fidelity_ok)
 
-    metrics["degenerate_fraction"] = float(np.mean(degenerate))
+    metrics["degenerate_fraction"] = float(np.mean(result.probe_degenerate))
     verdicts["node_safety"] = _vd(
         metrics["degenerate_fraction"] < thr["degenerate_max_fraction"])
 
@@ -821,9 +801,7 @@ def _preparation_metrics(spec):
                 "lobe_gap_rel": gap}
         return row
 
-    result = coevolve(comps, H, sched, params,
-                      probe_groups=[ProbeGroup(x0[None, :], (0, 1))],
-                      observer=observer)
+    result = coevolve(comps, H, sched, params, x0[None, :], observer)
 
     # reference: the prepared eigenstate alone, on the system axis
     ref_rec = _system_reference_record(spec, 0)
@@ -831,7 +809,7 @@ def _preparation_metrics(spec):
     tr_ref = simulate_trajectories(ref_rec, s0)[0]
 
     times = result.times
-    s_full = result.probe_paths[0][:, 0, s_ax]
+    s_full = result.probe_paths[:, 0, s_ax]
     # align reference trajectory times (same schedule/stride, same times)
     s_ref = tr_ref.positions[:, 0]
     L = grid.lengths[s_ax]
@@ -852,7 +830,7 @@ def _preparation_metrics(spec):
         "deviation_series": dev.tolist(),
         "deviation_max_stage3": float(np.max(dev[post])),
         "deviation_max": float(np.max(dev)),
-        "probe_degenerate": bool(result.probe_degenerate[0][0]),
+        "probe_degenerate": bool(result.probe_degenerate[0]),
         "norm_end": float(np.sqrt(sum(
             c.norm() ** 2 for c in result.final_components))),
         "density": _density_block(
@@ -860,7 +838,7 @@ def _preparation_metrics(spec):
                                    for c in result.final_components)),
             s_ax, sched.t_end),
         "trajectories": _trajectory_block(
-            times, [result.probe_paths[0][:, 0], tr_ref.positions],
+            times, [result.probe_paths[:, 0], tr_ref.positions],
             ["full_wave_probe", "prepared_eigenstate_probe"]),
     }
 

@@ -75,6 +75,16 @@ class TestRun:
         code = main(["run", "--spec", str(p), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_bad_override_key_exit_1_one_line(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "interference", FAST_INTERFERENCE)
+        code = main(["run", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                     "--set", "grid.5=1"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid spec: override 'grid.5'")
+        assert not (tmp_path / "o").exists()
+
     def test_nan_trajectory_exit_1_one_line(self, tmp_path, capsys,
                                             monkeypatch):
         def nan_run(spec):

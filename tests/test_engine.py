@@ -18,7 +18,7 @@ from pilotwave.propagate import (
     EvolutionRecord, HamiltonianSpec, MeasurementCoupling, PotentialTerm,
     Schedule, SplitOperator, evolve,
 )
-from pilotwave.scenarios import ProbeGroup, coevolve
+from pilotwave.scenarios import coevolve
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def reference_trajectories(record, x0s):
 
 
 def reference_probes(psi, hamiltonian, schedule, params, x0s):
-    """Paths (T, N, D) and frozen flags of one probe group on one component."""
+    """Paths (T, N, D) and frozen flags of probes guided by one component."""
     grid = psi.grid
     op = SplitOperator(grid, params, hamiltonian, schedule.dt)
     amp = psi.amplitudes.copy()
@@ -178,11 +178,10 @@ def test_trajectories_match_reference(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_coevolve_probes_match_reference(name):
     psi, H, sched, params, x0s = CASES[name]()
-    res = coevolve([psi], H, sched, params,
-                   probe_groups=[ProbeGroup(x0s, (0,))])
+    res = coevolve([psi], H, sched, params, x0s)
     path, frozen = reference_probes(psi, H, sched, params, x0s)
-    assert np.array_equal(res.probe_paths[0], path)
-    assert np.array_equal(res.probe_degenerate[0], frozen)
+    assert np.array_equal(res.probe_paths, path)
+    assert np.array_equal(res.probe_degenerate, frozen)
     ref = reference_evolve(psi, H, sched, params)
     assert np.array_equal(res.times, ref.times)
     assert np.array_equal(res.final_components[0].amplitudes, ref.snapshots[-1])
@@ -204,9 +203,9 @@ def test_frozen_particle_stays_put_under_gate():
     psi, H, sched, params = gated_gaussian()
     x0 = np.array([[6.0, 3.0]])
     tr = simulate_trajectories(evolve(psi, H, sched, params), x0)[0]
-    res = coevolve([psi], H, sched, params, probe_groups=[ProbeGroup(x0, (0,))])
+    res = coevolve([psi], H, sched, params, x0)
     for path, frozen in ((tr.positions, tr.degenerate),
-                         (res.probe_paths[0][:, 0], res.probe_degenerate[0][0])):
+                         (res.probe_paths[:, 0], res.probe_degenerate[0])):
         assert frozen
         assert len(path) == 5
         assert np.all(path == [6.0, 3.0])
@@ -221,6 +220,5 @@ def test_nan_start_raises_runtime_error():
     with pytest.raises(RuntimeError, match="NaN in trajectory output"):
         simulate_trajectories(rec, x0)
     with pytest.raises(RuntimeError, match="NaN in trajectory output"):
-        coevolve([psi], H, sched, params,
-                 probe_groups=[ProbeGroup(x0, (0,))])
+        coevolve([psi], H, sched, params, x0)
 

@@ -6,7 +6,7 @@ import pytest
 from pilotwave.fields import WaveFunction, make_grid, init_gaussian, density
 from pilotwave.propagate import HamiltonianSpec, Schedule, evolve
 from pilotwave.scenarios import (
-    KINDS, DEFAULT_THRESHOLDS, SpecError, ProbeGroup,
+    KINDS, DEFAULT_THRESHOLDS, SpecError,
     validate_spec_dict, apply_overrides, spec_hash, load_spec, builtin_spec,
     coevolve, overall_verdict, load_report,
     run_interference_scenario, run_decoherence_scenario,
@@ -114,6 +114,13 @@ class TestOverridesAndHash:
         with pytest.raises(SpecError, match="no such key"):
             apply_overrides({"a": {}}, ("a.b.c=1",))
 
+    @pytest.mark.parametrize("item", [
+        "grid.5=1", "packets.0.centers.3=1", "seed.x=1", "grid.a=1"])
+    def test_override_bad_last_key_rejected(self, item):
+        # a list index out of range or not an integer, or a key into a scalar
+        with pytest.raises(SpecError, match="no such key"):
+            apply_overrides(builtin_spec("interference"), (item,))
+
     def test_override_without_equals_rejected(self):
         with pytest.raises(SpecError, match="key=value"):
             apply_overrides({}, ("a.b",))
@@ -172,6 +179,17 @@ class TestCoevolve:
                   + res.final_components[1].amplitudes) / np.sqrt(2)
         assert np.max(np.abs(summed - rec.wave_at(-1).amplitudes)) <= 1e-10
 
+    def test_no_probes_gives_empty_bundle(self):
+        g = make_grid([{"points": 128, "lo": -16.0, "hi": 16.0}])
+        from pilotwave.fields import PhysicalParams
+        params = PhysicalParams(1.0, (1.0,))
+        psi = init_gaussian(g, [0.0], [1.0], params=params)
+        res = coevolve([psi], HamiltonianSpec(()), Schedule(0.0, 0.1, 0.01, 5),
+                       params)
+        assert res.probe_paths.shape == (3, 0, 1)
+        assert res.probe_degenerate.shape == (0,)
+        assert sum(int(np.sum(d)) for d in res.probe_degenerate) == 0
+
     def test_probe_follows_wave(self):
         # packet moving at v = p/m: the probe at its center rides along
         g = make_grid([{"points": 256, "lo": -16.0, "hi": 16.0}])
@@ -180,8 +198,8 @@ class TestCoevolve:
         psi = init_gaussian(g, [-4.0], [1.0], [2.0], params=params)
         sched = Schedule(0.0, 2.0, 0.005, 20)
         res = coevolve([psi], HamiltonianSpec(()), sched, params,
-                       probe_groups=[ProbeGroup(np.array([[-4.0]]), (0,))])
-        end = res.probe_paths[0][-1, 0, 0]
+                       np.array([[-4.0]]))
+        end = res.probe_paths[-1, 0, 0]
         assert end == pytest.approx(0.0, abs=0.05)
 
 
