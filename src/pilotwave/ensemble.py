@@ -7,7 +7,6 @@ cell draw, then N*D uniforms for the jitter, so a given seed reproduces the
 ensemble bit for bit on any platform.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +63,6 @@ class EquivarianceReport:
     def within_band(self, n_sigma=3.0):
         """True when TV(t) <= band mean + n_sigma * band sigma for all t."""
         return bool(np.all(self.tv <= self.tv_band_mean + n_sigma * self.tv_band_sigma))
-
-    def to_dict(self):
-        return {
-            "series": [
-                {"t": float(t), "tv": float(tv), "tv_band_mean": float(m),
-                 "tv_band_sigma": float(s), "chi2": float(c), "p": float(p)}
-                for t, tv, m, s, c, p in zip(self.times, self.tv, self.tv_band_mean,
-                                             self.tv_band_sigma, self.chi2, self.p_value)
-            ],
-            "bin_edges": self.bin_edges.tolist(),
-            "n_particles": self.n_particles,
-            "seed": self.seed,
-            "bootstrap_resamples": self.bootstrap_resamples,
-        }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
 
 
 def sample_initial(psi, n, seed):

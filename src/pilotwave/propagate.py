@@ -10,10 +10,16 @@ coupling g * x_source * p_target, applied as a spectral phase along the target
 axis; tau is the overlap of [t, t+dt) with the coupling gate, so gate edges
 need not align with step boundaries.  Every factor is exactly unitary, making
 the composition second-order accurate and norm-preserving to rounding.
+
+Where no potential acts and no gate is open, the step is exp(-i K dt) alone,
+so n such steps are exactly exp(-i K n dt): on grids of two or more
+dimensions, the stepping loop takes each stretch of them that ends at an
+observation as one jump.  1-D runs keep Strang steps; there the FFT pair is a
+small share of a run.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -155,7 +161,8 @@ class SplitOperator:
         for i in range(grid.dims):
             ksq = ksq + (params.hbar * grid.k_mesh(i) ** 2) / (2.0 * params.masses[i])
         self._kin_phase = np.exp(-1j * self.dt * ksq)
-        self._ksq_over = ksq  # hbar k^2 / 2m, reused for <H>
+        self._ksq_over = ksq  # hbar k^2 / 2m, reused for <H> and free flight
+        self._free_phases = {}  # n -> exp(-i n dt hbar k^2 / 2m)
 
         self.v_static = np.zeros(grid.shape)
         self._windowed = []
@@ -166,6 +173,7 @@ class SplitOperator:
             else:
                 self._windowed.append((t.window, v))
         self._exp_v_half_static = np.exp(-1j * self.v_static * self.dt / (2.0 * params.hbar))
+        self._has_static = bool(np.any(self.v_static))
         # (per-window overlaps, phase) of the last step that lay wholly
         # inside or outside each window; None while no window is active
         self._window_phase = None
@@ -236,6 +244,25 @@ class SplitOperator:
         np.multiply(expv, amp, out=amp)
         return amp
 
+    def is_free(self, t):
+        """True when the step from t is kinetic only: no static potential,
+        and neither a window nor the gate overlaps [t, t+dt)."""
+        return (not self._has_static and self._gate_overlap(t) == 0.0
+                and not any(self._window_overlaps(t)))
+
+    def free_flight(self, amp, n):
+        """`n` kinetic-only steps as one exact jump exp(-i K n dt).
+
+        Equal to `n` calls of `step_array` wherever `is_free` holds for each
+        of them.  The caller's array is left unchanged.
+        """
+        phase = self._free_phases.get(n)
+        if phase is None:
+            phase = self._free_phases[n] = np.exp(-1j * (n * self.dt) * self._ksq_over)
+        ft = sfft.fftn(amp)
+        np.multiply(phase, ft, out=ft)
+        return sfft.ifftn(ft, overwrite_x=True)
+
     def energy(self, amp, t=None):
         """<H> (kinetic + static potential); None while a window is active."""
         if t is not None and (any(tau > 0.0 for tau in self._window_overlaps(t))
@@ -290,42 +317,74 @@ def apply_conditional_displacement(psi, coupling, tau):
     return WaveFunction(grid, sfft.ifft(ft, axis=c.target_axis), psi.time)
 
 
+def _check_finite(amps, i, schedule):
+    for a in amps:
+        if not np.all(np.isfinite(a.view(float))):
+            raise PropagationError(
+                f"non-finite amplitudes at step {i} (t={schedule.time_at(i):g})"
+            )
+
+
 def _observed_steps(op, amps, schedule):
-    """Step every array of `amps` through the schedule, replacing it in place.
+    """Advance every array of `amps` through the schedule, replacing it in place.
 
     Yields (i, t) at step 0 and after every observation step (each `stride`
-    steps, and the last).  Amplitudes are checked finite at every
-    observation and every 64 steps.
+    steps, and the last).  On grids of two or more dimensions, the trailing
+    steps of an observation interval that are all free (`op.is_free`) are
+    taken as one `free_flight` jump; every other step is a Strang step.
+    Amplitudes are checked finite at every observation and every 64 Strang
+    steps.
     """
     yield 0, schedule.time_at(0)
-    for i in range(schedule.n_steps):
-        t = schedule.time_at(i)
-        for j in range(len(amps)):
-            amps[j] = op.step_array(amps[j], t)
-        observe = (i + 1) % schedule.stride == 0 or i + 1 == schedule.n_steps
-        if observe or (i + 1) % 64 == 0:
-            for a in amps:
-                if not np.all(np.isfinite(a.view(float))):
-                    raise PropagationError(
-                        f"non-finite amplitudes at step {i + 1} "
-                        f"(t={schedule.time_at(i + 1):g})"
-                    )
-        if observe:
-            yield i + 1, schedule.time_at(i + 1)
+    n = schedule.n_steps
+    jumps = op.grid.dims > 1
+    for start in range(0, n, schedule.stride):
+        end = min(start + schedule.stride, n)
+        free_from = end
+        while (jumps and free_from > start
+               and op.is_free(schedule.time_at(free_from - 1))):
+            free_from -= 1
+        for i in range(start, free_from):
+            t = schedule.time_at(i)
+            for j in range(len(amps)):
+                amps[j] = op.step_array(amps[j], t)
+            if (i + 1) % 64 == 0 and i + 1 < end:
+                _check_finite(amps, i + 1, schedule)
+        if free_from < end:
+            for j in range(len(amps)):
+                amps[j] = op.free_flight(amps[j], end - free_from)
+        _check_finite(amps, end, schedule)
+        yield end, schedule.time_at(end)
 
 
-@dataclass
 class EvolutionRecord:
-    """Snapshots at a fixed stride plus conserved-quantity time series."""
+    """Snapshots at a fixed stride plus conserved-quantity time series.
 
-    grid: Grid
-    params: PhysicalParams
-    hamiltonian: HamiltonianSpec
-    schedule: Schedule
-    times: np.ndarray = None
-    snapshots: list = field(default_factory=list)
-    norms: np.ndarray = None
-    energies: np.ndarray = None  # NaN where a gate/window made <H> time-dependent
+    `energies` holds <H> at each snapshot, NaN where a gate or window made it
+    time-dependent; unless given, it is computed on first read.
+    """
+
+    def __init__(self, grid, params, hamiltonian, schedule, times=None,
+                 snapshots=None, norms=None, energies=None):
+        self.grid = grid
+        self.params = params
+        self.hamiltonian = hamiltonian
+        self.schedule = schedule
+        self.times = times
+        self.snapshots = [] if snapshots is None else snapshots
+        self.norms = norms
+        self._energies = energies
+
+    @property
+    def energies(self):
+        if self._energies is None:
+            op = SplitOperator(self.grid, self.params, self.hamiltonian,
+                               self.schedule.dt)
+            last = len(self.snapshots) - 1
+            es = [op.energy(a, t if k < last else None)
+                  for k, (a, t) in enumerate(zip(self.snapshots, self.times))]
+            self._energies = np.asarray([np.nan if e is None else e for e in es])
+        return self._energies
 
     def wave_at(self, index):
         return WaveFunction(self.grid, self.snapshots[index], self.times[index])
@@ -342,14 +401,12 @@ def evolve(psi, hamiltonian, schedule, params=None):
     op = SplitOperator(psi.grid, params, hamiltonian, schedule.dt)
     amps = [psi.amplitudes]
 
-    times, snaps, norms, energies = [], [], [], []
-    for i, t in _observed_steps(op, amps, schedule):
+    times, snaps, norms = [], [], []
+    for _, t in _observed_steps(op, amps, schedule):
         a = amps[0]
         times.append(t)
         snaps.append(a.copy())
         norms.append(float(np.sqrt(np.sum(np.abs(a) ** 2) * psi.grid.dV)))
-        e = op.energy(a, t if i < schedule.n_steps else None)
-        energies.append(np.nan if e is None else e)
 
     return EvolutionRecord(
         grid=psi.grid,
@@ -359,5 +416,4 @@ def evolve(psi, hamiltonian, schedule, params=None):
         times=np.asarray(times),
         snapshots=snaps,
         norms=np.asarray(norms),
-        energies=np.asarray(energies),
     )

@@ -5,6 +5,11 @@ and the probes of `coevolve` share one particle-advance routine.  The
 reference functions below are the separate loops those replaced, kept as
 oracles: on every case where the old loops agreed with each other, the shared
 code must give the same bits.
+
+The one exception is a free-flight jump over more than one step: where the
+Hamiltonian is kinetic only, the shared loop applies exp(-i K n dt) once
+instead of n Strang steps, which rounds differently.  A one-step jump keeps
+the bits.
 """
 
 import numpy as np
@@ -143,7 +148,30 @@ def case_2d_gated():
     return psi, H, Schedule(0, 0.4, 0.01, 4), params, x0s
 
 
-CASES = {"1d": case_1d, "2d_nodes": case_2d_nodes, "2d_gated": case_2d_gated}
+def case_2d_gated_stride1():
+    psi, H, sched, params, x0s = case_2d_gated()
+    return psi, H, Schedule(sched.t_start, sched.t_end, sched.dt, 1), params, x0s
+
+
+CASES = {"1d": case_1d, "2d_nodes": case_2d_nodes, "2d_gated": case_2d_gated,
+         "2d_gated_stride1": case_2d_gated_stride1}
+
+# Cases that jump over several free steps at once (no potential, and the gate
+# closed for whole observation intervals), with the tolerance of each
+# comparison: about 20x the largest move measured against the reference
+# loops, 2.2e-15 of the peak for amplitudes, 1.3e-15 for norms, 1.6e-15 for
+# energies and 5.3e-15 for probe positions.
+JUMPING = {"2d_gated": {"amplitude": 5e-14, "norm": 3e-14, "energy": 3e-14,
+                        "path": 1e-13}}
+
+
+def assert_matches(name, what, got, want, scale=1.0):
+    """Bitwise equal, or within the jumping case's tolerance for `what`."""
+    if name in JUMPING:
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=JUMPING[name][what] * scale)
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -153,10 +181,12 @@ def test_evolve_matches_reference(name):
     ref = reference_evolve(psi, H, sched, params)
     assert np.array_equal(rec.times, ref.times)
     assert len(rec.snapshots) == len(ref.snapshots)
+    peak = max(np.max(np.abs(b)) for b in ref.snapshots)
     for a, b in zip(rec.snapshots, ref.snapshots):
-        assert np.array_equal(a, b)
-    assert np.array_equal(rec.norms, ref.norms)
-    assert np.array_equal(rec.energies, ref.energies, equal_nan=True)
+        assert_matches(name, "amplitude", a, b, peak)
+    assert_matches(name, "norm", rec.norms, ref.norms)
+    assert np.array_equal(np.isnan(rec.energies), np.isnan(ref.energies))
+    assert_matches(name, "energy", rec.energies, ref.energies)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -170,7 +200,7 @@ def test_trajectories_match_reference(name):
     assert np.array_equal(trs[0].times, rec.times)
     if name == "2d_nodes":
         assert frozen[-2:].all() and not frozen[:-2].any()
-    if name == "2d_gated":
+    if name.startswith("2d_gated"):
         # the old loops disagree on frozen particles under a gate
         assert not frozen.any()
 
@@ -180,11 +210,12 @@ def test_coevolve_probes_match_reference(name):
     psi, H, sched, params, x0s = CASES[name]()
     res = coevolve([psi], H, sched, params, x0s)
     path, frozen = reference_probes(psi, H, sched, params, x0s)
-    assert np.array_equal(res.probe_paths, path)
+    assert_matches(name, "path", res.probe_paths, path)
     assert np.array_equal(res.probe_degenerate, frozen)
     ref = reference_evolve(psi, H, sched, params)
     assert np.array_equal(res.times, ref.times)
-    assert np.array_equal(res.final_components[0].amplitudes, ref.snapshots[-1])
+    assert_matches(name, "amplitude", res.final_components[0].amplitudes,
+                   ref.snapshots[-1], np.max(np.abs(ref.snapshots[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,6 @@ class TestEquivariance:
         rep = equivariance_test(ens, rec, bins=64)
         assert np.nanmin(rep.p_value) < 1e-6
 
-    def test_report_roundtrip(self, tmp_path):
-        rec = free_record(t_end=0.5, stride=250)
-        ens = run_ensemble(rec, 500, seed=4)
-        rep = equivariance_test(ens, rec, bins=16, resamples=50)
-        p = tmp_path / "eq.json"
-        rep.save(p)
-        import json
-        d = json.loads(p.read_text())
-        assert len(d["series"]) == len(rep.times)
-        assert d["n_particles"] == 500
-
 
 class TestHFunction:
     def test_zero_when_matching(self):

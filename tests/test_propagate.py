@@ -393,3 +393,126 @@ class TestFiniteAtObservations:
         with pytest.raises(PropagationError,
                            match=r"non-finite amplitudes at step 5 \(t=0.05\)$"):
             coevolve([psi], H, Schedule(0, 1, 0.01, 5), PhysicalParams())
+
+
+# ---------------------------------------------------------------------------
+# free flight: kinetic-only stretches taken as one jump per observation
+
+def free_wave(shape):
+    g = make_grid([{"points": n, "lo": -8.0 - i, "hi": 8.0 + i}
+                   for i, n in enumerate(shape)])
+    params = PhysicalParams(masses=tuple(1.0 + i for i in range(len(shape))))
+    d = len(shape)
+    psi = init_gaussian(g, [0.0] * d, [0.6] * d, [1.5 - i for i in range(d)],
+                        params=params)
+    return g, params, psi.amplitudes
+
+
+def windowed_free_operator():
+    """The operator of `windowed_operator` without its static well."""
+    g = make_grid([{"points": 32, "lo": -8.0, "hi": 8.0},
+                   {"points": 24, "lo": -9.0, "hi": 9.0}])
+    H = HamiltonianSpec(
+        (PotentialTerm.make("linear_coupling", [0, 1], window=WINDOW,
+                            strength=3.0),),
+        MeasurementCoupling(0, 1, 2.0, *GATE))
+    return SplitOperator(g, PhysicalParams(masses=(1.0, 2.0)), H, DT)
+
+
+class TestFreeFlight:
+    @pytest.mark.parametrize("shape", [(128,), (32, 24), (16, 12, 10)])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_jump_matches_steps(self, shape, n):
+        g, params, amp = free_wave(shape)
+        op = SplitOperator(g, params, FREE, 0.02)
+        kept = amp.copy()
+        got = op.free_flight(amp, n)
+        assert np.array_equal(amp, kept)
+        want = amp
+        for i in range(n):
+            want = op.step_array(want, i * op.dt)
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
+
+    def test_phase_cached_per_jump_length(self):
+        g, params, amp = free_wave((32, 24))
+        op = SplitOperator(g, params, FREE, 0.02)
+        op.free_flight(amp, 5)
+        phase = op._free_phases[5]
+        op.free_flight(amp, 3)
+        op.free_flight(amp, 5)
+        assert op._free_phases[5] is phase
+        assert sorted(op._free_phases) == [3, 5]
+
+    def test_free_only_where_nothing_overlaps(self):
+        op = windowed_free_operator()
+        want = [op._window_overlaps(t) == (0.0,)
+                and _overlap(*GATE, t, t + DT) == 0.0 for t in TIMES]
+        assert [op.is_free(t) for t in TIMES] == want
+        assert op.is_free(0.06) and op.is_free(TIMES[10]) and op.is_free(0.42)
+        # last step before the window and the gate (each straddles the edge),
+        # and the first step wholly inside each
+        for t in (0.09, 0.12, 0.33, 0.36):
+            assert not op.is_free(t)
+
+    def test_static_potential_never_free(self):
+        op, _ = windowed_operator((32, 24))
+        assert not any(op.is_free(t) for t in TIMES)
+
+    def test_gate_sliver_is_not_free(self):
+        # preparation_short's gate (0.35, 0.4) at dt 0.0125: the step from
+        # t_27 ends a rounding error past the gate's start
+        g, params, _ = free_wave((16, 12))
+        sched = Schedule(0.0, 0.45, 0.0125)
+        H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 6.0, 0.35, 0.4))
+        op = SplitOperator(g, params, H, sched.dt)
+        t = sched.time_at(27)
+        assert 0.0 < op._gate_overlap(t) < 1e-15
+        assert not op.is_free(t)
+        assert op.is_free(sched.time_at(26))
+        assert not op.is_free(sched.time_at(28))
+
+    def test_window_steps_then_one_jump_per_interval(self, monkeypatch):
+        # decoherence's schedule: a window over the first 150 of 1200 steps,
+        # observed every 20
+        g = make_grid([{"points": 16, "lo": -8.0, "hi": 8.0}] * 2)
+        H = HamiltonianSpec((PotentialTerm.make(
+            "linear_coupling", [0, 1], window=(0.0, 0.3), strength=2.0),))
+        psi = init_gaussian(g, [0.0, 0.0], [0.6, 0.6])
+        calls = {"step_array": [], "free_flight": []}
+        for name in calls:
+            orig = getattr(SplitOperator, name)
+
+            def spy(self, amp, arg, _orig=orig, _log=calls[name]):
+                _log.append(arg)
+                return _orig(self, amp, arg)
+            monkeypatch.setattr(SplitOperator, name, spy)
+        rec = evolve(psi, H, Schedule(0.0, 2.4, 0.002, 20),
+                     PhysicalParams(masses=(1.0, 1.0)))
+        assert len(rec.snapshots) == 61
+        assert len(calls["step_array"]) == 150
+        assert calls["free_flight"] == [10] + [20] * 52
+
+    def test_one_dimension_keeps_strang_steps(self, monkeypatch):
+        calls = {"step_array": 0, "free_flight": 0}
+        for name in calls:
+            orig = getattr(SplitOperator, name)
+
+            def spy(self, amp, arg, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(self, amp, arg)
+            monkeypatch.setattr(SplitOperator, name, spy)
+        psi = init_gaussian(grid1d(64), [0.0], [1.0])
+        rec = evolve(psi, FREE, Schedule(0.0, 1.0, 0.01, 5))
+        assert len(rec.snapshots) == 21
+        assert calls == {"step_array": 100, "free_flight": 0}
+
+    @pytest.mark.parametrize("stride, at", [(5, r"step 5 \(t=0.05\)"),
+                                            (100, r"step 100 \(t=1\)")])
+    def test_nan_caught_at_first_observation(self, stride, at):
+        g = make_grid([{"points": 16, "lo": -8.0, "hi": 8.0}] * 2)
+        amp = init_gaussian(g, [0.0, 0.0], [1.0, 1.0]).amplitudes.copy()
+        amp[10, 3] = np.nan
+        with pytest.raises(PropagationError,
+                           match=r"non-finite amplitudes at " + at + "$"):
+            evolve(WaveFunction(g, amp), FREE, Schedule(0, 1, 0.01, stride))
