@@ -55,9 +55,6 @@ class EquivarianceReport:
     tv_band_sigma: np.ndarray
     chi2: np.ndarray
     p_value: np.ndarray
-    bin_edges: np.ndarray
-    n_particles: int
-    seed: int
     bootstrap_resamples: int
 
     def within_band(self, n_sigma=3.0):
@@ -148,8 +145,7 @@ def equivariance_test(ensemble, record, bins=DEFAULT_BINS,
     """
     edges = binning_for(record, bins)
     n = ensemble.n_particles
-    seed = ensemble.seed + 1
-    rng = rng_for(seed)
+    rng = rng_for(ensemble.seed + 1)
     boot_idx = rng.integers(0, n, size=(resamples, n))
 
     # map ensemble times onto snapshot indices
@@ -200,7 +196,6 @@ def equivariance_test(ensemble, record, bins=DEFAULT_BINS,
         times=np.asarray(ensemble.times), tv=np.asarray(tvs),
         tv_band_mean=np.asarray(means), tv_band_sigma=np.asarray(sigmas),
         chi2=np.asarray(chis), p_value=np.asarray(ps),
-        bin_edges=edges, n_particles=n, seed=int(seed),
         bootstrap_resamples=resamples,
     )
 

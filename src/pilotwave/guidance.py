@@ -8,11 +8,21 @@ with the gradient evaluated spectrally.  Cells where |Psi| drops below
 EPS_NODE * max|Psi| are flagged nodal; their velocity is filled from the
 nearest non-nodal cell and, when a query stencil touches a nodal cell during
 stepping, the speed is capped at dx/dt for that step.
+
+A group of particles that is small against the grid (`group_field`) reads a
+probe-local field instead of a complete one.  It holds the wave and the
+nodal mask, and evaluates the velocity only at the stencil corners asked
+for: the spectral derivative of each grid line through such a corner is
+taken once, batched per axis, and cached on the field.  Line by line the
+transforms are bitwise those of the full axis, so the values are the
+complete field's.  When a requested corner is nodal, the field builds the
+complete `velocity_field` once, global nearest-cell fill included, and reads
+from it from then on.
 """
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
@@ -31,7 +41,11 @@ class VelocityField:
     """Velocity components as one (D, *shape) array plus the nodal-cell mask.
 
     `components[i]` is the velocity along axis i; a list of per-axis arrays
-    passed to the constructor is stacked once.
+    passed to the constructor is stacked once.  A probe-local field
+    (`local_field`) has no components until a nodal cell is read: it keeps
+    the wave and its parameters, and per axis the velocities of the grid
+    lines read so far, concatenated, with the offset of each line's row
+    (-1 for a line not yet evaluated).
     """
 
     grid: object
@@ -40,9 +54,72 @@ class VelocityField:
     time: float = 0.0
     any_nodal: bool = False
     all_nodal: bool = False
+    wave: object = field(default=None, repr=False)
+    params: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
+        if self.components is not None:
+            self.components = np.asarray(self.components, dtype=float)
+        self._lines = {}     # axis -> (row offset per line, velocities)
+
+    def _complete(self):
+        """Become the complete field of the wave; the local state is dropped."""
+        self.components = velocity_field(self.wave, self.params).components
+        self.wave = self.params = None
+        self._lines = {}
+
+    def _take_local(self, flat, lines, out):
+        """Velocities at the raveled non-nodal cells `flat` into `out`, shape
+        (D, *flat.shape); `lines` is `_lines_through(grid, flat)`."""
+        for i, (line, pos) in enumerate(lines):
+            if i not in self._lines:
+                self._lines[i] = (np.full(self.nodal.size // self.grid.shape[i], -1),
+                                  _NO_VELOCITIES)
+            rows, vel = self._lines[i]
+            at = rows[line]
+            if at.min() < 0:
+                rows, vel = self._add_lines(i, flat, line, pos, at < 0)
+                at = rows[line]
+            at += pos
+            vel.take(at, out=out[i])
+
+    def _add_lines(self, i, flat, line, pos, missing):
+        """Evaluate the velocity along axis i on the lines through the
+        `missing` entries of `flat`, and add them to the cache."""
+        grid, params = self.grid, self.params
+        n = grid.shape[i]
+        stride = math.prod(grid.shape[i + 1:])
+        rows, vel = self._lines[i]
+        new, first = np.unique(line[missing], return_index=True)
+        base = (flat - pos * stride)[missing][first]
+        amp = self.wave.amplitudes.reshape(-1).take(
+            base[:, None] + stride * np.arange(n))
+        grad = sfft.ifft(1j * grid.k_coords(i) * sfft.fft(amp, axis=1),
+                         axis=1, overwrite_x=True)
+        # nodal cells of a line divide by ~0; they are never read
+        with np.errstate(all="ignore"):
+            v = _guidance(params.hbar / params.masses[i], grad, amp)
+        rows[new] = vel.size + n * np.arange(len(new))
+        self._lines[i] = rows, np.concatenate([vel, v.reshape(-1)])
+        return self._lines[i]
+
+
+_NO_VELOCITIES = np.empty(0)
+
+
+def _lines_through(grid, flat):
+    """Per axis i, (line, position) of each raveled grid index in `flat`.
+
+    The lines along axis i are numbered by the raveled index of the other
+    axes; the position is the index along axis i.
+    """
+    out = []
+    for i, n in enumerate(grid.shape):
+        stride = math.prod(grid.shape[i + 1:])
+        outer, inner = np.divmod(flat, stride)
+        outer, pos = np.divmod(outer, n)
+        out.append((outer * stride + inner, pos))
+    return out
 
 
 @dataclass
@@ -54,6 +131,24 @@ class Trajectory:
     degenerate: bool = False
 
 
+def _guidance(c, grad, amp):
+    """The guidance law c * Im(grad / Psi), c = hbar / m, at non-nodal cells."""
+    return c * np.imag(grad / amp)
+
+
+def _params_for(psi, params):
+    """`params`, or unit masses and hbar on the wave's axes when None."""
+    if params is None:
+        return PhysicalParams(masses=(1.0,) * psi.grid.dims)
+    return params
+
+
+def _nodal(amp):
+    """Cells where |Psi| < EPS_NODE * max|Psi|."""
+    absamp = np.abs(amp)
+    return absamp < EPS_NODE * np.max(absamp)
+
+
 def velocity_field(psi, params=None):
     """Spectral guidance velocity with nodal regularization.
 
@@ -61,13 +156,10 @@ def velocity_field(psi, params=None):
     then filled from their nearest non-nodal cell.  A wave that is nodal
     everywhere keeps hbar/m * Im(grad).
     """
-    if params is None:
-        params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
+    params = _params_for(psi, params)
     grid = psi.grid
     amp = psi.amplitudes
-    absamp = np.abs(amp)
-    nodal = absamp < EPS_NODE * np.max(absamp)
-    del absamp
+    nodal = _nodal(amp)
     live = np.flatnonzero(~nodal)
     any_nodal = live.size < nodal.size
     all_nodal = live.size == 0
@@ -82,7 +174,7 @@ def velocity_field(psi, params=None):
         if all_nodal:
             np.multiply(c, np.imag(grad), out=comps[i])
         else:
-            flat[i, live] = c * np.imag(grad.reshape(-1)[live] / amp_live)
+            flat[i, live] = _guidance(c, grad.reshape(-1)[live], amp_live)
 
     if any_nodal and not all_nodal:
         # fill nodal cells from the nearest non-nodal cell
@@ -96,6 +188,32 @@ def velocity_field(psi, params=None):
 
     return VelocityField(grid, comps, nodal, psi.time,
                          any_nodal=any_nodal, all_nodal=all_nodal)
+
+
+def local_field(psi, params=None):
+    """The velocity field of `psi`, evaluated only where it is read.
+
+    The nodal mask and its flags come from the whole wave, as in
+    `velocity_field`, whose values the field reproduces bit for bit.
+    """
+    nodal = _nodal(psi.amplitudes)
+    return VelocityField(psi.grid, None, nodal, psi.time,
+                         any_nodal=bool(nodal.any()),
+                         all_nodal=bool(nodal.all()), wave=psi,
+                         params=_params_for(psi, params))
+
+
+def group_field(psi, params, n):
+    """The velocity field that a group of `n` particles reads.
+
+    Where the group's stencils touch fewer cells than the shortest axis
+    holds, on a grid of two or more dimensions, that is a probe-local field;
+    otherwise the complete one.
+    """
+    grid = psi.grid
+    if grid.dims > 1 and n * 2 ** grid.dims < min(grid.shape):
+        return local_field(psi, params)
+    return velocity_field(psi, params)
 
 
 def interp_stencil(grid, pts):
@@ -124,6 +242,9 @@ def interp_stencil(grid, pts):
 def _interp(fields, flat, w):
     """Interpolate velocity fields that share one grid at one stencil.
 
+    A probe-local field evaluates the lines the stencil needs, or first
+    becomes complete when one of the stencil's corners is nodal.
+
     Returns (values, nodal): values of shape (L, M, D), one (M, D) block per
     field, and the nodal flags of every stencil corner, shape (L, 2**D, M).
     Corners are accumulated in stencil order; another order changes the
@@ -132,9 +253,17 @@ def _interp(fields, flat, w):
     D = fields[0].grid.dims
     vals = np.empty((len(fields), D) + flat.shape)
     nodal = np.empty((len(fields),) + flat.shape, dtype=bool)
+    lines = None
     for k, vf in enumerate(fields):
-        vf.components.reshape(D, -1).take(flat, axis=1, out=vals[k])
         vf.nodal.reshape(-1).take(flat, out=nodal[k])
+        if vf.components is None and nodal[k].any():
+            vf._complete()
+        if vf.components is None:
+            if lines is None:
+                lines = _lines_through(vf.grid, flat)
+            vf._take_local(flat, lines, vals[k])
+        else:
+            vf.components.reshape(D, -1).take(flat, axis=1, out=vals[k])
     out = np.zeros(vals.shape[:2] + vals.shape[3:])
     for c in range(len(w)):
         out += w[c] * vals[:, :, c]
@@ -307,9 +436,9 @@ def simulate_trajectories(record, x0s, stride=1):
     pts = record.grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
     frozen = np.zeros(len(pts), dtype=bool)
     path = [pts]
-    vf0 = velocity_field(record.wave_at(idxs[0]), record.params)
+    vf0 = group_field(record.wave_at(idxs[0]), record.params, len(pts))
     for a, b in zip(idxs[:-1], idxs[1:]):
-        vf1 = velocity_field(record.wave_at(b), record.params)
+        vf1 = group_field(record.wave_at(b), record.params, len(pts))
         pts = advance_group(vf0, vf1, pts, frozen, record.hamiltonian.coupling,
                             record.times[a], record.times[b])
         path.append(pts)

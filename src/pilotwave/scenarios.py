@@ -35,7 +35,7 @@ from .propagate import (
     HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule,
     SplitOperator, EvolutionRecord, evolve, _observed_steps,
 )
-from .guidance import velocity_field, advance_group, simulate_trajectories
+from .guidance import group_field, advance_group, simulate_trajectories
 from .ensemble import (
     rng_for, sample_initial, run_ensemble, equivariance_test, h_function,
     _axis_density,
@@ -293,10 +293,10 @@ def coevolve(components, hamiltonian, schedule, params, x0s=None,
     times, paths, observations, vf0 = [], [], [], None
     for i, t in _observed_steps(op, amps, schedule):
         if len(pts):
-            # the full wave, summed in component order; held by no name, so
-            # its array is freed before the next steps
-            vf1 = velocity_field(
-                WaveFunction(grid, sum(amps[1:], amps[0]), t), params)
+            # the full wave, summed in component order; a probe-local field
+            # holds it while it serves as vf0 of the next interval
+            vf1 = group_field(
+                WaveFunction(grid, sum(amps[1:], amps[0]), t), params, len(pts))
             if i > 0:
                 pts = advance_group(vf0, vf1, pts, frozen,
                                     hamiltonian.coupling, times[-1], t)

@@ -15,6 +15,7 @@ the bits.
 import numpy as np
 import pytest
 
+from pilotwave import guidance
 from pilotwave.fields import PhysicalParams, WaveFunction, init_gaussian, make_grid, normalize
 from pilotwave.guidance import (
     advance_interval, gate_kick, simulate_trajectories, velocity_field,
@@ -23,7 +24,7 @@ from pilotwave.propagate import (
     EvolutionRecord, HamiltonianSpec, MeasurementCoupling, PotentialTerm,
     Schedule, SplitOperator, evolve,
 )
-from pilotwave.scenarios import coevolve
+from pilotwave.scenarios import builtin_spec, coevolve
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,27 @@ def case_2d_gated_stride1():
     return psi, H, Schedule(sched.t_start, sched.t_end, sched.dt, 1), params, x0s
 
 
+def case_3d_gated():
+    # a static potential on the environment axis keeps every step a Strang
+    # step, so the reference loops agree bit for bit
+    g = make_grid([{"points": 30, "lo": -10.0, "hi": 10.0},
+                   {"points": 20, "lo": -8.0, "hi": 8.0},
+                   {"points": 30, "lo": -10.0, "hi": 10.0}])
+    params = PhysicalParams(masses=(1.0, 20.0, 5.0))
+    sa = init_gaussian(g, [-2.0, 0.0, 1.0], [0.6, 0.5, 0.7], [0.0, 0.0, -1.0],
+                       params=params)
+    sb = init_gaussian(g, [2.0, 0.0, -1.0], [0.6, 0.5, 0.7], [0.0, 0.0, 1.0],
+                       params=params)
+    psi = normalize(WaveFunction(g, sa.amplitudes + 0.6 * sb.amplitudes))
+    H = HamiltonianSpec(
+        (PotentialTerm.make("harmonic", [2], omega=0.5),),
+        coupling=MeasurementCoupling(0, 1, 1.5, 0.05, 0.25))
+    x0s = np.array([[-2.3, 0.2, 0.9], [1.9, -0.1, -1.2]])
+    return psi, H, Schedule(0, 0.3, 0.01, 3), params, x0s
+
+
 CASES = {"1d": case_1d, "2d_nodes": case_2d_nodes, "2d_gated": case_2d_gated,
-         "2d_gated_stride1": case_2d_gated_stride1}
+         "2d_gated_stride1": case_2d_gated_stride1, "3d_gated": case_3d_gated}
 
 # Cases that jump over several free steps at once (no potential, and the gate
 # closed for whole observation intervals), with the tolerance of each
@@ -253,3 +273,53 @@ def test_nan_start_raises_runtime_error():
     with pytest.raises(RuntimeError, match="NaN in trajectory output"):
         coevolve([psi], H, sched, params, x0)
 
+
+
+# ---------------------------------------------------------------------------
+# probe-local velocity fields
+
+def complete_fields(monkeypatch):
+    """Make every group read complete fields."""
+    monkeypatch.setattr(guidance, "local_field",
+                        lambda psi, params=None: velocity_field(psi, params))
+
+
+@pytest.mark.parametrize("name", ["2d_gated", "2d_nodes", "3d_gated"])
+def test_local_fields_match_complete_fields(name, monkeypatch):
+    psi, H, sched, params, x0s = CASES[name]()
+    rec = evolve(psi, H, sched, params)
+    made = []
+    local_field = guidance.local_field
+
+    def counted(*args):
+        made.append(local_field(*args))
+        return made[-1]
+
+    monkeypatch.setattr(guidance, "local_field", counted)
+    trs = simulate_trajectories(rec, x0s)
+    res = coevolve([psi], H, sched, params, x0s)
+    # both runs read one local field per observation
+    assert len(made) == 2 * len(rec.times)
+    # 2d_nodes starts two particles on nodal cells: every field completes
+    assert all((vf.components is not None) == (name == "2d_nodes")
+               for vf in made)
+
+    complete_fields(monkeypatch)
+    want = simulate_trajectories(rec, x0s)
+    want_res = coevolve([psi], H, sched, params, x0s)
+    assert np.array_equal(np.stack([tr.positions for tr in trs]),
+                          np.stack([tr.positions for tr in want]))
+    assert [tr.degenerate for tr in trs] == [tr.degenerate for tr in want]
+    assert np.array_equal(res.probe_paths, want_res.probe_paths)
+    assert np.array_equal(res.probe_degenerate, want_res.probe_degenerate)
+
+
+@pytest.mark.parametrize("kind,n,local", [
+    ("interference", 10000, False), ("interference", 1, False),
+    ("measurement", 10000, False), ("relaxation", 10000, False),
+    ("decoherence", 1, True), ("preparation", 1, True)])
+def test_group_field_dispatch_at_shipped_sizes(kind, n, local):
+    grid = make_grid(builtin_spec(kind)["grid"])
+    psi = WaveFunction(grid, np.ones(grid.shape, dtype=complex))
+    vf = guidance.group_field(psi, None, n)
+    assert (vf.components is None) == local

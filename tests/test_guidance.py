@@ -11,7 +11,7 @@ from pilotwave import guidance
 from pilotwave.guidance import (
     MAX_SUBSTEPS, SUBSTEP_CFL, VelocityField,
     velocity_field, velocity_at, velocity_at_many, advance_interval,
-    simulate_trajectory, simulate_trajectories,
+    local_field, simulate_trajectory, simulate_trajectories,
 )
 
 
@@ -328,6 +328,140 @@ class TestSharedStencil:
         want = _oracle_advance_interval(listed, vf1, pts, 0.05)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+# Probe-local fields: the values a probe reads, at every stencil corner it
+# visits, are those of the complete field, bit for bit.
+
+def two_packet_waves(shape):
+    """Two snapshots of a two-packet wave whose tails are nodal, and
+    unequal masses."""
+    g = make_grid([{"points": n, "lo": -8.0, "hi": 8.0} for n in shape])
+    D = len(shape)
+    params = PhysicalParams(masses=(1.0, 3.0, 20.0)[:D])
+    waves = []
+    for shift in (0.0, 0.2):
+        a = init_gaussian(g, [-1.5 + shift] + [0.3] * (D - 1), [0.5] * D,
+                          [1.0] * D, params=params)
+        b = init_gaussian(g, [1.5] + [-0.2 - shift] * (D - 1), [0.5] * D,
+                          [-1.0] + [0.5] * (D - 1), params=params)
+        waves.append(superpose([(0.8, a), (0.6, b)]))
+    return g, params, waves
+
+
+def corner_reads(monkeypatch, fields, pts, dt):
+    """advance_interval between `fields`, and the raveled stencil corners
+    of every interpolation it made."""
+    seen = []
+    interp = guidance._interp
+
+    def spy(fs, flat, w):
+        seen.append(flat.reshape(-1).copy())
+        return interp(fs, flat, w)
+
+    monkeypatch.setattr(guidance, "_interp", spy)
+    got = advance_interval(*fields, pts, dt)
+    monkeypatch.setattr(guidance, "_interp", interp)
+    return got, np.unique(np.concatenate(seen))
+
+
+def assert_reads_complete(lf, vf, flat):
+    """`lf` reads `vf`'s values and nodal flags at the raveled cells `flat`."""
+    D = vf.grid.dims
+    # unit weights on a one-corner stencil return each corner's value
+    (vals,), (nodal,) = guidance._interp((lf,), flat[None, :],
+                                         np.ones((1, flat.size)))
+    assert np.array_equal(vals.T, vf.components.reshape(D, -1)[:, flat],
+                          equal_nan=True)
+    assert np.array_equal(nodal[0], vf.nodal.reshape(-1)[flat])
+    assert np.array_equal(lf.nodal, vf.nodal)
+    assert (lf.any_nodal, lf.all_nodal) == (vf.any_nodal, vf.all_nodal)
+    assert lf.time == vf.time
+
+
+class TestLocalFieldOracle:
+    @pytest.mark.parametrize("shape", [(32, 28), (20, 18, 24)])
+    def test_probe_reads_complete_field(self, shape, monkeypatch):
+        g, params, (psi0, psi1) = two_packet_waves(shape)
+        vfs = [velocity_field(p, params) for p in (psi0, psi1)]
+        lfs = [local_field(p, params) for p in (psi0, psi1)]
+        assert vfs[0].any_nodal
+        pts = np.array([[-1.4] + [0.2] * (g.dims - 1)])
+        got, corners = corner_reads(monkeypatch, lfs, pts, 2.0)
+        want = advance_interval(*vfs, pts, 2.0)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        # several cells visited, none nodal: the fields stayed local
+        assert corners.size > 2 ** g.dims
+        assert all(lf.components is None for lf in lfs)
+        for lf, vf in zip(lfs, vfs):
+            assert_reads_complete(lf, vf, corners)
+            assert lf.components is None
+            lines = [len(np.flatnonzero(rows >= 0))
+                     for rows, _ in lf._lines.values()]
+            assert len(lines) == g.dims and max(lines) < min(g.shape)
+        assert velocity_at(lfs[1], pts[0]) == velocity_at(vfs[1], pts[0])
+
+    def test_nodal_corner_completes_once(self, monkeypatch):
+        g, params, (psi, _) = two_packet_waves((32, 28))
+        vf = velocity_field(psi, params)
+        calls = []
+        complete = guidance.velocity_field
+
+        def counted(*args):
+            calls.append(args)
+            return complete(*args)
+
+        monkeypatch.setattr(guidance, "velocity_field", counted)
+        lf = local_field(psi, params)
+        bulk = np.array([[-1.4, 0.2], [1.4, -0.3]])
+        assert velocity_at_many(lf, bulk)[0].tolist() == \
+            velocity_at_many(vf, bulk)[0].tolist()
+        assert not calls and lf.components is None
+        # the corner of the domain is deep in both packets' tails
+        tail = np.array([[g.los[0], g.los[1]]])
+        got = velocity_at_many(lf, tail, return_inside=True)
+        assert len(calls) == 1 and lf.components is not None
+        assert got[2].all()
+        for a, b in zip(got, velocity_at_many(vf, tail, return_inside=True)):
+            assert np.array_equal(a, b)
+        # the complete field answers every later read
+        everywhere = np.arange(g.shape[0] * g.shape[1])
+        assert_reads_complete(lf, vf, everywhere)
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_zero_wave(self):
+        # max|Psi| = 0 flags no cell nodal, and 0/0 reads NaN, as complete
+        g = make_grid([{"points": 24, "lo": -3, "hi": 3},
+                       {"points": 20, "lo": -2, "hi": 2}])
+        psi = WaveFunction(g, np.zeros((24, 20), dtype=complex), 0.5)
+        vf = velocity_field(psi)
+        lf = local_field(psi)
+        assert not vf.any_nodal and np.isnan(vf.components).all()
+        assert_reads_complete(lf, vf, np.array([0, 1, 20, 21, 479]))
+        assert lf.components is None
+
+    @pytest.mark.parametrize("shape", [(32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("eps_node", [1e-8, 0.3, 2.0])
+    def test_monkeypatched_eps_node(self, shape, eps_node, monkeypatch):
+        g = make_grid([{"points": n, "lo": -4.0 - i, "hi": 5.0 + i}
+                       for i, n in enumerate(shape)])
+        rng = np.random.default_rng(3)
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        params = PhysicalParams(masses=tuple(1.0 + 0.5 * i
+                                             for i in range(len(shape))))
+        psi = WaveFunction(g, amp, 0.25)
+        monkeypatch.setattr(guidance, "EPS_NODE", eps_node)
+        vf = velocity_field(psi, params)
+        lf = local_field(psi, params)
+        assert (lf.any_nodal, lf.all_nodal) == (eps_node > 1e-8,
+                                                eps_node > 1.0)
+        pts = probe_points(g, n=3)
+        for a, b in zip(velocity_at_many(lf, pts, return_inside=True),
+                        velocity_at_many(vf, pts, return_inside=True)):
+            assert np.array_equal(a, b)
+        assert_reads_complete(lf, vf, np.arange(amp.size))
 
 
 class TestSubstepCap:
