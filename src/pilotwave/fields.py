@@ -6,6 +6,7 @@ types defined here: a periodic uniform :class:`Grid` of 1-3 axes, a complex
 All operations are pure; none mutate their inputs.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,9 +52,21 @@ class Grid:
     def dims(self):
         return len(self.shape)
 
-    @property
+    @cached_property
     def dxs(self):
         return tuple((h - l) / n for n, l, h in zip(self.shape, self.los, self.his))
+
+    @cached_property
+    def strides(self):
+        """Per axis, the step of the C-order raveled index along that axis."""
+        return tuple(math.prod(self.shape[i + 1:]) for i in range(self.dims))
+
+    @cached_property
+    def _stencil_arrays(self):
+        """los, dxs (float) and shape, strides (int64) as arrays."""
+        return (np.asarray(self.los, dtype=float), np.asarray(self.dxs, dtype=float),
+                np.asarray(self.shape, dtype=np.int64),
+                np.asarray(self.strides, dtype=np.int64))
 
     @property
     def lengths(self):

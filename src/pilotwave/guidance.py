@@ -87,8 +87,7 @@ class VelocityField:
         """Evaluate the velocity along axis i on the lines through the
         `missing` entries of `flat`, and add them to the cache."""
         grid, params = self.grid, self.params
-        n = grid.shape[i]
-        stride = math.prod(grid.shape[i + 1:])
+        n, stride = grid.shape[i], grid.strides[i]
         rows, vel = self._lines[i]
         new, first = np.unique(line[missing], return_index=True)
         base = (flat - pos * stride)[missing][first]
@@ -114,8 +113,7 @@ def _lines_through(grid, flat):
     axes; the position is the index along axis i.
     """
     out = []
-    for i, n in enumerate(grid.shape):
-        stride = math.prod(grid.shape[i + 1:])
+    for n, stride in zip(grid.shape, grid.strides):
         outer, inner = np.divmod(flat, stride)
         outer, pos = np.divmod(outer, n)
         out.append((outer * stride + inner, pos))
@@ -144,9 +142,12 @@ def _params_for(psi, params):
 
 
 def _nodal(amp):
-    """Cells where |Psi| < EPS_NODE * max|Psi|."""
+    """Cells where |Psi| < EPS_NODE * max|Psi|; every cell of a zero wave."""
     absamp = np.abs(amp)
-    return absamp < EPS_NODE * np.max(absamp)
+    peak = np.max(absamp)
+    if peak == 0.0:
+        return np.ones(absamp.shape, dtype=bool)
+    return absamp < EPS_NODE * peak
 
 
 def velocity_field(psi, params=None):
@@ -223,13 +224,13 @@ def interp_stencil(grid, pts):
     that takes the upper neighbour along axis i where bit i of c is set,
     `flat` its index into the raveled grid and `weights` its weight.
     """
-    u = (pts - grid.los) / grid.dxs
+    los, dxs, shape, strides = grid._stencil_arrays
+    u = (pts - los) / dxs
     f = np.floor(u)
     frac = (u - f).T
-    lo = np.mod(f.astype(np.int64), grid.shape)
+    lo = np.mod(f.astype(np.int64), shape)
     hi = lo + 1
-    hi[hi == grid.shape] = 0
-    strides = [math.prod(grid.shape[i + 1:]) for i in range(grid.dims)]
+    hi[hi == shape] = 0
     lo, hi = (lo * strides).T, (hi * strides).T
     flat = np.concatenate([lo[:1], hi[:1]])
     w = np.concatenate([1.0 - frac[:1], frac[:1]])

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pilotwave
 from pilotwave.cli import main, _sha256
 from pilotwave.scenarios import builtin_spec
 
@@ -137,6 +141,31 @@ class TestRun:
         b = json.loads((interference_run / "report.json").read_text())
         assert a["metrics"] == b["metrics"]
         assert a["verdicts"] == b["verdicts"]
+
+
+class TestImports:
+    def test_run_leaves_scipy_stats_unloaded(self, tmp_path):
+        # scipy.stats costs about 0.9 s and 40 MiB of every process's
+        # set-up; an interference run, the one kind that computes a
+        # chi-square, must not load it
+        spec = write_spec(tmp_path, "interference", FAST_INTERFERENCE)
+        out = tmp_path / "run"
+        script = (
+            "import sys\n"
+            "from pilotwave import cli\n"
+            f"code = cli.main(['run', '--spec', {str(spec)!r}, '--out', "
+            f"{str(out)!r}, '--threads', '1', '--set', "
+            "'ensemble.n_particles=400'])\n"
+            "print(code, [m for m in sys.modules if m.startswith('scipy.stats')])\n")
+        src = str(Path(pilotwave.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 []", res.stdout
+        p_values = json.loads((out / "report.json").read_text())[
+            "metrics"]["equivariance"]["p_value"]
+        assert any(p is not None for p in p_values)
 
 
 class TestReport:

@@ -6,6 +6,7 @@ from pilotwave.fields import (
     FieldError, make_grid, init_gaussian, normalize, WaveFunction,
 )
 from pilotwave.propagate import HamiltonianSpec, PotentialTerm, Schedule, evolve
+from pilotwave import ensemble
 from pilotwave.ensemble import (
     sample_initial, run_ensemble, equivariance_test, h_function, rng_for,
 )
@@ -112,6 +113,45 @@ class TestEquivariance:
         ens.positions = ens.positions + 1.0  # shift by one sigma
         rep = equivariance_test(ens, rec, bins=64)
         assert np.nanmin(rep.p_value) < 1e-6
+
+
+class TestChiSquare:
+    """The in-place chi-square equals scipy.stats.chisquare bit for bit."""
+
+    def test_random_vectors(self):
+        rng = rng_for(4)
+        for _ in range(500):
+            k = int(rng.integers(2, 80))
+            obs = rng.integers(0, 300, size=k).astype(float)
+            exp = rng.random(k) * 50.0 + 5.0
+            exp *= obs.sum() / exp.sum()
+            want = stats.chisquare(obs, exp)
+            chi2, p = ensemble._chisquare(obs, exp)
+            assert chi2 == want.statistic and p == want.pvalue
+
+    def test_equivariance_series(self, monkeypatch):
+        rec = free_record(t_end=0.5, stride=50)
+        ens = run_ensemble(rec, 2000, seed=21)
+        seen = []
+        chisquare = ensemble._chisquare
+
+        def spy(obs, exp):
+            seen.append(stats.chisquare(obs, exp))
+            return chisquare(obs, exp)
+
+        monkeypatch.setattr(ensemble, "_chisquare", spy)
+        rep = equivariance_test(ens, rec, bins=32)
+        assert len(seen) == len(rep.times) == 6
+        assert np.array_equal(rep.chi2, [w.statistic for w in seen])
+        assert np.array_equal(rep.p_value, [w.pvalue for w in seen])
+        assert np.all(rep.p_value > 0) and np.all(rep.p_value < 1)
+
+    def test_too_few_bins_is_nan(self):
+        # 3 particles expect fewer than 5 in every bin: no chi-square
+        rec = free_record(t_end=0.5, stride=250)
+        rep = equivariance_test(run_ensemble(rec, 3, seed=8), rec, bins=32)
+        assert np.isnan(rep.chi2).all() and np.isnan(rep.p_value).all()
+        assert np.isfinite(rep.tv).all()
 
 
 class TestHFunction:

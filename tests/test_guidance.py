@@ -430,17 +430,17 @@ class TestLocalFieldOracle:
         assert_reads_complete(lf, vf, everywhere)
         assert len(calls) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_zero_wave(self):
-        # max|Psi| = 0 flags no cell nodal, and 0/0 reads NaN, as complete
+        # a zero wave is nodal everywhere and keeps hbar/m * Im(grad) = 0
         g = make_grid([{"points": 24, "lo": -3, "hi": 3},
                        {"points": 20, "lo": -2, "hi": 2}])
         psi = WaveFunction(g, np.zeros((24, 20), dtype=complex), 0.5)
         vf = velocity_field(psi)
         lf = local_field(psi)
-        assert not vf.any_nodal and np.isnan(vf.components).all()
+        assert vf.all_nodal and vf.nodal.all()
+        assert np.array_equal(vf.components, np.zeros((2, 24, 20)))
         assert_reads_complete(lf, vf, np.array([0, 1, 20, 21, 479]))
-        assert lf.components is None
 
     @pytest.mark.parametrize("shape", [(32, 24), (10, 12, 9)])
     @pytest.mark.parametrize("eps_node", [1e-8, 0.3, 2.0])
