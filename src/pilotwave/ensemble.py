@@ -18,6 +18,8 @@ from .guidance import simulate_trajectories
 DENSITY_CLIP = 1e-12  # bins restricted to cells with |psi|^2 above this * max
 DEFAULT_BINS = 64
 BOOTSTRAP_RESAMPLES = 200
+# resamples binned per bincount call; bounds the (chunk, N) index temporaries
+BOOTSTRAP_CHUNK = 20
 
 
 def rng_for(seed):
@@ -188,17 +190,20 @@ def equivariance_test(ensemble, record, bins=DEFAULT_BINS,
         chis.append(chi2)
         ps.append(p)
 
-        # bootstrap TV distribution at this time
+        # bootstrap TV distribution at this time: one bincount per chunk of
+        # resamples, resample r counting into bins offset by r * nb
+        nb = len(expected)
         bt = np.empty(resamples)
         wsafe = np.where(inside, which, 0)
-        for b in range(resamples):
-            sel = boot_idx[b]
-            w = wsafe[sel]
-            ins = inside[sel]
-            c = np.bincount(w[ins], minlength=len(expected)).astype(float)
-            e = c / n
-            bt[b] = 0.5 * (np.abs(e - expected).sum()
-                           + abs((1.0 - e.sum()) - (1.0 - expected.sum())))
+        for r0 in range(0, resamples, BOOTSTRAP_CHUNK):
+            sel = boot_idx[r0:r0 + BOOTSTRAP_CHUNK]
+            rows = len(sel)
+            w = wsafe[sel] + nb * np.arange(rows)[:, None]
+            c = np.bincount(w[inside[sel]], minlength=rows * nb)
+            e = c.reshape(rows, nb).astype(float) / n
+            bt[r0:r0 + rows] = 0.5 * (
+                np.abs(e - expected).sum(axis=1)
+                + np.abs((1.0 - e.sum(axis=1)) - (1.0 - expected.sum())))
         means.append(bt.mean())
         sigmas.append(bt.std())
 

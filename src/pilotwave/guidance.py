@@ -18,6 +18,29 @@ transforms are bitwise those of the full axis, so the values are the
 complete field's.  When a requested corner is nodal, the field builds the
 complete `velocity_field` once, global nearest-cell fill included, and reads
 from it from then on.
+
+`advance_interval` advances a group of two or more particles with numpy
+arrays (`_advance_many`).  A group of exactly one particle, as every probe
+is, runs a kernel on Python floats (`_advance_one`) that skips numpy's
+per-call cost and touches numpy only to read the fields: `.item()` on a
+complete field's components and nodal mask, or on a probe-local field's line
+cache, whose missing lines it adds through `_add_lines` as `_interp` does.
+The kernel repeats the vectorized path's IEEE operations in the same order,
+so both give the same bits:
+  - `Grid.wrap`: x - lo, `np.mod` only outside [0, L), then + lo;
+  - `interp_stencil`: `floor`, the integer `mod` and the hi-edge fix; bit i
+    of corner c selects the upper neighbour on axis i, and a corner's weight
+    is the product of its axes' weights in axis order;
+  - `_interp`: each component accumulated from 0.0 in corner order;
+  - the time blend (1 - f) * a + f * b;
+  - the nodal speed cap: speed = sqrt(((0 + v0^2) + v1^2) ...), then
+    v * (cap / speed);
+  - the RK4 sum ((k1 + 2 k2) + 2 k3) + k4, and the freeze of a particle
+    whose stencil is nodal everywhere.
+A reordering there changes last bits, which a position update can absorb;
+tests compare the kernel's samples with `_sample`'s directly.  Where a stage
+point is not finite, the kernel raises RuntimeError at once; the vectorized
+path returns it and raises at the next interval.
 """
 
 import logging
@@ -68,14 +91,18 @@ class VelocityField:
         self.wave = self.params = None
         self._lines = {}
 
+    def _line_cache(self, i):
+        """`_lines[i]`, created empty on first use."""
+        if i not in self._lines:
+            self._lines[i] = (np.full(self.nodal.size // self.grid.shape[i], -1),
+                              _NO_VELOCITIES)
+        return self._lines[i]
+
     def _take_local(self, flat, lines, out):
         """Velocities at the raveled non-nodal cells `flat` into `out`, shape
         (D, *flat.shape); `lines` is `_lines_through(grid, flat)`."""
         for i, (line, pos) in enumerate(lines):
-            if i not in self._lines:
-                self._lines[i] = (np.full(self.nodal.size // self.grid.shape[i], -1),
-                                  _NO_VELOCITIES)
-            rows, vel = self._lines[i]
+            rows, vel = self._line_cache(i)
             at = rows[line]
             if at.min() < 0:
                 rows, vel = self._add_lines(i, flat, line, pos, at < 0)
@@ -349,6 +376,157 @@ MAX_SUBSTEPS = 256
 _NAN_MSG = "NaN in trajectory output; regularization failed"
 
 
+def _substeps(vmax, dt, grid):
+    """Substeps for an interval of length dt at the fastest speed vmax: so
+    many that no particle crosses more than SUBSTEP_CFL of a cell in one,
+    at most MAX_SUBSTEPS (a capped interval logs a warning)."""
+    need = math.ceil(vmax * dt / (SUBSTEP_CFL * min(grid.dxs)))
+    if need > MAX_SUBSTEPS:
+        log.warning("substep cap: interval of dt=%g needs %d substeps, "
+                    "capped at %d", dt, need, MAX_SUBSTEPS)
+    return min(max(need, 1), MAX_SUBSTEPS)
+
+
+# One particle: the operations of `Grid.wrap`, `interp_stencil`, `_interp`
+# and `_rk4_many` on Python floats, in the same order, so that the path is
+# bitwise the one the vectorized code computes for a group of one.
+
+def _wrap_one(g, x):
+    """`Grid.wrap` of one point x (a list of floats); g is `_grid_lists`.
+
+    A non-finite coordinate raises RuntimeError: the stencil's `floor`
+    could not take it.
+    """
+    out = []
+    for xi, lo, length in zip(x, g[0], g[4]):
+        y = xi - lo
+        if not 0.0 <= y < length:
+            if not math.isfinite(y):
+                raise RuntimeError(_NAN_MSG)
+            y = float(np.mod(y, length))
+        out.append(y + lo)
+    return out
+
+
+def _grid_lists(grid):
+    """los, dxs, shape, strides and lengths of `grid` as lists of Python
+    numbers."""
+    return ([a.tolist() for a in grid._stencil_arrays]
+            + [grid._wrap_arrays[1].tolist()])
+
+
+def _stencil_one(g, x):
+    """`interp_stencil` of one wrapped point x: per corner, in the same
+    order, its raveled index, its weight and its index along each axis."""
+    flat, w, index = [0], [1.0], [()]
+    for xi, lo, dx, n, stride in zip(x, *g[:4]):
+        u = (xi - lo) / dx
+        f = math.floor(u)
+        frac = u - f
+        lo_i = f % n
+        hi_i = lo_i + 1 if lo_i + 1 < n else 0
+        flat = [q + lo_i * stride for q in flat] + [q + hi_i * stride for q in flat]
+        w = [c * (1.0 - frac) for c in w] + [c * frac for c in w]
+        index = [t + (lo_i,) for t in index] + [t + (hi_i,) for t in index]
+    return flat, w, index
+
+
+def _read_corners(vf, flat, index):
+    """The velocity components of `vf` at one stencil's corners, one list
+    per axis, and the corners' nodal flags.
+
+    A probe-local field completes on a nodal corner and reads its line
+    cache otherwise, as `_interp` does.
+    """
+    nodal = [vf.nodal.item(q) for q in flat]
+    if vf.components is None and any(nodal):
+        vf._complete()
+    if vf.components is not None:
+        comps, size = vf.components, vf.nodal.size
+        return [[comps.item(d * size + q) for q in flat]
+                for d in range(vf.grid.dims)], nodal
+    vals = []
+    for i, (n, stride) in enumerate(zip(vf.grid.shape, vf.grid.strides)):
+        # the line numbering of `_lines_through`
+        line = [q // (n * stride) * stride + q % stride for q in flat]
+        pos = [t[i] for t in index]
+        rows, vel = vf._line_cache(i)
+        at = [rows.item(j) for j in line]
+        if min(at) < 0:
+            rows, vel = vf._add_lines(i, np.array(flat), np.array(line),
+                                      np.array(pos), np.array(at) < 0)
+            at = [rows.item(j) for j in line]
+        vals.append([vel.item(a + p) for a, p in zip(at, pos)])
+    return vals, nodal
+
+
+def _sample_one(vf0, vf1, g, x):
+    """`_sample` at one point x: (a, b, touched, inside)."""
+    flat, w, index = _stencil_one(g, _wrap_one(g, x))
+    out, nodal = [], []
+    for vf in (vf0, vf1):
+        vals, flags = _read_corners(vf, flat, index)
+        v = []
+        for comp in vals:
+            acc = 0.0
+            for c, val in zip(w, comp):
+                acc += c * val
+            v.append(acc)
+        out.append(v)
+        nodal += flags
+    return out[0], out[1], any(nodal), all(nodal)
+
+
+def _velocity_one(sample, frac, cap):
+    """`_rk4_many`'s stage velocity: the time blend and the nodal speed cap."""
+    a, b, touched, _ = sample
+    v = [(1.0 - frac) * p + frac * q for p, q in zip(a, b)]
+    if touched:
+        speed = 0.0
+        for c in v:
+            speed += c * c
+        speed = math.sqrt(speed)
+        if speed > cap:
+            v = [c * (cap / speed) for c in v]
+    return v
+
+
+def _advance_one(vf0, vf1, pts, dt):
+    """`advance_interval` for a group of one particle, pts of shape (1, D)
+    and finite, on Python floats."""
+    g = _grid_lists(vf0.grid)
+    x, dt = pts[0].tolist(), float(dt)
+    first = _sample_one(vf0, vf1, g, x)
+    speeds = first[0] + first[1]
+    if not all(map(math.isfinite, speeds)):
+        raise RuntimeError(_NAN_MSG)
+    n = _substeps(max(map(abs, speeds)), dt, vf0.grid)
+    h = dt / n
+    cap = min(vf0.grid.dxs) / h
+    frozen = vf0.all_nodal or vf1.all_nodal
+    degen_any = False
+    for k in range(n):
+        if k:
+            first = _sample_one(vf0, vf1, g, x)
+        f0, f1 = k / n, (k + 1) / n
+        fm = 0.5 * (f0 + f1)
+        k1 = _velocity_one(first, f0, cap)
+        k2 = _velocity_one(_sample_one(
+            vf0, vf1, g, [p + 0.5 * h * v for p, v in zip(x, k1)]), fm, cap)
+        k3 = _velocity_one(_sample_one(
+            vf0, vf1, g, [p + 0.5 * h * v for p, v in zip(x, k2)]), fm, cap)
+        k4 = _velocity_one(_sample_one(
+            vf0, vf1, g, [p + h * v for p, v in zip(x, k3)]), f1, cap)
+        # a stencil nodal everywhere at both time levels freezes the particle
+        degen = first[3] or frozen
+        if not degen:
+            x = [p + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for p, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        x = _wrap_one(g, x)
+        degen_any = degen_any or degen
+    return np.array([x]), np.array([degen_any])
+
+
 def gate_kick(grid, pts, coupling, t0, t1):
     """Half the displacement due to a momentum coupling g * x_src * p_tgt.
 
@@ -379,19 +557,25 @@ def advance_interval(vf0, vf1, pts, dt):
     currently observed speeds, at most MAX_SUBSTEPS; a capped interval logs
     a warning.  The speeds observed at `pts` are also the first substep's
     first RK4 stage.  A non-finite position or speed raises RuntimeError.
+
+    A group of one particle runs on Python floats (`_advance_one`), any
+    larger group on numpy arrays (`_advance_many`); both give the same bits.
     """
     if not np.isfinite(pts).all():
         raise RuntimeError(_NAN_MSG)
+    if len(pts) == 1:
+        return _advance_one(vf0, vf1, pts, dt)
+    return _advance_many(vf0, vf1, pts, dt)
+
+
+def _advance_many(vf0, vf1, pts, dt):
+    """`advance_interval` on numpy arrays, vectorized over the group."""
     first = _sample(vf0, vf1, pts)
     va, vb = first[:2]
     vmax = float(np.maximum(np.max(np.abs(va)), np.max(np.abs(vb))))
     if not math.isfinite(vmax):
         raise RuntimeError(_NAN_MSG)
-    need = int(np.ceil(vmax * dt / (SUBSTEP_CFL * min(vf0.grid.dxs))))
-    n = min(max(need, 1), MAX_SUBSTEPS)
-    if need > MAX_SUBSTEPS:
-        log.warning("substep cap: interval of dt=%g needs %d substeps, "
-                    "capped at %d", dt, need, MAX_SUBSTEPS)
+    n = _substeps(vmax, dt, vf0.grid)
     degen_any = np.zeros(len(pts), dtype=bool)
     for k in range(n):
         pts, degen = _rk4_many(vf0, vf1, pts, dt / n, f0=k / n,

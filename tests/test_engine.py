@@ -323,3 +323,36 @@ def test_group_field_dispatch_at_shipped_sizes(kind, n, local):
     psi = WaveFunction(grid, np.ones(grid.shape, dtype=complex))
     vf = guidance.group_field(psi, None, n)
     assert (vf.components is None) == local
+
+
+# ---------------------------------------------------------------------------
+# one-particle groups
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_particle_kernel_matches_vector_path(name, monkeypatch):
+    """Each particle run alone takes the plain-float kernel; with the kernel
+    replaced by the vectorized path, paths and frozen flags keep their bits."""
+    psi, H, sched, params, x0s = CASES[name]()
+    rec = evolve(psi, H, sched, params)
+
+    def alone():
+        trs = [simulate_trajectories(rec, x0[None, :])[0] for x0 in x0s]
+        res = [coevolve([psi], H, sched, params, x0[None, :]) for x0 in x0s]
+        return (np.stack([tr.positions for tr in trs]),
+                [tr.degenerate for tr in trs],
+                np.stack([r.probe_paths for r in res]),
+                np.stack([r.probe_degenerate for r in res]))
+
+    runs = []
+    one = guidance._advance_one
+    monkeypatch.setattr(guidance, "_advance_one",
+                        lambda *a: runs.append(1) or one(*a))
+    got = alone()
+    # every interval of every run went through the kernel
+    assert len(runs) == 2 * len(x0s) * (len(rec.times) - 1)
+    monkeypatch.setattr(guidance, "_advance_one", guidance._advance_many)
+    want = alone()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if name == "2d_nodes":
+        assert got[1][-2:] == [True, True] and not any(got[1][:-2])

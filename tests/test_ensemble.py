@@ -115,6 +115,49 @@ class TestEquivariance:
         assert np.nanmin(rep.p_value) < 1e-6
 
 
+def loop_band(ens, rec, bins, resamples):
+    """Bootstrap band mean and sigma per time, one bincount per resample:
+    the reference for the chunked bincounts of equivariance_test."""
+    edges = ensemble.binning_for(rec, bins)
+    n = ens.n_particles
+    boot_idx = rng_for(ens.seed + 1).integers(0, n, size=(resamples, n))
+    means, sigmas = [], []
+    for ti, t in enumerate(ens.times):
+        si = int(np.argmin(np.abs(rec.times - t)))
+        expected = ensemble._expected_bin_mass(rec.wave_at(si), edges)
+        which = np.digitize(ens.positions[ti, :, 0], edges) - 1
+        inside = (which >= 0) & (which < len(expected))
+        wsafe = np.where(inside, which, 0)
+        bt = np.empty(resamples)
+        for b in range(resamples):
+            sel = boot_idx[b]
+            c = np.bincount(wsafe[sel][inside[sel]],
+                            minlength=len(expected)).astype(float)
+            e = c / n
+            bt[b] = 0.5 * (np.abs(e - expected).sum()
+                           + abs((1.0 - e.sum()) - (1.0 - expected.sum())))
+        means.append(bt.mean())
+        sigmas.append(bt.std())
+    return np.asarray(means), np.asarray(sigmas)
+
+
+class TestBootstrapBand:
+    @pytest.mark.parametrize("resamples", [1, ensemble.BOOTSTRAP_CHUNK, 47])
+    @pytest.mark.parametrize("bins", [32, 64])
+    def test_matches_one_bincount_per_resample(self, resamples, bins):
+        rec = free_record(t_end=0.5, stride=250)
+        ens = run_ensemble(rec, 500, seed=3)
+        # a shift puts some particles outside the binned range
+        ens.positions = ens.positions + 6.0
+        rep = equivariance_test(ens, rec, bins=bins, resamples=resamples)
+        xs = ens.positions[:, :, 0]
+        edges = ensemble.binning_for(rec, bins)
+        assert ((xs < edges[0]) | (xs >= edges[-1])).any()
+        mean, sigma = loop_band(ens, rec, bins, resamples)
+        assert np.array_equal(rep.tv_band_mean, mean)
+        assert np.array_equal(rep.tv_band_sigma, sigma)
+
+
 class TestChiSquare:
     """The in-place chi-square equals scipy.stats.chisquare bit for bit."""
 

@@ -6,6 +6,7 @@ from pilotwave.fields import (
     FieldError, PhysicalParams, make_grid, init_gaussian, superpose, density,
     marginal_density, normalize, WaveFunction, DensityField,
 )
+from pilotwave.scenarios import KINDS, builtin_spec
 
 
 def grid1d(n=256, lo=-20.0, hi=20.0):
@@ -259,3 +260,46 @@ class TestWrap:
         out = g.wrap(pts)
         assert out is not pts
         assert np.array_equal(pts, [[0.5], [3.0]])
+
+
+# (lo, hi) of every axis of the shipped specs; the benchmark workloads' cut
+# grids keep these ranges
+SHIPPED_AXES = sorted({(a["lo"], a["hi"]) for kind in KINDS
+                       for a in builtin_spec(kind)["grid"]})
+
+
+def assert_wrap_idempotent(lo, hi, x):
+    """wrap(wrap(x)) == wrap(x) bit for bit, except where wrap(x) is hi."""
+    g = make_grid([{"points": 64, "lo": lo, "hi": hi}])
+    w = g.wrap([x])
+    ww = g.wrap(w)
+    if w[0] < hi:
+        TestWrap.assert_bits_equal(ww, w)
+    else:
+        # x - lo in (-ulp(L) / 2, 0): mod(x - lo, L) rounds up to L, so wrap
+        # returns hi, which wraps to lo
+        assert w[0] == hi and x < lo and ww[0] == lo
+
+
+@pytest.mark.parametrize("lo,hi", SHIPPED_AXES)
+@given(frac=st.floats(-3.0, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_wrap_idempotent_on_shipped_axes(lo, hi, frac):
+    assert_wrap_idempotent(lo, hi, lo + frac * (hi - lo))
+
+
+@pytest.mark.parametrize("lo,hi", SHIPPED_AXES)
+def test_wrap_idempotent_at_edges(lo, hi):
+    # the hi-edge point of tests/test_guidance.py::probe_points among them
+    for x in (lo, hi, np.nextafter(hi, -np.inf), np.nextafter(lo, np.inf),
+              np.nextafter(lo, -np.inf), lo - 1e-300):
+        assert_wrap_idempotent(lo, hi, x)
+
+
+def test_wrap_returns_hi_just_below_lo():
+    # so a point that is already wrapped is wrapped again before sampling:
+    # on the x axis of interference and decoherence, the largest coordinate
+    # below lo wraps to hi, and hi to lo
+    g = make_grid([{"points": 1024, "lo": -20.0, "hi": 20.0}])
+    w = g.wrap([np.nextafter(-20.0, -np.inf)])
+    assert w[0] == 20.0 and g.wrap(w)[0] == -20.0

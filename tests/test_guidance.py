@@ -350,18 +350,18 @@ def two_packet_waves(shape):
 
 
 def corner_reads(monkeypatch, fields, pts, dt):
-    """advance_interval between `fields`, and the raveled stencil corners
-    of every interpolation it made."""
+    """advance_interval of one particle between `fields`, and the raveled
+    stencil corners of every field read the one-particle path made."""
     seen = []
-    interp = guidance._interp
+    read = guidance._read_corners
 
-    def spy(fs, flat, w):
-        seen.append(flat.reshape(-1).copy())
-        return interp(fs, flat, w)
+    def spy(vf, flat, index):
+        seen.append(list(flat))
+        return read(vf, flat, index)
 
-    monkeypatch.setattr(guidance, "_interp", spy)
+    monkeypatch.setattr(guidance, "_read_corners", spy)
     got = advance_interval(*fields, pts, dt)
-    monkeypatch.setattr(guidance, "_interp", interp)
+    monkeypatch.setattr(guidance, "_read_corners", read)
     return got, np.unique(np.concatenate(seen))
 
 
@@ -462,6 +462,142 @@ class TestLocalFieldOracle:
                         velocity_at_many(vf, pts, return_inside=True)):
             assert np.array_equal(a, b)
         assert_reads_complete(lf, vf, np.arange(amp.size))
+
+
+# One-particle groups run the plain-float kernel: each point alone follows
+# the per-level oracle's path bit for bit.
+
+def advance_alone(vf0, vf1, pts, dt):
+    """advance_interval of each point of `pts` as a group of one, and the
+    oracle's; returns both as (positions, degenerate) pairs of arrays."""
+    got = [advance_interval(vf0, vf1, p[None, :], dt) for p in pts]
+    want = [_oracle_advance_interval(vf0, vf1, p[None, :], dt) for p in pts]
+    return [tuple(np.concatenate(r) for r in zip(*rs)) for rs in (got, want)]
+
+
+class TestOneParticleKernel:
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_each_point_alone_matches_oracle(self, shape, dt, monkeypatch):
+        g, vf0, vf1 = noded_fields(shape)
+        # the hi-edge point, and points inside and far outside the domain
+        pts = probe_points(g, n=16)
+        pts[1:4] = np.add(g.los, np.multiply(g.lengths, [[0.2], [0.5], [0.8]]))
+        inside = np.all((pts >= g.los) & (pts < g.his), axis=1)
+        assert inside.any() and not inside.all()
+        runs = []
+        one = guidance._advance_one
+        monkeypatch.setattr(guidance, "_advance_one",
+                            lambda *a: runs.append(1) or one(*a))
+        (got, got_degen), (want, want_degen) = advance_alone(vf0, vf1, pts, dt)
+        assert len(runs) == len(pts)
+        assert got.shape == pts.shape and got_degen.dtype == bool
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_degen, want_degen)
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    def test_sample_matches_vectorized_sample(self, shape):
+        # velocities differ in bits a position update can absorb, so the
+        # stage sample and velocity are compared on their own
+        g, vf0, vf1 = noded_fields(shape)
+        pts = probe_points(g)
+        want = guidance._sample(vf0, vf1, pts)
+        got = [guidance._sample_one(vf0, vf1, guidance._grid_lists(g),
+                                    p.tolist()) for p in pts]
+        for k in range(4):
+            assert np.array_equal([s[k] for s in got], want[k])
+        assert want[2].any()
+        # the time blend, and the speed cap where a stencil touches a node
+        for frac in (0.0, 0.3, 0.75):
+            v = (1.0 - frac) * want[0] + frac * want[1]
+            speed = np.sqrt(np.sum(v * v, axis=1))
+            cap = float(np.median(speed[want[2]]))
+            over = want[2] & (speed > cap)
+            v[over] *= (cap / speed[over])[:, None]
+            assert over.any() and not over.all()
+            assert np.array_equal(
+                [guidance._velocity_one(s, frac, cap) for s in got], v)
+
+    def test_capped_interval_logs_and_matches_oracle(self, caplog):
+        # dt 50 needs more than MAX_SUBSTEPS, and speeds over the nodal cap
+        g, vf0, vf1 = noded_fields((40,))
+        pts = probe_points(g, n=4)
+        with caplog.at_level(logging.WARNING, logger="pilotwave.guidance"):
+            (got, got_degen), (want, want_degen) = advance_alone(
+                vf0, vf1, pts, 50.0)
+        msgs = [r.getMessage() for r in caplog.records]
+        # one warning per interval of the kernel; the oracle logs none
+        assert len(msgs) == len(pts)
+        assert all(f"capped at {MAX_SUBSTEPS}" in m for m in msgs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_degen, want_degen)
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_all_nodal_pair_freezes(self, local, monkeypatch):
+        g = make_grid([{"points": 32, "lo": -4.0, "hi": 5.0},
+                       {"points": 24, "lo": -5.0, "hi": 6.0}])
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=(2, 32, 24)) + 1j * rng.normal(size=(2, 32, 24))
+        psis = [WaveFunction(g, a, t) for a, t in zip(amps, (0.0, 0.1))]
+        monkeypatch.setattr(guidance, "EPS_NODE", 2.0)
+        vfs = [velocity_field(p) for p in psis]
+        fields = [local_field(p) for p in psis] if local else vfs
+        assert all(vf.all_nodal for vf in vfs)
+        pts = probe_points(g, n=4)
+        got = [advance_interval(*fields, p[None, :], 0.05) for p in pts]
+        _, (want, want_degen) = advance_alone(*vfs, pts, 0.05)
+        assert all(degen.tolist() == [True] for _, degen in got)
+        assert want_degen.all()
+        assert np.array_equal(np.concatenate([p for p, _ in got]), want)
+        assert np.array_equal(want, g.wrap(pts))
+
+    def test_nodal_corner_completes_local_fields_once(self, monkeypatch):
+        g, params, (psi0, psi1) = two_packet_waves((32, 28))
+        vfs = [velocity_field(p, params) for p in (psi0, psi1)]
+        calls = []
+        complete = guidance.velocity_field
+
+        def counted(*args):
+            calls.append(args)
+            return complete(*args)
+
+        monkeypatch.setattr(guidance, "velocity_field", counted)
+        lfs = [local_field(p, params) for p in (psi0, psi1)]
+        # the first stencil has no nodal corner; a later stage's has
+        pts = np.array([[-4.0, -2.0]])
+        assert not velocity_at_many(vfs[0], pts)[1].any()
+        assert not velocity_at_many(vfs[1], pts)[1].any()
+        got = advance_interval(*lfs, pts, 2.0)
+        # one complete field per snapshot, however many nodal corners later
+        assert len(calls) == 2
+        assert all(lf.components is not None for lf in lfs)
+        want = _oracle_advance_interval(*vfs, pts, 2.0)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("shape", [(32, 28), (20, 18, 24)])
+    def test_local_fields_match_oracle(self, shape):
+        g, params, (psi0, psi1) = two_packet_waves(shape)
+        vfs = [velocity_field(p, params) for p in (psi0, psi1)]
+        pts = np.array([[-1.4] + [0.2] * (g.dims - 1),
+                        [1.5] + [-0.3] * (g.dims - 1),
+                        [g.his[0] + 3.0] + [0.1] * (g.dims - 1)])
+        for p in pts:
+            lfs = [local_field(q, params) for q in (psi0, psi1)]
+            got = advance_interval(*lfs, p[None, :], 0.5)
+            want = _oracle_advance_interval(*vfs, p[None, :], 0.5)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stage_point_raises(self, bad):
+        # a field value that sends a stage point to NaN or infinity
+        g = grid1d(64, 0.0, 16.0)
+        comps = np.full(64, 1.0)
+        comps[6:] = bad
+        vf = VelocityField(g, [comps], np.zeros(64, dtype=bool))
+        with pytest.raises(RuntimeError, match="NaN in trajectory output"):
+            advance_interval(vf, vf, np.array([[1.0]]), 1.0)
 
 
 class TestSubstepCap:
