@@ -12,15 +12,14 @@ from .fields import (
     make_grid, init_gaussian, superpose, density, marginal_density, normalize,
 )
 from .propagate import (
-    HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
-    step, apply_conditional_displacement, evolve,
+    HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule, evolve,
 )
 from .guidance import (
     VelocityField, Trajectory,
-    velocity_field, velocity_at, simulate_trajectory,
+    velocity_field, simulate_trajectory,
 )
 from .ensemble import sample_initial, run_ensemble, equivariance_test, h_function
 from .branches import (
-    RegionMask, Branch, decompose, interference_term, decoherence_factor,
-    effective_wavefunction, branch_occupancy, single_branch_error,
+    RegionMask, Branch, decompose, interference_term,
+    effective_wavefunction, single_branch_error,
 )

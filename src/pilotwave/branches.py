@@ -50,14 +50,6 @@ def halfspace_mask(grid, axis, threshold, side, label=None):
     return RegionMask.from_array((axis,), cells, label)
 
 
-def interval_mask(grid, axis, lo, hi, label=None):
-    x = grid.axis_coords(axis)
-    cells = (x >= lo) & (x < hi)
-    if label is None:
-        label = f"x{axis}in[{lo:g},{hi:g})"
-    return RegionMask.from_array((axis,), cells, label)
-
-
 @dataclass
 class Branch:
     """One wave-function component (not renormalized) with its mask label."""
@@ -150,26 +142,6 @@ def overlap_factor(w1, w2, env_axes):
     return float(np.abs(np.vdot(chi1, chi2)) / (n1 * n2))
 
 
-def decoherence_factor(psi, masks, env_axes):
-    """r in [0, 1] for the two branches cut out by `masks`.
-
-    masks live on the system/pointer axes; env_axes must be disjoint from
-    them and nonempty.
-    """
-    if len(masks) != 2:
-        raise BranchError("decoherence factor needs exactly two branches")
-    env_axes = tuple(env_axes)
-    if not env_axes:
-        raise BranchError("env_axes must be nonempty")
-    if set(env_axes) & set(masks[0].axes):
-        raise BranchError("env_axes must be disjoint from mask axes")
-    b1, b2 = decompose(psi, masks)
-    total = b1.weight + b2.weight
-    if b1.weight < 1e-12 * total or b2.weight < 1e-12 * total:
-        raise BranchError("a branch has zero weight; r undefined")
-    return overlap_factor(b1.wave, b2.wave, env_axes)
-
-
 def effective_wavefunction(psi, conditioned_axes, values):
     """Slice psi at the actual configuration of the conditioned axes.
 
@@ -201,16 +173,6 @@ def effective_wavefunction(psi, conditioned_axes, values):
     if out.norm() < 1e-12:
         raise BranchError("empty-branch conditioning: slice norm underflow")
     return normalize(out)
-
-
-def branch_occupancy(grid, X, masks):
-    """Label of the mask containing the configuration's masked coordinates.
-
-    Cells are resolved on the grid; a configuration on a boundary cell
-    tie-breaks to the lowest mask index; returns "none" outside every mask.
-    """
-    coords = np.asarray(X, float)
-    return str(occupancy_labels(grid, coords[None, :], masks)[0])
 
 
 def occupancy_labels(grid, positions, masks):

@@ -76,10 +76,6 @@ class Grid:
     def dV(self):
         return float(np.prod(self.dxs))
 
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
-
     def axis_coords(self, axis):
         """Coordinate array along one axis."""
         n = self.shape[axis]
@@ -168,9 +164,6 @@ class WaveFunction:
         """sqrt of the total probability on the grid."""
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dV))
 
-    def copy(self):
-        return WaveFunction(self.grid, self.amplitudes.copy(), self.time)
-
 
 @dataclass
 class DensityField:
@@ -184,9 +177,6 @@ class DensityField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise FieldError("density shape does not match grid shape")
-
-    def total(self):
-        return float(np.sum(self.values) * self.grid.dV)
 
 
 def normalize(psi):

@@ -9,24 +9,28 @@ EPS_NODE * max|Psi| are flagged nodal; their velocity is filled from the
 nearest non-nodal cell and, when a query stencil touches a nodal cell during
 stepping, the speed is capped at dx/dt for that step.
 
-A group of particles that is small against the grid (`group_field`) reads a
-probe-local field instead of a complete one.  It holds the wave and the
-nodal mask, and evaluates the velocity only at the stencil corners asked
-for: the spectral derivative of each grid line through such a corner is
-taken once, batched per axis, and cached on the field.  Line by line the
-transforms are bitwise those of the full axis, so the values are the
-complete field's.  When a requested corner is nodal, the field builds the
-complete `velocity_field` once, global nearest-cell fill included, and reads
-from it from then on.
+A group of one particle on a grid of two or more dimensions (`group_field`)
+reads a probe-local field instead of a complete one.  It holds the wave and
+the nodal mask, and evaluates the velocity only at the stencil corners the
+particle reads: the spectral derivative of each grid line through such a
+corner is taken once, batched per axis, and cached on the field
+(`_add_lines`).  Line by line the transforms are bitwise those of the full
+axis, so the values are the complete field's.  When a requested corner is
+nodal, the field builds the complete `velocity_field` once, global
+nearest-cell fill included, and reads from it from then on.  A probe-local
+field has one reader, the one-particle kernel's `_read_corners`, which
+`velocity_at_many` also uses on such a field, point by point; the
+vectorized reader `_interp` completes a probe-local field before it reads
+one.
 
 `advance_interval` advances a group of two or more particles with numpy
 arrays (`_advance_many`).  A group of exactly one particle, as every probe
 is, runs a kernel on Python floats (`_advance_one`) that skips numpy's
 per-call cost and touches numpy only to read the fields: `.item()` on a
 complete field's components and nodal mask, or on a probe-local field's line
-cache, whose missing lines it adds through `_add_lines` as `_interp` does.
-The kernel repeats the vectorized path's IEEE operations in the same order,
-so both give the same bits:
+cache, whose missing lines it adds through `_add_lines`.  The kernel repeats
+the vectorized path's IEEE operations in the same order, so both give the
+same bits:
   - `Grid.wrap`: x - lo, `np.mod` only outside [0, L), then + lo;
   - `interp_stencil`: `floor`, the integer `mod` and the hi-edge fix; bit i
     of corner c selects the upper neighbour on axis i, and a corner's weight
@@ -46,6 +50,7 @@ path returns it and raises at the next interval.
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.fft as sfft
@@ -75,7 +80,6 @@ class VelocityField:
     components: np.ndarray
     nodal: np.ndarray
     time: float = 0.0
-    any_nodal: bool = False
     all_nodal: bool = False
     wave: object = field(default=None, repr=False)
     params: object = field(default=None, repr=False)
@@ -98,26 +102,15 @@ class VelocityField:
                               _NO_VELOCITIES)
         return self._lines[i]
 
-    def _take_local(self, flat, lines, out):
-        """Velocities at the raveled non-nodal cells `flat` into `out`, shape
-        (D, *flat.shape); `lines` is `_lines_through(grid, flat)`."""
-        for i, (line, pos) in enumerate(lines):
-            rows, vel = self._line_cache(i)
-            at = rows[line]
-            if at.min() < 0:
-                rows, vel = self._add_lines(i, flat, line, pos, at < 0)
-                at = rows[line]
-            at += pos
-            vel.take(at, out=out[i])
-
-    def _add_lines(self, i, flat, line, pos, missing):
-        """Evaluate the velocity along axis i on the lines through the
-        `missing` entries of `flat`, and add them to the cache."""
+    def _add_lines(self, i, starts):
+        """Evaluate the velocity along axis i on the lines of `starts`, which
+        maps each line's number to the raveled index of its first cell, and
+        add them to the cache."""
         grid, params = self.grid, self.params
         n, stride = grid.shape[i], grid.strides[i]
-        rows, vel = self._lines[i]
-        new, first = np.unique(line[missing], return_index=True)
-        base = (flat - pos * stride)[missing][first]
+        rows, vel = self._line_cache(i)
+        new = sorted(starts)
+        base = np.array([starts[j] for j in new])
         amp = self.wave.amplitudes.reshape(-1).take(
             base[:, None] + stride * np.arange(n))
         grad = sfft.ifft(1j * grid.k_coords(i) * sfft.fft(amp, axis=1),
@@ -131,20 +124,6 @@ class VelocityField:
 
 
 _NO_VELOCITIES = np.empty(0)
-
-
-def _lines_through(grid, flat):
-    """Per axis i, (line, position) of each raveled grid index in `flat`.
-
-    The lines along axis i are numbered by the raveled index of the other
-    axes; the position is the index along axis i.
-    """
-    out = []
-    for n, stride in zip(grid.shape, grid.strides):
-        outer, inner = np.divmod(flat, stride)
-        outer, pos = np.divmod(outer, n)
-        out.append((outer * stride + inner, pos))
-    return out
 
 
 @dataclass
@@ -214,19 +193,17 @@ def velocity_field(psi, params=None):
         for i in range(grid.dims):
             flat[i, dead] = flat[i, src]
 
-    return VelocityField(grid, comps, nodal, psi.time,
-                         any_nodal=any_nodal, all_nodal=all_nodal)
+    return VelocityField(grid, comps, nodal, psi.time, all_nodal=all_nodal)
 
 
 def local_field(psi, params=None):
     """The velocity field of `psi`, evaluated only where it is read.
 
-    The nodal mask and its flags come from the whole wave, as in
+    The nodal mask and its flag come from the whole wave, as in
     `velocity_field`, whose values the field reproduces bit for bit.
     """
     nodal = _nodal(psi.amplitudes)
     return VelocityField(psi.grid, None, nodal, psi.time,
-                         any_nodal=bool(nodal.any()),
                          all_nodal=bool(nodal.all()), wave=psi,
                          params=_params_for(psi, params))
 
@@ -234,12 +211,10 @@ def local_field(psi, params=None):
 def group_field(psi, params, n):
     """The velocity field that a group of `n` particles reads.
 
-    Where the group's stencils touch fewer cells than the shortest axis
-    holds, on a grid of two or more dimensions, that is a probe-local field;
-    otherwise the complete one.
+    A single particle (a probe) on a grid of two or more dimensions reads a
+    probe-local field; any other group the complete one.
     """
-    grid = psi.grid
-    if grid.dims > 1 and n * 2 ** grid.dims < min(grid.shape):
+    if n == 1 and psi.grid.dims > 1:
         return local_field(psi, params)
     return velocity_field(psi, params)
 
@@ -270,8 +245,7 @@ def interp_stencil(grid, pts):
 def _interp(fields, flat, w):
     """Interpolate velocity fields that share one grid at one stencil.
 
-    A probe-local field evaluates the lines the stencil needs, or first
-    becomes complete when one of the stencil's corners is nodal.
+    A probe-local field becomes complete first.
 
     Returns (values, nodal): values of shape (L, M, D), one (M, D) block per
     field, and the nodal flags of every stencil corner, shape (L, 2**D, M).
@@ -281,43 +255,36 @@ def _interp(fields, flat, w):
     D = fields[0].grid.dims
     vals = np.empty((len(fields), D) + flat.shape)
     nodal = np.empty((len(fields),) + flat.shape, dtype=bool)
-    lines = None
     for k, vf in enumerate(fields):
-        vf.nodal.reshape(-1).take(flat, out=nodal[k])
-        if vf.components is None and nodal[k].any():
-            vf._complete()
         if vf.components is None:
-            if lines is None:
-                lines = _lines_through(vf.grid, flat)
-            vf._take_local(flat, lines, vals[k])
-        else:
-            vf.components.reshape(D, -1).take(flat, axis=1, out=vals[k])
+            vf._complete()
+        vf.nodal.reshape(-1).take(flat, out=nodal[k])
+        vf.components.reshape(D, -1).take(flat, axis=1, out=vals[k])
     out = np.zeros(vals.shape[:2] + vals.shape[3:])
     for c in range(len(w)):
         out += w[c] * vals[:, :, c]
     return out.transpose(0, 2, 1), nodal
 
 
-def velocity_at_many(vfield, pts, return_inside=False):
+def velocity_at_many(vfield, pts):
     """Interpolated velocities at points (M, D); also flags nodal stencils.
 
     Returns (velocities, touched) where `touched` marks points whose stencil
-    includes at least one nodal cell; with return_inside, additionally returns
-    the mask of points whose entire stencil is nodal.
+    includes at least one nodal cell.  A probe-local field is read point by
+    point through the one-particle kernel's reader, so it evaluates only the
+    lines the stencils need, as when a probe reads it.
     """
     grid = vfield.grid
-    flat, w = interp_stencil(grid, grid.wrap(np.atleast_2d(pts)))
+    pts = np.atleast_2d(pts)
+    if vfield.components is None:
+        g = _grid_lists(grid)
+        read = [_interp_one(vfield, *_stencil_one(g, _wrap_one(g, x)))
+                for x in pts.tolist()]
+        return (np.array([v for v, _ in read]).reshape(-1, grid.dims),
+                np.array([any(nodal) for _, nodal in read], dtype=bool))
+    flat, w = interp_stencil(grid, grid.wrap(pts))
     (out,), (nodal,) = _interp((vfield,), flat, w)
-    touched = nodal.any(axis=0)
-    if return_inside:
-        return out, touched, nodal.all(axis=0)
-    return out, touched
-
-
-def velocity_at(vfield, X):
-    """Velocity at one configuration (one coordinate per axis)."""
-    v, _ = velocity_at_many(vfield, np.asarray(X, dtype=float)[None, :])
-    return tuple(v[0])
+    return out, nodal.any(axis=0)
 
 
 def _sample(vf0, vf1, pts):
@@ -436,7 +403,7 @@ def _read_corners(vf, flat, index):
     per axis, and the corners' nodal flags.
 
     A probe-local field completes on a nodal corner and reads its line
-    cache otherwise, as `_interp` does.
+    cache otherwise.
     """
     nodal = [vf.nodal.item(q) for q in flat]
     if vf.components is None and any(nodal):
@@ -447,34 +414,41 @@ def _read_corners(vf, flat, index):
                 for d in range(vf.grid.dims)], nodal
     vals = []
     for i, (n, stride) in enumerate(zip(vf.grid.shape, vf.grid.strides)):
-        # the line numbering of `_lines_through`
+        # the lines along axis i are numbered by the raveled index of the
+        # other axes; a corner's position on its line is its index on axis i
         line = [q // (n * stride) * stride + q % stride for q in flat]
         pos = [t[i] for t in index]
         rows, vel = vf._line_cache(i)
         at = [rows.item(j) for j in line]
         if min(at) < 0:
-            rows, vel = vf._add_lines(i, np.array(flat), np.array(line),
-                                      np.array(pos), np.array(at) < 0)
+            rows, vel = vf._add_lines(i, {
+                j: q - p * stride
+                for j, q, p, a in zip(line, flat, pos, at) if a < 0})
             at = [rows.item(j) for j in line]
         vals.append([vel.item(a + p) for a, p in zip(at, pos)])
     return vals, nodal
 
 
+def _interp_one(vf, flat, w, index):
+    """`_interp` of one field at one stencil of `_stencil_one`: the velocity
+    as a list of floats, and the corners' nodal flags."""
+    vals, nodal = _read_corners(vf, flat, index)
+    v = []
+    for comp in vals:
+        acc = 0.0
+        for c, val in zip(w, comp):
+            acc += c * val
+        v.append(acc)
+    return v, nodal
+
+
 def _sample_one(vf0, vf1, g, x):
     """`_sample` at one point x: (a, b, touched, inside)."""
     flat, w, index = _stencil_one(g, _wrap_one(g, x))
-    out, nodal = [], []
-    for vf in (vf0, vf1):
-        vals, flags = _read_corners(vf, flat, index)
-        v = []
-        for comp in vals:
-            acc = 0.0
-            for c, val in zip(w, comp):
-                acc += c * val
-            v.append(acc)
-        out.append(v)
-        nodal += flags
-    return out[0], out[1], any(nodal), all(nodal)
+    a, nodal0 = _interp_one(vf0, flat, w, index)
+    b, nodal1 = _interp_one(vf1, flat, w, index)
+    nodal = nodal0 + nodal1
+    return a, b, any(nodal), all(nodal)
 
 
 def _velocity_one(sample, frac, cap):
@@ -606,6 +580,31 @@ def simulate_trajectory(record, x0):
     return simulate_trajectories(record, np.asarray(x0, float)[None, :])[0]
 
 
+def guided_walk(waves, params, coupling, x0s):
+    """Advance particles from x0s (N, D) through a sequence of waves.
+
+    The first wave is the particles' start; between each wave and the next
+    the particles advance with `advance_group`, each wave read through its
+    `group_field`.  Returns the waves' times, the paths (T, N, D) and the
+    frozen flags (N,).
+    """
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    # map keeps no wave once its field is made, so a field that completes
+    # frees its wave
+    fields = map(group_field, waves, repeat(params), repeat(len(x0s)))
+    vf0 = next(fields)
+    pts = vf0.grid.wrap(x0s)
+    frozen = np.zeros(len(pts), dtype=bool)
+    times, path = [vf0.time], [pts]
+    for vf1 in fields:
+        pts = advance_group(vf0, vf1, pts, frozen, coupling, vf0.time,
+                            vf1.time)
+        times.append(vf1.time)
+        path.append(pts)
+        vf0 = vf1
+    return np.asarray(times), np.asarray(path), frozen
+
+
 def simulate_trajectories(record, x0s, stride=1):
     """Integrate many particles at once (shared velocity fields).
 
@@ -617,19 +616,8 @@ def simulate_trajectories(record, x0s, stride=1):
     idxs = list(range(0, n_snap, stride))
     if idxs[-1] != n_snap - 1:
         idxs.append(n_snap - 1)
-
-    pts = record.grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
-    frozen = np.zeros(len(pts), dtype=bool)
-    path = [pts]
-    vf0 = group_field(record.wave_at(idxs[0]), record.params, len(pts))
-    for a, b in zip(idxs[:-1], idxs[1:]):
-        vf1 = group_field(record.wave_at(b), record.params, len(pts))
-        pts = advance_group(vf0, vf1, pts, frozen, record.hamiltonian.coupling,
-                            record.times[a], record.times[b])
-        path.append(pts)
-        vf0 = vf1
-
-    times = record.times[idxs]
-    path = np.asarray(path)  # (T, N, D)
+    times, path, frozen = guided_walk(
+        map(record.wave_at, idxs), record.params,
+        record.hamiltonian.coupling, x0s)
     return [Trajectory(times, path[:, j, :], bool(frozen[j]))
             for j in range(path.shape[1])]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import FieldError, Grid, PhysicalParams, WaveFunction
+from .fields import FieldError, PhysicalParams, WaveFunction
 
 
 class PropagationError(RuntimeError):
@@ -274,47 +274,6 @@ class SplitOperator:
         kin *= self.grid.dV
         pot = np.sum(self.v_static * np.abs(amp) ** 2) * self.grid.dV
         return float(kin + pot)
-
-
-def step(psi, hamiltonian, dt, params=None):
-    """Single Strang split step from psi.time; returns the advanced state."""
-    if dt <= 0:
-        raise FieldError("dt must be positive")
-    if params is None:
-        params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
-    op = SplitOperator(psi.grid, params, hamiltonian, dt)
-    amp = op.step_array(psi.amplitudes, psi.time)
-    if not np.all(np.isfinite(amp.view(float))):
-        raise PropagationError(
-            f"non-finite amplitudes after step from t={psi.time:g} (dt={dt:g})"
-        )
-    return WaveFunction(psi.grid, amp, psi.time + dt)
-
-
-def apply_conditional_displacement(psi, coupling, tau):
-    """Apply exp(-i g tau x_source p_target / hbar) as a spectral phase.
-
-    Translates the target-axis profile by g * x_source * tau at each fixed
-    source coordinate.  Errors if the largest displacement exceeds half the
-    target-axis extent (wrap-around would corrupt pointer regions).
-    """
-    grid = psi.grid
-    c = coupling
-    for a in (c.source_axis, c.target_axis):
-        if not 0 <= a < grid.dims:
-            raise FieldError(f"coupling axis {a} not on grid")
-    src = grid.mesh(c.source_axis)
-    max_shift = abs(c.strength) * tau * float(np.max(np.abs(src)))
-    if max_shift > 0.5 * grid.lengths[c.target_axis]:
-        raise PropagationError(
-            f"conditional displacement {max_shift:g} exceeds half the target "
-            f"axis extent {grid.lengths[c.target_axis]:g}"
-        )
-    if c.strength * tau == 0.0:
-        return psi.copy()
-    ft = sfft.fft(psi.amplitudes, axis=c.target_axis)
-    ft *= np.exp(-1j * c.strength * tau * src * grid.k_mesh(c.target_axis))
-    return WaveFunction(grid, sfft.ifft(ft, axis=c.target_axis), psi.time)
 
 
 def _check_finite(amps, i, schedule):

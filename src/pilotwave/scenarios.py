@@ -35,7 +35,7 @@ from .propagate import (
     HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule,
     SplitOperator, EvolutionRecord, evolve, _observed_steps,
 )
-from .guidance import group_field, advance_group, simulate_trajectories
+from .guidance import guided_walk, simulate_trajectories
 from .ensemble import (
     rng_for, sample_initial, run_ensemble, equivariance_test, h_function,
     _axis_density,
@@ -43,6 +43,7 @@ from .ensemble import (
 from .branches import (
     halfspace_mask, decompose, interference_term, overlap_factor,
     effective_wavefunction, occupancy_labels, single_branch_error,
+    _periodic_dev,
 )
 
 KINDS = ("interference", "decoherence", "measurement", "preparation",
@@ -265,14 +266,13 @@ def _twin_spec(spec):
 @dataclass
 class StreamResult:
     times: np.ndarray                  # observation times
-    probe_paths: np.ndarray            # (T, N, D); N = 0 without probes
+    probe_paths: np.ndarray            # (T, N, D)
     probe_degenerate: np.ndarray       # (N,) bool
     observations: list                 # per observation: observer return value
     final_components: list             # WaveFunction per component
 
 
-def coevolve(components, hamiltonian, schedule, params, x0s=None,
-             observer=None):
+def coevolve(components, hamiltonian, schedule, params, x0s, observer=None):
     """Step all components through one schedule, advancing probes in stride.
 
     Components share the Hamiltonian (evolution is linear, so their sum is
@@ -284,31 +284,20 @@ def coevolve(components, hamiltonian, schedule, params, x0s=None,
     grid = components[0].grid
     op = SplitOperator(grid, params, hamiltonian, schedule.dt)
     amps = [c.amplitudes for c in components]
-    if x0s is None:
-        pts = np.empty((0, grid.dims))
-    else:
-        pts = grid.wrap(np.atleast_2d(np.asarray(x0s, dtype=float)))
-    frozen = np.zeros(len(pts), dtype=bool)
+    observations = []
 
-    times, paths, observations, vf0 = [], [], [], None
-    for i, t in _observed_steps(op, amps, schedule):
-        if len(pts):
-            # the full wave, summed in component order; a probe-local field
-            # holds it while it serves as vf0 of the next interval
-            vf1 = group_field(
-                WaveFunction(grid, sum(amps[1:], amps[0]), t), params, len(pts))
-            if i > 0:
-                pts = advance_group(vf0, vf1, pts, frozen,
-                                    hamiltonian.coupling, times[-1], t)
-            vf0 = vf1
-        paths.append(pts)
-        times.append(t)
-        if observer is not None:
-            observations.append(observer(t, amps))
+    def full_waves():
+        for _, t in _observed_steps(op, amps, schedule):
+            if observer is not None:
+                observations.append(observer(t, amps))
+            # the full wave, summed in component order
+            yield WaveFunction(grid, sum(amps[1:], amps[0]), t)
 
+    times, paths, frozen = guided_walk(full_waves(), params,
+                                       hamiltonian.coupling, x0s)
     return StreamResult(
-        times=np.asarray(times),
-        probe_paths=np.asarray(paths),
+        times=times,
+        probe_paths=paths,
         probe_degenerate=frozen,
         observations=observations,
         final_components=[WaveFunction(grid, a, schedule.t_end) for a in amps],
@@ -354,16 +343,6 @@ def _report(spec, t0, metrics, verdicts, twin=None):
         kind=spec["kind"], spec=spec, spec_hash=spec_hash(spec),
         metrics=metrics, verdicts=verdicts, twin=twin,
         runtime={"seconds": _time.time() - t0, "steps": steps})
-
-
-def load_report(path):
-    with open(path) as fh:
-        d = json.load(fh)
-    return ScenarioReport(kind=d["kind"], spec=d["spec"],
-                          spec_hash=d["spec_hash"], metrics=d["metrics"],
-                          verdicts=d["verdicts"], verdict=d["verdict"],
-                          twin=d.get("twin"), runtime=d.get("runtime", {}),
-                          artifacts=d.get("artifacts", []))
 
 
 def overall_verdict(verdicts):
@@ -809,11 +788,9 @@ def _preparation_metrics(spec):
     tr_ref = simulate_trajectories(ref_rec, s0)[0]
 
     times = result.times
-    s_full = result.probe_paths[:, 0, s_ax]
-    # align reference trajectory times (same schedule/stride, same times)
-    s_ref = tr_ref.positions[:, 0]
-    L = grid.lengths[s_ax]
-    dev = np.abs((s_full - s_ref + L / 2.0) % L - L / 2.0)
+    # the reference trajectory has the same times (same schedule and stride)
+    dev = _periodic_dev(grid.subgrid((s_ax,)),
+                        result.probe_paths[:, 0, [s_ax]], tr_ref.positions)
     post = times >= gate["t_off"]
 
     r_series = np.asarray([row["r"] for row in result.observations])

@@ -1,7 +1,7 @@
 """The stepping loop and the particle advance, checked against reference loops.
 
 `evolve` and `coevolve` share one stepping loop, and `simulate_trajectories`
-and the probes of `coevolve` share one particle-advance routine.  The
+and the probes of `coevolve` share one particle loop (`guided_walk`).  The
 reference functions below are the separate loops those replaced, kept as
 oracles: on every case where the old loops agreed with each other, the shared
 code must give the same bits.
@@ -296,28 +296,35 @@ def test_local_fields_match_complete_fields(name, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(guidance, "local_field", counted)
-    trs = simulate_trajectories(rec, x0s)
-    res = coevolve([psi], H, sched, params, x0s)
-    # both runs read one local field per observation
-    assert len(made) == 2 * len(rec.times)
-    # 2d_nodes starts two particles on nodal cells: every field completes
-    assert all((vf.components is not None) == (name == "2d_nodes")
-               for vf in made)
+
+    def alone():
+        """Each particle run alone: paths and frozen flags of both runs."""
+        trs = [simulate_trajectories(rec, x0[None, :])[0] for x0 in x0s]
+        res = [coevolve([psi], H, sched, params, x0[None, :]) for x0 in x0s]
+        return (np.stack([tr.positions for tr in trs]),
+                [tr.degenerate for tr in trs],
+                np.stack([r.probe_paths for r in res]),
+                np.stack([r.probe_degenerate for r in res]))
+
+    got = alone()
+    # every run reads one local field per observation
+    assert len(made) == 2 * len(x0s) * len(rec.times)
+    completed = [vf.components is not None for vf in made]
+    # 2d_nodes starts two particles on nodal cells: their fields complete
+    assert any(completed) == (name == "2d_nodes")
+    assert not all(completed)
 
     complete_fields(monkeypatch)
-    want = simulate_trajectories(rec, x0s)
-    want_res = coevolve([psi], H, sched, params, x0s)
-    assert np.array_equal(np.stack([tr.positions for tr in trs]),
-                          np.stack([tr.positions for tr in want]))
-    assert [tr.degenerate for tr in trs] == [tr.degenerate for tr in want]
-    assert np.array_equal(res.probe_paths, want_res.probe_paths)
-    assert np.array_equal(res.probe_degenerate, want_res.probe_degenerate)
+    want = alone()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind,n,local", [
     ("interference", 10000, False), ("interference", 1, False),
     ("measurement", 10000, False), ("relaxation", 10000, False),
-    ("decoherence", 1, True), ("preparation", 1, True)])
+    ("decoherence", 1, True), ("preparation", 1, True),
+    ("decoherence", 2, False), ("preparation", 2, False)])
 def test_group_field_dispatch_at_shipped_sizes(kind, n, local):
     grid = make_grid(builtin_spec(kind)["grid"])
     psi = WaveFunction(grid, np.ones(grid.shape, dtype=complex))

@@ -123,12 +123,14 @@ class TestSuperpose:
 class TestDensity:
     def test_integrates_to_one(self):
         psi = init_gaussian(grid1d(), [2.0], [0.7], [3.0])
-        assert abs(density(psi).total() - 1.0) < 1e-9
+        rho = density(psi)
+        assert abs(rho.values.sum() * rho.grid.dV - 1.0) < 1e-9
 
     def test_uniform_state(self):
         g = make_grid([{"points": 8, "lo": 0, "hi": 8}])
         psi = normalize(WaveFunction(g, np.ones(8, dtype=complex)))
-        np.testing.assert_allclose(density(psi).values, 1.0 / g.volume)
+        np.testing.assert_allclose(density(psi).values,
+                                   1.0 / np.prod(g.lengths))
 
     def test_global_phase_invariance(self):
         psi = init_gaussian(grid1d(), [0.0], [1.0], [2.0])

@@ -10,7 +10,7 @@ from pilotwave.propagate import HamiltonianSpec, PotentialTerm, Schedule, evolve
 from pilotwave import guidance
 from pilotwave.guidance import (
     MAX_SUBSTEPS, SUBSTEP_CFL, VelocityField,
-    velocity_field, velocity_at, velocity_at_many, advance_interval,
+    velocity_field, velocity_at_many, advance_interval,
     local_field, simulate_trajectory, simulate_trajectories,
 )
 
@@ -119,7 +119,7 @@ class TestVelocityFieldOracle:
                                           "all": (True, True)}[expect]
         assert np.array_equal(vf.components, comps)
         assert np.array_equal(vf.nodal, nodal)
-        assert (vf.any_nodal, vf.all_nodal) == (any_nodal, all_nodal)
+        assert (vf.nodal.any(), vf.all_nodal) == (any_nodal, all_nodal)
         assert vf.time == 0.25
 
     def test_nodal_gaussian_matches_oracle(self):
@@ -146,6 +146,11 @@ class TestVelocityFieldOracle:
         assert np.array_equal(amp, kept)
 
 
+def velocity_at(vf, x):
+    """The velocity along axis 0 at the 1-D point x."""
+    return velocity_at_many(vf, [[x]])[0][0, 0]
+
+
 class TestVelocityAt:
     def make_linear_field(self, c=0.3):
         g = grid1d(64, 0.0, 16.0)
@@ -155,25 +160,25 @@ class TestVelocityAt:
     def test_on_grid_point(self):
         g, vf = self.make_linear_field()
         x3 = g.axis_coords(0)[3]
-        assert velocity_at(vf, (x3,))[0] == pytest.approx(0.3 * x3, abs=1e-14)
+        assert velocity_at(vf, x3) == pytest.approx(0.3 * x3, abs=1e-14)
 
     def test_uniform_field(self):
         g = grid1d(64, 0.0, 16.0)
         vf = VelocityField(g, [np.full(64, 1.7)], np.zeros(64, dtype=bool))
         for q in (0.05, 3.33, 15.99):
-            assert velocity_at(vf, (q,))[0] == pytest.approx(1.7, abs=1e-14)
+            assert velocity_at(vf, q) == pytest.approx(1.7, abs=1e-14)
 
     def test_linear_exactness_at_midpoint(self):
         g, vf = self.make_linear_field()
         mid = g.axis_coords(0)[10] + 0.5 * g.dxs[0]
-        assert velocity_at(vf, (mid,))[0] == pytest.approx(0.3 * mid, abs=1e-13)
+        assert velocity_at(vf, mid) == pytest.approx(0.3 * mid, abs=1e-13)
 
     def test_many_matches_single(self):
         g, vf = self.make_linear_field()
         pts = np.array([[0.3], [7.77], [12.1]])
         many, _ = velocity_at_many(vf, pts)
         for p, v in zip(pts, many):
-            assert velocity_at(vf, tuple(p))[0] == pytest.approx(v[0], abs=1e-14)
+            assert velocity_at(vf, p[0]) == pytest.approx(v[0], abs=1e-14)
 
 
 # Reference implementation: interpolation with one stencil per time level,
@@ -273,7 +278,7 @@ def noded_fields(shape):
         mp.setattr(guidance, "EPS_NODE", 0.3)
         vf0 = velocity_field(WaveFunction(g, amp, 0.0))
         vf1 = velocity_field(WaveFunction(g, amp2, 0.1))
-    assert vf0.any_nodal and vf1.any_nodal
+    assert vf0.nodal.any() and vf1.nodal.any()
     assert not (vf0.all_nodal or vf1.all_nodal)
     return g, vf0, vf1
 
@@ -296,11 +301,14 @@ class TestSharedStencil:
     @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
     def test_velocity_at_many_matches_oracle(self, shape):
         g, vf0, _ = noded_fields(shape)
-        got = velocity_at_many(vf0, probe_points(g), return_inside=True)
+        got = velocity_at_many(vf0, probe_points(g))
         want = _oracle_velocity_at_many(vf0, probe_points(g))
         assert any(np.any(w) for w in want[1:])
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        # stencils nodal everywhere, as `_sample` flags them
+        assert np.array_equal(guidance._sample(vf0, vf0, probe_points(g))[3],
+                              want[2])
 
     @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
     @pytest.mark.parametrize("dt", [1e-3, 0.05, 50.0])
@@ -319,7 +327,7 @@ class TestSharedStencil:
     def test_field_built_from_list(self):
         g, vf0, vf1 = noded_fields((32, 24))
         listed = VelocityField(g, [vf0.components[0], vf0.components[1]],
-                               vf0.nodal, any_nodal=True)
+                               vf0.nodal)
         assert isinstance(listed.components, np.ndarray)
         assert listed.components.shape == (2, 32, 24)
         assert np.array_equal(listed.components[1], vf0.components[1])
@@ -366,16 +374,17 @@ def corner_reads(monkeypatch, fields, pts, dt):
 
 
 def assert_reads_complete(lf, vf, flat):
-    """`lf` reads `vf`'s values and nodal flags at the raveled cells `flat`."""
+    """`lf` reads `vf`'s values and nodal flags at the raveled cells `flat`,
+    through the one-particle reader, as one stencil."""
     D = vf.grid.dims
-    # unit weights on a one-corner stencil return each corner's value
-    (vals,), (nodal,) = guidance._interp((lf,), flat[None, :],
-                                         np.ones((1, flat.size)))
-    assert np.array_equal(vals.T, vf.components.reshape(D, -1)[:, flat],
+    index = np.transpose(np.unravel_index(flat, vf.grid.shape)).tolist()
+    vals, nodal = guidance._read_corners(lf, flat.tolist(),
+                                         [tuple(t) for t in index])
+    assert np.array_equal(vals, vf.components.reshape(D, -1)[:, flat],
                           equal_nan=True)
-    assert np.array_equal(nodal[0], vf.nodal.reshape(-1)[flat])
+    assert np.array_equal(nodal, vf.nodal.reshape(-1)[flat])
     assert np.array_equal(lf.nodal, vf.nodal)
-    assert (lf.any_nodal, lf.all_nodal) == (vf.any_nodal, vf.all_nodal)
+    assert lf.all_nodal == vf.all_nodal
     assert lf.time == vf.time
 
 
@@ -385,7 +394,7 @@ class TestLocalFieldOracle:
         g, params, (psi0, psi1) = two_packet_waves(shape)
         vfs = [velocity_field(p, params) for p in (psi0, psi1)]
         lfs = [local_field(p, params) for p in (psi0, psi1)]
-        assert vfs[0].any_nodal
+        assert vfs[0].nodal.any()
         pts = np.array([[-1.4] + [0.2] * (g.dims - 1)])
         got, corners = corner_reads(monkeypatch, lfs, pts, 2.0)
         want = advance_interval(*vfs, pts, 2.0)
@@ -400,11 +409,10 @@ class TestLocalFieldOracle:
             lines = [len(np.flatnonzero(rows >= 0))
                      for rows, _ in lf._lines.values()]
             assert len(lines) == g.dims and max(lines) < min(g.shape)
-        assert velocity_at(lfs[1], pts[0]) == velocity_at(vfs[1], pts[0])
+        assert np.array_equal(velocity_at_many(lfs[1], pts)[0],
+                              velocity_at_many(vfs[1], pts)[0])
 
     def test_nodal_corner_completes_once(self, monkeypatch):
-        g, params, (psi, _) = two_packet_waves((32, 28))
-        vf = velocity_field(psi, params)
         calls = []
         complete = guidance.velocity_field
 
@@ -413,22 +421,41 @@ class TestLocalFieldOracle:
             return complete(*args)
 
         monkeypatch.setattr(guidance, "velocity_field", counted)
-        lf = local_field(psi, params)
-        bulk = np.array([[-1.4, 0.2], [1.4, -0.3]])
-        assert velocity_at_many(lf, bulk)[0].tolist() == \
-            velocity_at_many(vf, bulk)[0].tolist()
-        assert not calls and lf.components is None
-        # the corner of the domain is deep in both packets' tails
-        tail = np.array([[g.los[0], g.los[1]]])
-        got = velocity_at_many(lf, tail, return_inside=True)
-        assert len(calls) == 1 and lf.components is not None
-        assert got[2].all()
-        for a, b in zip(got, velocity_at_many(vf, tail, return_inside=True)):
+        for shape in [(32, 28), (20, 18, 24)]:
+            g, params, (psi, _) = two_packet_waves(shape)
+            vf = complete(psi, params)
+            lf = local_field(psi, params)
+            pts = probe_points(g)
+            want = velocity_at_many(vf, pts)
+            bulk = ~want[1]
+            assert 10 < bulk.sum() < len(pts)
+            # stencils with no nodal corner: read from the line cache alone
+            got = velocity_at_many(lf, pts[bulk])
+            assert np.array_equal(got[0], want[0][bulk])
+            assert not got[1].any()
+            assert not calls and lf.components is None
+            # the first nodal corner completes the field; no value moves
+            got = velocity_at_many(lf, pts)
+            assert len(calls) == 1 and lf.components is not None
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            # the complete field answers every later read
+            assert_reads_complete(lf, vf, np.arange(vf.nodal.size))
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_vectorized_read_completes_local_fields(self):
+        # a group of two reads through `_sample`, which takes complete fields
+        g, params, (psi0, psi1) = two_packet_waves((32, 28))
+        vfs = [velocity_field(p, params) for p in (psi0, psi1)]
+        lfs = [local_field(p, params) for p in (psi0, psi1)]
+        pts = np.array([[-1.4, 0.2], [1.5, -0.3]])
+        got = guidance._sample(*lfs, pts)
+        assert all(lf.components is not None for lf in lfs)
+        want = guidance._sample(*vfs, pts)
+        assert not want[2].any()
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        # the complete field answers every later read
-        everywhere = np.arange(g.shape[0] * g.shape[1])
-        assert_reads_complete(lf, vf, everywhere)
-        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_zero_wave(self):
@@ -455,11 +482,10 @@ class TestLocalFieldOracle:
         monkeypatch.setattr(guidance, "EPS_NODE", eps_node)
         vf = velocity_field(psi, params)
         lf = local_field(psi, params)
-        assert (lf.any_nodal, lf.all_nodal) == (eps_node > 1e-8,
-                                                eps_node > 1.0)
+        assert (lf.nodal.any(), lf.all_nodal) == (eps_node > 1e-8,
+                                                  eps_node > 1.0)
         pts = probe_points(g, n=3)
-        for a, b in zip(velocity_at_many(lf, pts, return_inside=True),
-                        velocity_at_many(vf, pts, return_inside=True)):
+        for a, b in zip(velocity_at_many(lf, pts), velocity_at_many(vf, pts)):
             assert np.array_equal(a, b)
         assert_reads_complete(lf, vf, np.arange(amp.size))
 

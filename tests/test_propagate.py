@@ -8,8 +8,7 @@ from pilotwave.fields import (
 )
 from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
-    PropagationError, SplitOperator, step, apply_conditional_displacement,
-    evolve, _overlap,
+    PropagationError, SplitOperator, evolve, _overlap,
 )
 from pilotwave.scenarios import coevolve
 
@@ -19,6 +18,14 @@ def grid1d(n=256, lo=-16.0, hi=16.0):
 
 
 FREE = HamiltonianSpec()
+
+
+def step(psi, hamiltonian, dt):
+    """One Strang step of `psi` from its time, unit masses."""
+    params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
+    op = SplitOperator(psi.grid, params, hamiltonian, dt)
+    return WaveFunction(psi.grid, op.step_array(psi.amplitudes, psi.time),
+                        psi.time + dt)
 
 
 class TestStep:
@@ -73,32 +80,35 @@ class TestStep:
         out = step(psi, H, 0.01)
         assert abs(out.norm() - 1.0) < 1e-12
 
-    def test_nan_aborts(self):
-        g = grid1d(64)
-        bad = np.zeros(64)
-        bad[10] = np.nan
-        H = HamiltonianSpec((PotentialTerm.make("custom_grid", [0], values=bad),))
-        psi = init_gaussian(g, [0.0], [1.0])
-        with pytest.raises(PropagationError):
-            step(psi, H, 0.01)
-
-    def test_rejects_bad_dt(self):
-        psi = init_gaussian(grid1d(), [0.0], [1.0])
-        with pytest.raises(FieldError):
-            step(psi, FREE, -0.1)
 
 
 class TestConditionalDisplacement:
+    """The gate's coupling factor exp(-i g tau x_source p_target), applied as
+    the two half-steps of a Strang step."""
+
     def grid2d(self):
         return make_grid([{"points": 64, "lo": -8, "hi": 8},
                           {"points": 128, "lo": -8, "hi": 8}])
 
+    def displace(self, psi, coupling, tau):
+        """Both coupling half-steps of a gate overlap tau."""
+        op = SplitOperator(psi.grid, PhysicalParams(masses=(1.0, 1.0)),
+                           HamiltonianSpec(coupling=coupling), 0.01)
+        amp = op._apply_coupling_half(psi.amplitudes.copy(), tau / 2.0)
+        return WaveFunction(psi.grid, op._apply_coupling_half(amp, tau / 2.0),
+                            psi.time)
+
     def test_zero_coupling_identity(self):
+        # a zero-strength gate has no overlap, so steps skip the coupling
         g = self.grid2d()
         psi = init_gaussian(g, [0.0, 0.0], [1.0, 0.6])
+        params = PhysicalParams(masses=(1.0, 1.0))
         c = MeasurementCoupling(0, 1, 0.0, 0.0, 1.0)
-        out = apply_conditional_displacement(psi, c, 0.5)
-        np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
+        gated = SplitOperator(g, params, HamiltonianSpec(coupling=c), 0.5)
+        plain = SplitOperator(g, params, HamiltonianSpec(), 0.5)
+        assert gated._gate_overlap(0.0) == 0.0
+        np.testing.assert_array_equal(gated.step_array(psi.amplitudes, 0.0),
+                                      plain.step_array(psi.amplitudes, 0.0))
 
     def test_single_slice_translation(self):
         # source mass on one slice x_s = 2, g tau = 0.5 -> target moves by 1
@@ -110,7 +120,7 @@ class TestConditionalDisplacement:
         amp[i_s, :] = np.exp(-a ** 2 / (4 * 0.5 ** 2))
         psi = normalize(WaveFunction(g, amp))
         c = MeasurementCoupling(0, 1, 1.0, 0.0, 1.0)
-        out = apply_conditional_displacement(psi, c, 0.5)
+        out = self.displace(psi, c, 0.5)
         rho = np.abs(out.amplitudes[i_s, :]) ** 2
         center = np.sum(a * rho) / np.sum(rho)
         assert center == pytest.approx(xs[i_s] * 0.5, abs=1e-9)
@@ -124,20 +134,13 @@ class TestConditionalDisplacement:
         psi = superpose([(1 / np.sqrt(2), sa), (1 / np.sqrt(2), sb)])
         gtau = 0.6
         c = MeasurementCoupling(0, 1, 1.0, 0.0, 1.0)
-        out = apply_conditional_displacement(psi, c, gtau)
+        out = self.displace(psi, c, gtau)
         xs = g.mesh(0)
         aa = g.mesh(1)
         expect = np.exp(-(xs + 2.0) ** 2 / (4 * 0.25) - (aa - gtau * xs) ** 2 / (4 * 0.25)) \
             + np.exp(-(xs - 2.0) ** 2 / (4 * 0.25) - (aa - gtau * xs) ** 2 / (4 * 0.25))
         expect = expect / np.sqrt(np.sum(np.abs(expect) ** 2) * g.dV)
         np.testing.assert_allclose(np.abs(out.amplitudes), expect, atol=1e-7)
-
-    def test_wraparound_rejected(self):
-        g = self.grid2d()
-        psi = init_gaussian(g, [0.0, 0.0], [1.0, 0.6])
-        c = MeasurementCoupling(0, 1, 10.0, 0.0, 1.0)
-        with pytest.raises(PropagationError, match="displacement"):
-            apply_conditional_displacement(psi, c, 1.0)
 
     def test_coupling_axes_validated(self):
         with pytest.raises(FieldError):
@@ -392,7 +395,8 @@ class TestFiniteAtObservations:
         psi, H = self.nan_case()
         with pytest.raises(PropagationError,
                            match=r"non-finite amplitudes at step 5 \(t=0.05\)$"):
-            coevolve([psi], H, Schedule(0, 1, 0.01, 5), PhysicalParams())
+            coevolve([psi], H, Schedule(0, 1, 0.01, 5), PhysicalParams(),
+                     np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pilotwave.propagate import HamiltonianSpec, Schedule, evolve
 from pilotwave.scenarios import (
     KINDS, DEFAULT_THRESHOLDS, SpecError,
     validate_spec_dict, apply_overrides, spec_hash, load_spec, builtin_spec,
-    coevolve, overall_verdict, load_report,
+    coevolve, overall_verdict,
     run_interference_scenario, run_decoherence_scenario,
     run_measurement_scenario, run_relaxation_scenario,
     run_preparation_scenario, run_scenario, _twin_spec,
@@ -160,7 +160,7 @@ class TestCoevolve:
         H = HamiltonianSpec(())
         sched = Schedule(0.0, 0.5, 0.005, 10)
         rec = evolve(psi, H, sched, params)
-        res = coevolve([psi], H, sched, params)
+        res = coevolve([psi], H, sched, params, np.array([[-2.0]]))
         assert np.max(np.abs(res.final_components[0].amplitudes
                              - rec.wave_at(-1).amplitudes)) <= 1e-12
 
@@ -173,22 +173,11 @@ class TestCoevolve:
         total = WaveFunction(g, (pa.amplitudes + pb.amplitudes) / np.sqrt(2))
         H = HamiltonianSpec(())
         sched = Schedule(0.0, 0.5, 0.005, 10)
-        res = coevolve([pa, pb], H, sched, params)
+        res = coevolve([pa, pb], H, sched, params, np.array([[0.0]]))
         rec = evolve(total, H, sched, params)
         summed = (res.final_components[0].amplitudes
                   + res.final_components[1].amplitudes) / np.sqrt(2)
         assert np.max(np.abs(summed - rec.wave_at(-1).amplitudes)) <= 1e-10
-
-    def test_no_probes_gives_empty_bundle(self):
-        g = make_grid([{"points": 128, "lo": -16.0, "hi": 16.0}])
-        from pilotwave.fields import PhysicalParams
-        params = PhysicalParams(1.0, (1.0,))
-        psi = init_gaussian(g, [0.0], [1.0], params=params)
-        res = coevolve([psi], HamiltonianSpec(()), Schedule(0.0, 0.1, 0.01, 5),
-                       params)
-        assert res.probe_paths.shape == (3, 0, 1)
-        assert res.probe_degenerate.shape == (0,)
-        assert sum(int(np.sum(d)) for d in res.probe_degenerate) == 0
 
     def test_probe_follows_wave(self):
         # packet moving at v = p/m: the probe at its center rides along
@@ -254,10 +243,11 @@ class TestInterferenceScenario:
     def test_report_round_trip(self, interference_report, tmp_path):
         p = tmp_path / "report.json"
         interference_report.save(p)
-        back = load_report(p)
-        assert back.verdicts == interference_report.verdicts
-        assert back.spec_hash == interference_report.spec_hash
-        assert back.metrics["l1_peak"] == interference_report.metrics["l1_peak"]
+        back = json.loads(p.read_text())
+        assert back["verdicts"] == interference_report.verdicts
+        assert back["spec_hash"] == interference_report.spec_hash
+        assert back["metrics"]["l1_peak"] == \
+            interference_report.metrics["l1_peak"]
 
     def test_deterministic_rerun(self, interference_report):
         rerun = run_interference_scenario(
