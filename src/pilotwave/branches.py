@@ -1,8 +1,8 @@
 """Branch decomposition, interference, decoherence factor, conditional states.
 
 A branch is the wave function multiplied by the indicator of a region mask on
-a chosen axis subset; branches of one decomposition reconstruct the parent
-exactly, so the density identity
+one axis; branches of one decomposition reconstruct the parent exactly, so the
+density identity
 
     rho = sum_i |b_i|^2 + sum_{i<j} 2 Re(conj(b_i) b_j)
 
@@ -30,15 +30,11 @@ class BranchError(FieldError):
 
 @dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Boolean region over a subset of axes, with a label."""
+    """Boolean region over the cells of one axis, with a label."""
 
-    axes: tuple
-    array: np.ndarray  # bool, one axis per entry of `axes`
+    axis: int
+    cells: np.ndarray  # bool, one entry per cell of `axis`
     label: str
-
-    @staticmethod
-    def from_array(axes, cells, label):
-        return RegionMask(tuple(axes), np.asarray(cells, dtype=bool), label)
 
 
 def halfspace_mask(grid, axis, threshold, side, label=None):
@@ -47,7 +43,7 @@ def halfspace_mask(grid, axis, threshold, side, label=None):
     cells = x < threshold if side == "below" else x >= threshold
     if label is None:
         label = f"x{axis}{'<' if side == 'below' else '>='}{threshold:g}"
-    return RegionMask.from_array((axis,), cells, label)
+    return RegionMask(axis, cells, label)
 
 
 @dataclass
@@ -59,36 +55,24 @@ class Branch:
     weight: float
 
 
-def _indicator(grid, mask):
-    """Mask broadcast to the full grid shape as float 0/1."""
-    arr = mask.array.astype(float)
-    if len(mask.axes) == 1:
-        shp = [1] * grid.dims
-        shp[mask.axes[0]] = grid.shape[mask.axes[0]]
-        return arr.reshape(shp)
-    # multi-axis masks: expand into full-rank array on the masked axes
-    shp = [1] * grid.dims
-    for a, n in zip(mask.axes, arr.shape):
-        shp[a] = n
-    order = np.argsort(mask.axes)
-    arr = np.transpose(arr, order)
-    return arr.reshape([grid.shape[a] if a in mask.axes else 1
-                        for a in range(grid.dims)])
+def _shared_axis(masks):
+    """The one axis of `masks`; masks on different axes are an error."""
+    if not masks:
+        raise BranchError("need at least one mask")
+    if any(m.axis != masks[0].axis for m in masks):
+        raise BranchError("masks must share one axis")
+    return masks[0].axis
 
 
 def decompose(psi, masks):
-    """Split psi into branches by disjoint region masks.
+    """Split psi into branches by disjoint region masks on one axis.
 
-    Errors on overlapping masks or if the probability mass left uncovered
-    exceeds COVERAGE_TOL.
+    Errors on masks on different axes, on overlapping masks, or if the
+    probability mass left uncovered exceeds COVERAGE_TOL.
     """
-    if not masks:
-        raise BranchError("need at least one mask")
-    axes = masks[0].axes
-    if any(m.axes != axes for m in masks):
-        raise BranchError("all masks of a decomposition must share one axis set")
+    axis = _shared_axis(masks)
     grid = psi.grid
-    inds = [_indicator(grid, m) for m in masks]
+    inds = [grid._along(axis, m.cells.astype(float)) for m in masks]
     total = sum(inds)
     if np.any(total > 1.0 + 1e-12):
         raise BranchError("masks overlap")
@@ -108,13 +92,9 @@ def decompose(psi, masks):
     return branches
 
 
-def interference_term(b1, b2):
-    """Pointwise 2 Re(conj(Psi1) Psi2) and its L1 norm.
-
-    Accepts Branch or WaveFunction operands; returns (field array, L1).
-    """
-    w1 = b1.wave if isinstance(b1, Branch) else b1
-    w2 = b2.wave if isinstance(b2, Branch) else b2
+def interference_term(w1, w2):
+    """Pointwise 2 Re(conj(Psi1) Psi2) of two wave functions, and its L1
+    norm: returns (field array, L1)."""
     if w1.grid != w2.grid:
         raise BranchError("interference operands must share one grid")
     fld = 2.0 * np.real(np.conj(w1.amplitudes) * w2.amplitudes)
@@ -122,19 +102,18 @@ def interference_term(b1, b2):
     return fld, l1
 
 
-def conditional_env_state(wave, env_axes):
-    """Environment profile of a component: integral over non-env axes."""
+def conditional_env_state(wave, env_axis):
+    """Environment profile of a component: integral over the other axes."""
     grid = wave.grid
-    other = tuple(a for a in range(grid.dims) if a not in env_axes)
-    dv = float(np.prod([grid.dxs[a] for a in other])) if other else 1.0
-    chi = np.sum(wave.amplitudes, axis=other) * dv
-    return chi
+    other = tuple(a for a in range(grid.dims) if a != env_axis)
+    dv = float(np.prod([grid.dxs[a] for a in other]))
+    return np.sum(wave.amplitudes, axis=other) * dv
 
 
-def overlap_factor(w1, w2, env_axes):
+def overlap_factor(w1, w2, env_axis):
     """Normalized overlap r of two components' environment profiles."""
-    chi1 = conditional_env_state(w1, env_axes)
-    chi2 = conditional_env_state(w2, env_axes)
+    chi1 = conditional_env_state(w1, env_axis)
+    chi2 = conditional_env_state(w2, env_axis)
     n1 = np.sqrt(np.sum(np.abs(chi1) ** 2))
     n2 = np.sqrt(np.sum(np.abs(chi2) ** 2))
     if n1 < 1e-300 or n2 < 1e-300:
@@ -142,33 +121,26 @@ def overlap_factor(w1, w2, env_axes):
     return float(np.abs(np.vdot(chi1, chi2)) / (n1 * n2))
 
 
-def effective_wavefunction(psi, conditioned_axes, values):
-    """Slice psi at the actual configuration of the conditioned axes.
+def effective_wavefunction(psi, axis, value):
+    """Slice psi at the actual configuration `value` of one axis.
 
-    Multilinear interpolation along each conditioned axis (periodic), then
-    renormalization on the remaining axes.  Errors if the conditioned slice
-    has negligible norm ("empty-branch conditioning").
+    Linear interpolation along that axis (periodic), then renormalization on
+    the remaining axes.  Errors if the conditioned slice has negligible norm
+    ("empty-branch conditioning").
     """
-    conditioned_axes = tuple(conditioned_axes)
-    values = tuple(float(v) for v in np.atleast_1d(values))
-    if len(conditioned_axes) != len(values):
-        raise BranchError("one value per conditioned axis required")
+    value = float(value)
     grid = psi.grid
-    if len(conditioned_axes) >= grid.dims:
+    if grid.dims < 2:
         raise BranchError("cannot condition on every axis")
-    amp = psi.amplitudes
-    # interpolate axes one at a time, highest axis first so indices stay valid
-    for axis, val in sorted(zip(conditioned_axes, values), reverse=True):
-        if not (grid.los[axis] <= val < grid.his[axis]):
-            raise BranchError(f"conditioned value {val} outside domain on axis {axis}")
-        u = (val - grid.los[axis]) / grid.dxs[axis]
-        j0 = int(np.floor(u)) % grid.shape[axis]
-        j1 = (j0 + 1) % grid.shape[axis]
-        f = u - np.floor(u)
-        amp = (1.0 - f) * np.take(amp, j0, axis=axis) \
-            + f * np.take(amp, j1, axis=axis)
-    remaining = tuple(a for a in range(grid.dims) if a not in conditioned_axes)
-    sub = grid.subgrid(remaining)
+    if not (grid.los[axis] <= value < grid.his[axis]):
+        raise BranchError(f"conditioned value {value} outside domain on axis {axis}")
+    u = (value - grid.los[axis]) / grid.dxs[axis]
+    j0 = int(np.floor(u)) % grid.shape[axis]
+    j1 = (j0 + 1) % grid.shape[axis]
+    f = u - np.floor(u)
+    amp = (1.0 - f) * np.take(psi.amplitudes, j0, axis=axis) \
+        + f * np.take(psi.amplitudes, j1, axis=axis)
+    sub = grid.subgrid([a for a in range(grid.dims) if a != axis])
     out = WaveFunction(sub, amp, psi.time)
     if out.norm() < 1e-12:
         raise BranchError("empty-branch conditioning: slice norm underflow")
@@ -178,18 +150,13 @@ def effective_wavefunction(psi, conditioned_axes, values):
 def occupancy_labels(grid, positions, masks):
     """Vectorized branch occupancy for positions of shape (N, D)."""
     positions = np.atleast_2d(np.asarray(positions, float))
-    axes = masks[0].axes
-    if any(m.axes != axes for m in masks):
-        raise BranchError("masks must share one axis set")
-    idx = []
-    for a in axes:
-        u = (positions[:, a] - grid.los[a]) / grid.dxs[a]
-        idx.append(np.mod(np.floor(u).astype(np.int64), grid.shape[a]))
-    idx = tuple(idx)
+    a = _shared_axis(masks)
+    u = (positions[:, a] - grid.los[a]) / grid.dxs[a]
+    idx = np.mod(np.floor(u).astype(np.int64), grid.shape[a])
     labels = np.full(len(positions), "none", dtype=object)
     unassigned = np.ones(len(positions), dtype=bool)
     for m in masks:  # lowest index wins ties / first containing mask
-        hit = m.array[idx] & unassigned
+        hit = m.cells[idx] & unassigned
         labels[hit] = m.label
         unassigned &= ~hit
     return labels
@@ -239,10 +206,9 @@ def single_branch_error(full_record, branch_record, x0):
 
     truncated = False
     cut = len(times)
-    snap_times = branch_record.times
-    for i, t in enumerate(times):
-        si = int(np.argmin(np.abs(snap_times - t)))
-        amp = np.abs(branch_record.snapshots[si])
+    for i in range(len(times)):
+        # the probes read every snapshot, so probe time i is snapshot i
+        amp = np.abs(branch_record.snapshots[i])
         corners_val = _density_at(grid, amp, tr_br.positions[i])
         if corners_val < SUPPORT_FLOOR * float(np.max(amp)) ** 2:
             truncated = True

@@ -102,7 +102,7 @@ def run_ensemble(record, n, seed, stride=1):
 def _axis_density(psi, axis):
     if psi.grid.dims == 1:
         return density(psi)
-    return marginal_density(psi, (axis,))
+    return marginal_density(psi, axis)
 
 
 def binning_for(record, bins=DEFAULT_BINS):

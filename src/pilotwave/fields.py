@@ -263,24 +263,16 @@ def density(psi):
     return DensityField(psi.grid, np.abs(psi.amplitudes) ** 2, psi.time)
 
 
-def marginal_density(psi, axes):
-    """|psi|^2 integrated over the complementary axes.
+def marginal_density(psi, axis):
+    """|psi|^2 integrated over every axis but `axis`.
 
-    axes: the axes to KEEP (nonempty proper subset of the grid's axes).
-    Returns a DensityField on the corresponding subgrid.
+    Returns a DensityField on the one-axis subgrid; the grid needs two or
+    more axes.
     """
-    axes = tuple(axes)
-    all_axes = tuple(range(psi.grid.dims))
-    if not axes or set(axes) == set(all_axes):
-        raise FieldError("axes must be a nonempty proper subset of grid axes")
-    if any(a not in all_axes for a in axes):
-        raise FieldError(f"unknown axis in {axes}")
-    drop = tuple(a for a in all_axes if a not in axes)
+    if psi.grid.dims < 2 or axis not in range(psi.grid.dims):
+        raise FieldError(f"no marginal on axis {axis} of a "
+                         f"{psi.grid.dims}-axis grid")
+    drop = tuple(a for a in range(psi.grid.dims) if a != axis)
     dv_drop = float(np.prod([psi.grid.dxs[a] for a in drop]))
     rho = np.sum(np.abs(psi.amplitudes) ** 2, axis=drop) * dv_drop
-    # sum removes dropped axes, keeping remaining ones in grid order; reorder
-    # to the caller's axis order
-    kept_in_order = tuple(a for a in all_axes if a in axes)
-    perm = [kept_in_order.index(a) for a in axes]
-    rho = np.transpose(rho, perm)
-    return DensityField(psi.grid.subgrid(axes), rho, psi.time)
+    return DensityField(psi.grid.subgrid((axis,)), rho, psi.time)

@@ -9,13 +9,14 @@ EPS_NODE * max|Psi| are flagged nodal; their velocity is filled from the
 nearest non-nodal cell and, when a query stencil touches a nodal cell during
 stepping, the speed is capped at dx/dt for that step.
 
-A group of one particle on a grid of two or more dimensions (`group_field`)
-reads a probe-local field instead of a complete one.  It holds the wave and
-the nodal mask, and evaluates the velocity only at the stencil corners the
-particle reads: the spectral derivative of each grid line through such a
-corner is taken once, batched per axis, and cached on the field
-(`_add_lines`).  Line by line the transforms are bitwise those of the full
-axis, so the values are the complete field's.  When a requested corner is
+A group of one particle (`group_field`) reads a probe-local field instead
+of a complete one.  It holds the wave and the nodal mask, and evaluates the
+velocity only at the stencil corners the particle reads: the spectral
+derivative of each grid line through such a corner is taken once, batched
+per axis (`_add_lines`), and cached on the field in a dict per axis, keyed
+by the raveled index of the line's first cell.  Line by line the transforms
+are bitwise those of the full axis, so the values are the complete field's;
+on a 1-D grid the one line is the whole axis.  When a requested corner is
 nodal, the field builds the complete `velocity_field` once, global
 nearest-cell fill included, and reads from it from then on.  A probe-local
 field has one reader, the one-particle kernel's `_read_corners`, which
@@ -27,10 +28,10 @@ one.
 arrays (`_advance_many`).  A group of exactly one particle, as every probe
 is, runs a kernel on Python floats (`_advance_one`) that skips numpy's
 per-call cost and touches numpy only to read the fields: `.item()` on a
-complete field's components and nodal mask, or on a probe-local field's line
-cache, whose missing lines it adds through `_add_lines`.  The kernel repeats
-the vectorized path's IEEE operations in the same order, so both give the
-same bits:
+field's nodal mask and a complete field's components, and `_add_lines` for
+the lines a probe-local field lacks, whose cache holds Python lists.  The
+kernel repeats the vectorized path's IEEE operations in the same order, so
+both give the same bits:
   - `Grid.wrap`: x - lo, `np.mod` only outside [0, L), then + lo;
   - `interp_stencil`: `floor`, the integer `mod` and the hi-edge fix; bit i
     of corner c selects the upper neighbour on axis i, and a corner's weight
@@ -71,9 +72,9 @@ class VelocityField:
     `components[i]` is the velocity along axis i; a list of per-axis arrays
     passed to the constructor is stacked once.  A probe-local field
     (`local_field`) has no components until a nodal cell is read: it keeps
-    the wave and its parameters, and per axis the velocities of the grid
-    lines read so far, concatenated, with the offset of each line's row
-    (-1 for a line not yet evaluated).
+    the wave and its parameters, and in `_lines[i]` the grid lines along
+    axis i read so far, each line's velocities as a list keyed by the
+    raveled index of its first cell.
     """
 
     grid: object
@@ -87,43 +88,27 @@ class VelocityField:
     def __post_init__(self):
         if self.components is not None:
             self.components = np.asarray(self.components, dtype=float)
-        self._lines = {}     # axis -> (row offset per line, velocities)
+        self._lines = [{} for _ in range(self.grid.dims)]
 
     def _complete(self):
         """Become the complete field of the wave; the local state is dropped."""
         self.components = velocity_field(self.wave, self.params).components
-        self.wave = self.params = None
-        self._lines = {}
-
-    def _line_cache(self, i):
-        """`_lines[i]`, created empty on first use."""
-        if i not in self._lines:
-            self._lines[i] = (np.full(self.nodal.size // self.grid.shape[i], -1),
-                              _NO_VELOCITIES)
-        return self._lines[i]
+        self.wave = self.params = self._lines = None
 
     def _add_lines(self, i, starts):
-        """Evaluate the velocity along axis i on the lines of `starts`, which
-        maps each line's number to the raveled index of its first cell, and
-        add them to the cache."""
+        """Evaluate the velocity along axis i on the grid lines whose first
+        cells have the raveled indices `starts`, and add them to `_lines[i]`."""
         grid, params = self.grid, self.params
         n, stride = grid.shape[i], grid.strides[i]
-        rows, vel = self._line_cache(i)
-        new = sorted(starts)
-        base = np.array([starts[j] for j in new])
+        starts = sorted(starts)
         amp = self.wave.amplitudes.reshape(-1).take(
-            base[:, None] + stride * np.arange(n))
+            np.array(starts)[:, None] + stride * np.arange(n))
         grad = sfft.ifft(1j * grid.k_coords(i) * sfft.fft(amp, axis=1),
                          axis=1, overwrite_x=True)
         # nodal cells of a line divide by ~0; they are never read
         with np.errstate(all="ignore"):
             v = _guidance(params.hbar / params.masses[i], grad, amp)
-        rows[new] = vel.size + n * np.arange(len(new))
-        self._lines[i] = rows, np.concatenate([vel, v.reshape(-1)])
-        return self._lines[i]
-
-
-_NO_VELOCITIES = np.empty(0)
+        self._lines[i].update(zip(starts, v.tolist()))
 
 
 @dataclass
@@ -211,10 +196,10 @@ def local_field(psi, params=None):
 def group_field(psi, params, n):
     """The velocity field that a group of `n` particles reads.
 
-    A single particle (a probe) on a grid of two or more dimensions reads a
-    probe-local field; any other group the complete one.
+    A single particle (a probe) reads a probe-local field; any other group
+    the complete one.
     """
-    if n == 1 and psi.grid.dims > 1:
+    if n == 1:
         return local_field(psi, params)
     return velocity_field(psi, params)
 
@@ -413,19 +398,15 @@ def _read_corners(vf, flat, index):
         return [[comps.item(d * size + q) for q in flat]
                 for d in range(vf.grid.dims)], nodal
     vals = []
-    for i, (n, stride) in enumerate(zip(vf.grid.shape, vf.grid.strides)):
-        # the lines along axis i are numbered by the raveled index of the
-        # other axes; a corner's position on its line is its index on axis i
-        line = [q // (n * stride) * stride + q % stride for q in flat]
+    for i, (lines, stride) in enumerate(zip(vf._lines, vf.grid.strides)):
+        # a corner's line along axis i starts its index on axis i strides
+        # before it, and the corner is that index's entry of the line
         pos = [t[i] for t in index]
-        rows, vel = vf._line_cache(i)
-        at = [rows.item(j) for j in line]
-        if min(at) < 0:
-            rows, vel = vf._add_lines(i, {
-                j: q - p * stride
-                for j, q, p, a in zip(line, flat, pos, at) if a < 0})
-            at = [rows.item(j) for j in line]
-        vals.append([vel.item(a + p) for a, p in zip(at, pos)])
+        starts = [q - p * stride for q, p in zip(flat, pos)]
+        missing = set(starts).difference(lines)
+        if missing:
+            vf._add_lines(i, missing)
+        vals.append([lines[s][p] for s, p in zip(starts, pos)])
     return vals, nodal
 
 

@@ -389,7 +389,7 @@ def _eq3_residual(psi, axis, split):
     lo, hi = decompose(psi, [halfspace_mask(psi.grid, axis, split, side)
                              for side in ("below", "above")])
     acc = np.abs(lo.wave.amplitudes) ** 2 + np.abs(hi.wave.amplitudes) ** 2
-    acc += interference_term(lo, hi)[0]
+    acc += interference_term(lo.wave, hi.wave)[0]
     return float(np.max(np.abs(np.abs(psi.amplitudes) ** 2 - acc)))
 
 
@@ -406,7 +406,7 @@ def _lobe_metrics(psi, axis):
     Returns the masses below and above 0 and the marginal density at 0
     relative to its maximum.
     """
-    marg = marginal_density(psi, (axis,)).values
+    marg = marginal_density(psi, axis).values
     coords = psi.grid.axis_coords(axis)
     dx = coords[1] - coords[0]
     below = float(np.sum(marg[coords < 0.0]) * dx)
@@ -434,8 +434,7 @@ def _full_record(branch_records):
     return EvolutionRecord(grid=r0.grid, params=r0.params,
                            hamiltonian=r0.hamiltonian, schedule=r0.schedule,
                            times=r0.times.copy(), snapshots=snaps,
-                           norms=norms,
-                           energies=np.full(len(snaps), np.nan))
+                           norms=norms)
 
 
 def _probe_start(spec):
@@ -588,7 +587,7 @@ def _decoherence_metrics(spec):
     pair = _branch_pair(spec, sys_axis)
     recs, full, dev, times = pair.recs, pair.full, pair.dev, pair.full.times
     r_series = np.asarray([
-        overlap_factor(recs[0].wave_at(i), recs[1].wave_at(i), (env_axis,))
+        overlap_factor(recs[0].wave_at(i), recs[1].wave_at(i), env_axis)
         for i in range(len(times))])
     i_gate = _index_at(times, spec["couplings"]["env"]["t_off"])
     i_rec = int(np.argmax(pair.l1))
@@ -724,7 +723,7 @@ def run_measurement_scenario(spec):
             metrics["fidelity"][m.label] = None
             continue
         a_rep = float(np.median(occupants[:, ptr]))
-        eff = effective_wavefunction(psi_end, (ptr,), (a_rep,))
+        eff = effective_wavefunction(psi_end, ptr, a_rep)
         ref_rec = _system_reference_record(spec, i)
         ref = normalize(ref_rec.wave_at(-1))
         fid = float(abs(np.vdot(eff.amplitudes, ref.amplitudes))
@@ -768,7 +767,7 @@ def _preparation_metrics(spec):
     def observer(t, amps):
         w1 = WaveFunction(grid, amps[0], t)
         w2 = WaveFunction(grid, amps[1], t)
-        r = overlap_factor(w1, w2, (e_ax,))
+        r = overlap_factor(w1, w2, e_ax)
         _, l1 = interference_term(w1, w2)
         row = {"t": t, "r": r, "l1": l1}
         if obs_state["gate_close"] is None and t >= gate["t_off"]:

@@ -18,7 +18,7 @@ def grid1d(n=512, lo=-20.0, hi=20.0):
 
 def interval_mask(grid, axis, lo, hi, label):
     x = grid.axis_coords(axis)
-    return RegionMask.from_array((axis,), (x >= lo) & (x < hi), label)
+    return RegionMask(axis, (x >= lo) & (x < hi), label)
 
 
 def two_packet_state(g=None, a=5.0, sigma=1.0):
@@ -63,13 +63,20 @@ class TestDecompose:
         with pytest.raises(BranchError, match="uncovered"):
             decompose(psi, [interval_mask(g, 0, -8.0, -2.0, "L")])
 
+    def test_masks_on_two_axes_rejected(self):
+        g = grid2d()
+        psi = init_gaussian(g, [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(BranchError, match="one axis"):
+            decompose(psi, [halfspace_mask(g, 0, 0.0, "below"),
+                            halfspace_mask(g, 1, 0.0, "above")])
+
 
 class TestInterference:
     def test_disjoint_supports_zero(self):
         psi, g = two_packet_state()
         masks = [halfspace_mask(g, 0, 0.0, "below"), halfspace_mask(g, 0, 0.0, "above")]
         b1, b2 = decompose(psi, masks)
-        fld, l1 = interference_term(b1, b2)
+        fld, l1 = interference_term(b1.wave, b2.wave)
         assert l1 <= 1e-12
         assert np.max(np.abs(fld)) <= 1e-12
 
@@ -84,7 +91,7 @@ class TestInterference:
         psi, g = two_packet_state(a=3.0)  # overlapping tails on purpose
         masks = [halfspace_mask(g, 0, 0.0, "below"), halfspace_mask(g, 0, 0.0, "above")]
         b1, b2 = decompose(psi, masks)
-        fld, _ = interference_term(b1, b2)
+        fld, _ = interference_term(b1.wave, b2.wave)
         lhs = density(psi).values
         rhs = np.abs(b1.wave.amplitudes) ** 2 + np.abs(b2.wave.amplitudes) ** 2 + fld
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -104,11 +111,11 @@ def grid2d(n=96, ext=12.0):
 class TestDecoherenceFactor:
     """r: the overlap factor of the branches either side of x0 = 0."""
 
-    def r(self, psi, env_axes=(1,)):
+    def r(self, psi, env_axis=1):
         g = psi.grid
         b1, b2 = decompose(psi, [halfspace_mask(g, 0, 0.0, "below", "L"),
                                  halfspace_mask(g, 0, 0.0, "above", "R")])
-        return overlap_factor(b1.wave, b2.wave, env_axes)
+        return overlap_factor(b1.wave, b2.wave, env_axis)
 
     def test_shared_environment_r_one(self):
         g = grid2d()
@@ -163,7 +170,7 @@ class TestEffectiveWavefunction:
     def test_product_state_recovers_factor(self):
         g = grid2d()
         psi = init_gaussian(g, [1.0, -2.0], [0.8, 1.1])
-        eff = effective_wavefunction(psi, (1,), (-1.5,))
+        eff = effective_wavefunction(psi, 1, -1.5)
         g1 = make_grid([{"points": 96, "lo": -12, "hi": 12}])
         ref = init_gaussian(g1, [1.0], [0.8])
         fid = abs(np.vdot(eff.amplitudes, ref.amplitudes)) * g1.dV
@@ -174,7 +181,7 @@ class TestEffectiveWavefunction:
         pa = init_gaussian(g, [-4.0, -4.0], [0.8, 0.8])
         pb = init_gaussian(g, [4.0, 4.0], [0.8, 0.8])
         psi = superpose([(np.sqrt(0.7), pa), (np.sqrt(0.3), pb)])
-        eff = effective_wavefunction(psi, (1,), (4.2,))
+        eff = effective_wavefunction(psi, 1, 4.2)
         g1 = make_grid([{"points": 96, "lo": -12, "hi": 12}])
         ref = init_gaussian(g1, [4.0], [0.8])
         fid = abs(np.vdot(eff.amplitudes, ref.amplitudes)) * g1.dV
@@ -184,7 +191,7 @@ class TestEffectiveWavefunction:
         g = grid2d()
         psi = init_gaussian(g, [0.0, -4.0], [0.8, 0.8])
         with pytest.raises(BranchError, match="empty-branch"):
-            effective_wavefunction(psi, (1,), (8.0,))
+            effective_wavefunction(psi, 1, 8.0)
 
 
 class TestOccupancy:
@@ -202,7 +209,7 @@ class TestOccupancy:
     def test_boundary_tie_break_lowest_index(self):
         g = make_grid([{"points": 16, "lo": 0, "hi": 16}])
         m1 = interval_mask(g, 0, 0, 8, "A")
-        m2 = RegionMask.from_array((0,), np.ones(16, dtype=bool), "B")
+        m2 = RegionMask(0, np.ones(16, dtype=bool), "B")
         # cell 4 belongs to both A and B: lowest mask index wins
         assert list(occupancy_labels(g, [[4.0], [12.0]], [m1, m2])) == ["A", "B"]
 
@@ -212,6 +219,13 @@ class TestOccupancy:
                  halfspace_mask(g, 0, 0.0, "above", "R")]
         labels = occupancy_labels(g, np.array([[-1.0], [1.0], [-0.01]]), masks)
         assert list(labels) == ["L", "R", "L"]
+
+    def test_masks_on_two_axes_rejected(self):
+        g = grid2d()
+        masks = [halfspace_mask(g, 0, 0.0, "below"),
+                 halfspace_mask(g, 1, 0.0, "above")]
+        with pytest.raises(BranchError, match="one axis"):
+            occupancy_labels(g, [[1.0, -1.0]], masks)
 
 
 class TestSingleBranchError:

@@ -321,7 +321,7 @@ def test_local_fields_match_complete_fields(name, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,n,local", [
-    ("interference", 10000, False), ("interference", 1, False),
+    ("interference", 10000, False), ("interference", 1, True),
     ("measurement", 10000, False), ("relaxation", 10000, False),
     ("decoherence", 1, True), ("preparation", 1, True),
     ("decoherence", 2, False), ("preparation", 2, False)])

@@ -389,7 +389,7 @@ def assert_reads_complete(lf, vf, flat):
 
 
 class TestLocalFieldOracle:
-    @pytest.mark.parametrize("shape", [(32, 28), (20, 18, 24)])
+    @pytest.mark.parametrize("shape", [(32, 28), (20, 18, 24), (48,)])
     def test_probe_reads_complete_field(self, shape, monkeypatch):
         g, params, (psi0, psi1) = two_packet_waves(shape)
         vfs = [velocity_field(p, params) for p in (psi0, psi1)]
@@ -406,9 +406,8 @@ class TestLocalFieldOracle:
         for lf, vf in zip(lfs, vfs):
             assert_reads_complete(lf, vf, corners)
             assert lf.components is None
-            lines = [len(np.flatnonzero(rows >= 0))
-                     for rows, _ in lf._lines.values()]
-            assert len(lines) == g.dims and max(lines) < min(g.shape)
+            # some lines per axis, not all; a 1-D grid has one line
+            assert all(0 < len(lines) < min(g.shape) for lines in lf._lines)
         assert np.array_equal(velocity_at_many(lfs[1], pts)[0],
                               velocity_at_many(vfs[1], pts)[0])
 
@@ -421,7 +420,7 @@ class TestLocalFieldOracle:
             return complete(*args)
 
         monkeypatch.setattr(guidance, "velocity_field", counted)
-        for shape in [(32, 28), (20, 18, 24)]:
+        for shape in [(32, 28), (20, 18, 24), (48,)]:
             g, params, (psi, _) = two_packet_waves(shape)
             vf = complete(psi, params)
             lf = local_field(psi, params)
@@ -469,7 +468,7 @@ class TestLocalFieldOracle:
         assert np.array_equal(vf.components, np.zeros((2, 24, 20)))
         assert_reads_complete(lf, vf, np.array([0, 1, 20, 21, 479]))
 
-    @pytest.mark.parametrize("shape", [(32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("shape", [(32, 24), (10, 12, 9), (40,)])
     @pytest.mark.parametrize("eps_node", [1e-8, 0.3, 2.0])
     def test_monkeypatched_eps_node(self, shape, eps_node, monkeypatch):
         g = make_grid([{"points": n, "lo": -4.0 - i, "hi": 5.0 + i}
@@ -601,7 +600,7 @@ class TestOneParticleKernel:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("shape", [(32, 28), (20, 18, 24)])
+    @pytest.mark.parametrize("shape", [(32, 28), (20, 18, 24), (48,)])
     def test_local_fields_match_oracle(self, shape):
         g, params, (psi0, psi1) = two_packet_waves(shape)
         vfs = [velocity_field(p, params) for p in (psi0, psi1)]

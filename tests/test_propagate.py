@@ -214,7 +214,7 @@ class TestEvolve:
         H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 2.0, 0.1, 0.6))
         rec = evolve(psi, H, Schedule(0, 0.8, 0.004, 200), params)
         from pilotwave.fields import marginal_density
-        marg = marginal_density(rec.wave_at(-1), (1,))
+        marg = marginal_density(rec.wave_at(-1), 1)
         a = g.axis_coords(1)
         lo = np.sum(marg.values[a < 0]) * g.dxs[1]
         assert lo == pytest.approx(0.5, abs=1e-3)  # lobes at +-3, tails ~1e-5
