@@ -164,6 +164,56 @@ class WaveFunction:
         """sqrt of the total probability on the grid."""
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dV))
 
+    @property
+    def blocks(self):
+        """One block of every axis: a WaveFunction is a single factor."""
+        return (tuple(range(self.grid.dims)),)
+
+    @property
+    def factors(self):
+        return [self.amplitudes]
+
+
+def product_amplitudes(grid, blocks, factors):
+    """The full amplitude array of `factors`, one per sorted block of axes:
+    their outer product, each factor broadcast along its block's axes."""
+    out = None
+    for block, f in zip(blocks, factors):
+        f = f.reshape([n if a in block else 1 for a, n in enumerate(grid.shape)])
+        out = f if out is None else out * f
+    return out
+
+
+@dataclass
+class ProductWave:
+    """A wave function held as a product of factors over blocks of axes.
+
+    `blocks` partition the grid's axes, each block sorted; `factors[k]` is
+    an amplitude array on `grid.subgrid(blocks[k])`.  A WaveFunction is the
+    case of one block.
+    """
+
+    grid: Grid
+    blocks: tuple
+    factors: list
+
+    def __post_init__(self):
+        self.blocks = tuple(tuple(b) for b in self.blocks)
+        self.factors = [np.asarray(f, dtype=np.complex128) for f in self.factors]
+        axes = [a for b in self.blocks for a in b]
+        if (sorted(axes) != list(range(self.grid.dims)) or not all(self.blocks)
+                or any(list(b) != sorted(b) for b in self.blocks)):
+            raise FieldError(f"blocks {self.blocks} do not partition the grid's "
+                             "axes into sorted blocks")
+        if [f.shape for f in self.factors] != [self.grid.subgrid(b).shape
+                                               for b in self.blocks]:
+            raise FieldError("each factor needs the shape of its block's subgrid")
+
+    @property
+    def amplitudes(self):
+        """The full amplitude array, formed anew on each read."""
+        return product_amplitudes(self.grid, self.blocks, self.factors)
+
 
 @dataclass
 class DensityField:
@@ -187,11 +237,14 @@ def normalize(psi):
     return WaveFunction(psi.grid, psi.amplitudes / n, psi.time)
 
 
-def init_gaussian(grid, center, sigma, momentum=None, params=None):
-    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i p.x/hbar).
+def gaussian_factors(grid, blocks, center, sigma, momentum=None, params=None):
+    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i p.x/hbar),
+    held as one factor per block of axes.
 
-    Warns if the packet amplitude at the domain boundary exceeds 1e-12 of its
-    peak (periodic wrap-around would then contaminate the dynamics).
+    The packet is a product over its axes, so each factor is its Gaussian on
+    `grid.subgrid(block)`, normalized there.  Warns once if the amplitude at a
+    domain boundary exceeds 1e-12 of the peak (periodic wrap-around would
+    then contaminate the dynamics), naming the grid's axis.
     """
     center = [float(c) for c in np.atleast_1d(center)]
     sigma = [float(s) for s in np.atleast_1d(sigma)]
@@ -207,35 +260,54 @@ def init_gaussian(grid, center, sigma, momentum=None, params=None):
             raise FieldError(f"center {c} outside domain on axis {i}")
     hbar = params.hbar if params is not None else 1.0
 
-    amp = np.ones(grid.shape, dtype=np.complex128)
-    for i in range(grid.dims):
-        x = grid.mesh(i)
-        amp = amp * np.exp(
-            -((x - center[i]) ** 2) / (4.0 * sigma[i] ** 2)
-            + 1j * momentum[i] * x / hbar
-        )
-    psi = normalize(WaveFunction(grid, amp))
+    factors = []
+    for block in blocks:
+        sub = grid.subgrid(block)
+        amp = np.ones(sub.shape, dtype=np.complex128)
+        for i, a in enumerate(block):
+            x = sub.mesh(i)
+            amp = amp * np.exp(
+                -((x - center[a]) ** 2) / (4.0 * sigma[a] ** 2)
+                + 1j * momentum[a] * x / hbar
+            )
+        factors.append(normalize(WaveFunction(sub, amp)).amplitudes)
+    psi = ProductWave(grid, blocks, factors)
     _warn_boundary_tail(psi)
     return psi
 
 
+def init_gaussian(grid, center, sigma, momentum=None, params=None):
+    """Normalized Gaussian packet on the whole grid: `gaussian_factors` with
+    one block of every axis."""
+    psi = gaussian_factors(grid, (tuple(range(grid.dims)),), center, sigma,
+                           momentum, params)
+    return WaveFunction(grid, psi.factors[0])
+
+
 def _warn_boundary_tail(psi):
-    peak = np.max(np.abs(psi.amplitudes))
-    if peak == 0:
-        return
-    for axis in range(psi.grid.dims):
-        for idx in (0, -1):
-            sl = [slice(None)] * psi.grid.dims
-            sl[axis] = idx
-            edge = np.max(np.abs(psi.amplitudes[tuple(sl)]))
-            if edge > BOUNDARY_TAIL * peak:
-                warnings.warn(
-                    f"packet tail at boundary of axis {axis} is "
-                    f"{edge / peak:.2e} of peak (> {BOUNDARY_TAIL:g}); "
-                    "enlarge the domain to avoid wrap-around",
-                    stacklevel=3,
-                )
-                return
+    """Warn at the first grid axis where the packet's boundary amplitude
+    exceeds BOUNDARY_TAIL of its peak.
+
+    Factor by factor: the ratio along an axis is that of the factor holding
+    it, since the other factors scale edge and peak alike.
+    """
+    for block, amp in zip(psi.blocks, psi.factors):
+        peak = np.max(np.abs(amp))
+        if peak == 0:
+            return
+        for i, axis in enumerate(block):
+            for idx in (0, -1):
+                sl = [slice(None)] * amp.ndim
+                sl[i] = idx
+                edge = np.max(np.abs(amp[tuple(sl)]))
+                if edge > BOUNDARY_TAIL * peak:
+                    warnings.warn(
+                        f"packet tail at boundary of axis {axis} is "
+                        f"{edge / peak:.2e} of peak (> {BOUNDARY_TAIL:g}); "
+                        "enlarge the domain to avoid wrap-around",
+                        stacklevel=4,
+                    )
+                    return
 
 
 def superpose(components):

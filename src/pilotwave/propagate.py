@@ -16,15 +16,25 @@ so n such steps are exactly exp(-i K n dt): on grids of two or more
 dimensions, the stepping loop takes each stretch of them that ends at an
 observation as one jump.  1-D runs keep Strang steps; there the FFT pair is a
 small share of a run.
+
+The axes fall into blocks (`HamiltonianSpec.blocks`): two axes share one
+when a term or the gate binds both.  Every factor above then splits into one
+per block, so a component that is a product over the blocks (a ProductWave,
+as `scenarios` builds each packet) stays one: the stepping loop advances each
+factor on its block's subgrid under the Hamiltonian restricted to the block,
+and a block that no term touches by one free-flight jump per observation
+interval, whatever its dimension.  Factors are materialized, as their outer
+product, only at observations; observers, records and results see full
+arrays.  A WaveFunction is the case of one block.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import FieldError, PhysicalParams, WaveFunction
+from .fields import FieldError, PhysicalParams, WaveFunction, product_amplitudes
 
 
 class PropagationError(RuntimeError):
@@ -69,6 +79,14 @@ class PotentialTerm:
     def make(kind, axes, window=None, **params):
         return PotentialTerm(kind, tuple(axes), params, window)
 
+    @property
+    def bound_axes(self):
+        """The axes the term couples: a custom_grid term binds every axis of
+        its grid."""
+        if self.kind == "custom_grid":
+            return tuple(range(np.ndim(self.params["values"])))
+        return self.axes
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -90,6 +108,38 @@ class HamiltonianSpec:
             for a in (self.coupling.source_axis, self.coupling.target_axis):
                 if not 0 <= a < grid.dims:
                     raise FieldError(f"coupling binds missing axis {a}")
+
+    def blocks(self, grid):
+        """The grid's axes in blocks: two axes share a block when a term
+        (windowed or not) or the gate binds both.
+
+        Each block is sorted, and blocks come in order of their first axis.
+        """
+        self.validate(grid)
+        dims = grid.dims
+        label = list(range(dims))  # each axis's block, named by its first axis
+        bindings = [t.bound_axes for t in self.terms]
+        if self.coupling is not None:
+            bindings.append((self.coupling.source_axis, self.coupling.target_axis))
+        for axes in bindings:
+            merged = {label[a] for a in axes}
+            label = [min(merged) if b in merged else b for b in label]
+        return tuple(tuple(a for a in range(dims) if label[a] == b)
+                     for b in sorted(set(label)))
+
+    def restrict(self, axes):
+        """The terms and gate that bind `axes` only, each axis renumbered by
+        its position in `axes`."""
+        pos = {a: i for i, a in enumerate(axes)}
+        terms = tuple(replace(t, axes=tuple(pos[a] for a in t.axes))
+                      for t in self.terms if set(t.bound_axes) <= pos.keys())
+        c = self.coupling
+        if c is not None and {c.source_axis, c.target_axis} <= pos.keys():
+            c = replace(c, source_axis=pos[c.source_axis],
+                        target_axis=pos[c.target_axis])
+        else:
+            c = None
+        return HamiltonianSpec(terms, c)
 
 
 @dataclass(frozen=True)
@@ -284,36 +334,65 @@ def _check_finite(amps, i, schedule):
             )
 
 
-def _observed_steps(op, amps, schedule):
-    """Advance every array of `amps` through the schedule, replacing it in place.
+def _observed_steps(components, hamiltonian, schedule, params, amps):
+    """Advance every component through the schedule.
 
-    Yields (i, t) at step 0 and after every observation step (each `stride`
-    steps, and the last).  On grids of two or more dimensions, the trailing
-    steps of an observation interval that are all free (`op.is_free`) are
-    taken as one `free_flight` jump; every other step is a Strang step.
-    Amplitudes are checked finite at every observation and every 64 Strang
-    steps.
+    Yields t at step 0 and after every observation step (each `stride`
+    steps, and the last), with `amps`, a list the caller owns, holding each
+    component's full amplitude array at t.  Between observations `amps` is
+    empty, so no full array outlives the step that replaced it.
+
+    Each component is stepped factor by factor (a WaveFunction is one factor
+    over every axis; a ProductWave one per block of axes), every block with
+    its own SplitOperator on the block's subgrid under
+    `hamiltonian.restrict(block)`; the components must share their blocks,
+    and no term may bind two of them.  A factored component's full array is
+    the outer product of its factors, formed at each observation.  The
+    trailing steps of an observation interval that are all free
+    (`op.is_free`) are taken as one `free_flight` jump, on grids of two or
+    more dimensions and on every factor of a factored component; every
+    other step is a Strang step.  Amplitudes are checked finite at every
+    observation and every 64 Strang steps.
     """
-    yield 0, schedule.time_at(0)
+    grid = components[0].grid
+    blocks = components[0].blocks
+    coupled = hamiltonian.blocks(grid)
+    if len(params.masses) != grid.dims:
+        raise FieldError("need one mass per grid axis")
+    if any(c.blocks != blocks for c in components) or any(
+            not any(set(b) <= set(block) for block in blocks) for b in coupled):
+        raise PropagationError(f"components factored over {blocks}, but the "
+                               f"Hamiltonian couples {coupled}")
+    ops = [SplitOperator(grid.subgrid(b),
+                         PhysicalParams(params.hbar,
+                                        tuple(params.masses[a] for a in b)),
+                         hamiltonian.restrict(b), schedule.dt)
+           for b in blocks]
+    factors = [list(c.factors) for c in components]
+    amps[:] = [product_amplitudes(grid, blocks, f) for f in factors]
+    yield schedule.time_at(0)
     n = schedule.n_steps
-    jumps = op.grid.dims > 1
+    jumps = grid.dims > 1 or len(blocks) > 1
     for start in range(0, n, schedule.stride):
         end = min(start + schedule.stride, n)
-        free_from = end
-        while (jumps and free_from > start
-               and op.is_free(schedule.time_at(free_from - 1))):
-            free_from -= 1
-        for i in range(start, free_from):
-            t = schedule.time_at(i)
-            for j in range(len(amps)):
-                amps[j] = op.step_array(amps[j], t)
-            if (i + 1) % 64 == 0 and i + 1 < end:
-                _check_finite(amps, i + 1, schedule)
-        if free_from < end:
-            for j in range(len(amps)):
-                amps[j] = op.free_flight(amps[j], end - free_from)
+        amps.clear()
+        for k, op in enumerate(ops):
+            free_from = end
+            while (jumps and free_from > start
+                   and op.is_free(schedule.time_at(free_from - 1))):
+                free_from -= 1
+            for i in range(start, free_from):
+                t = schedule.time_at(i)
+                for f in factors:
+                    f[k] = op.step_array(f[k], t)
+                if (i + 1) % 64 == 0 and i + 1 < end:
+                    _check_finite([f[k] for f in factors], i + 1, schedule)
+            if free_from < end:
+                for f in factors:
+                    f[k] = op.free_flight(f[k], end - free_from)
+        amps.extend(product_amplitudes(grid, blocks, f) for f in factors)
         _check_finite(amps, end, schedule)
-        yield end, schedule.time_at(end)
+        yield schedule.time_at(end)
 
 
 class EvolutionRecord:
@@ -352,16 +431,14 @@ class EvolutionRecord:
 def evolve(psi, hamiltonian, schedule, params=None):
     """Integrate the Schroedinger equation over a schedule.
 
-    Returns an EvolutionRecord with snapshots every `stride` steps (always
-    including the initial and final states).
+    `psi` is a WaveFunction or a ProductWave.  Returns an EvolutionRecord
+    with full-array snapshots every `stride` steps (always including the
+    initial and final states).
     """
     if params is None:
         params = PhysicalParams(masses=(1.0,) * psi.grid.dims)
-    op = SplitOperator(psi.grid, params, hamiltonian, schedule.dt)
-    amps = [psi.amplitudes]
-
-    times, snaps, norms = [], [], []
-    for _, t in _observed_steps(op, amps, schedule):
+    times, snaps, norms, amps = [], [], [], []
+    for t in _observed_steps([psi], hamiltonian, schedule, params, amps):
         a = amps[0]
         times.append(t)
         snaps.append(a.copy())

@@ -21,19 +21,19 @@ import copy
 import hashlib
 import json
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 import jsonschema
 
 from .fields import (
-    FieldError, PhysicalParams, WaveFunction, make_grid, init_gaussian,
-    normalize, density, marginal_density,
+    FieldError, PhysicalParams, ProductWave, WaveFunction, make_grid,
+    gaussian_factors, init_gaussian, normalize, density, marginal_density,
 )
 from .propagate import (
     HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule,
-    SplitOperator, EvolutionRecord, evolve, _observed_steps,
+    EvolutionRecord, evolve, _observed_steps,
 )
 from .guidance import guided_walk, simulate_trajectories
 from .ensemble import (
@@ -229,14 +229,20 @@ def _hamiltonian_of(spec):
     return HamiltonianSpec(_potential_terms(spec), coupling)
 
 
-def _components_of(spec, grid, params):
-    """One (unnormalized) wave per packet: c_n times a unit Gaussian."""
+def _components_of(spec, grid, params, hamiltonian):
+    """One (unnormalized) wave per packet: c_n times a unit Gaussian.
+
+    Each is held as one factor per block of axes that the Hamiltonian
+    couples (one full-grid factor where it couples every axis), with c_n on
+    the first factor.
+    """
+    blocks = hamiltonian.blocks(grid)
     comps = []
     for p in spec["packets"]:
-        psi = init_gaussian(grid, p["centers"], p["sigmas"],
-                            p.get("momenta"), params=params)
-        comps.append(WaveFunction(grid, p["coefficient"] * psi.amplitudes,
-                                  psi.time))
+        psi = gaussian_factors(grid, blocks, p["centers"], p["sigmas"],
+                               p.get("momenta"), params=params)
+        comps.append(ProductWave(grid, blocks, [p["coefficient"] * psi.factors[0]]
+                                 + psi.factors[1:]))
     return comps
 
 
@@ -250,7 +256,7 @@ def _evolve_packets(spec):
     """EvolutionRecord of each packet under the spec's Hamiltonian."""
     grid, params, sched, H = _simulation_of(spec)
     return [evolve(c, H, sched, params)
-            for c in _components_of(spec, grid, params)]
+            for c in _components_of(spec, grid, params, H)]
 
 
 def _twin_spec(spec):
@@ -276,18 +282,20 @@ def coevolve(components, hamiltonian, schedule, params, x0s, observer=None):
     """Step all components through one schedule, advancing probes in stride.
 
     Components share the Hamiltonian (evolution is linear, so their sum is
-    the full wave at all times).  The probes `x0s` (N, D) advance over each
-    observation interval, guided by the sum of all components.  The
-    observer, if given, is called at every observation time with
-    (t, list of amplitude arrays) and its return values are collected.
+    the full wave at all times); each is a WaveFunction, or a ProductWave
+    factored like the others over blocks that no term couples.  The probes
+    `x0s` (N, D) advance over each observation interval, guided by the sum
+    of all components.  The observer, if given, is called at every
+    observation time with (t, list of full amplitude arrays) and its return
+    values are collected.
     """
     grid = components[0].grid
-    op = SplitOperator(grid, params, hamiltonian, schedule.dt)
-    amps = [c.amplitudes for c in components]
+    amps = []
     observations = []
 
     def full_waves():
-        for _, t in _observed_steps(op, amps, schedule):
+        for t in _observed_steps(components, hamiltonian, schedule, params,
+                                 amps):
             if observer is not None:
                 observations.append(observer(t, amps))
             # the full wave, summed in component order
@@ -656,9 +664,8 @@ def _system_reference_record(spec, packet_index):
                         [p["sigmas"][sys_axis]],
                         [p.get("momenta", [0.0] * len(p["centers"]))[sys_axis]],
                         params=params1)
-    terms = tuple(replace(t, axes=(0,)) for t in _potential_terms(spec)
-                  if t.axes == (sys_axis,))
-    return evolve(psi, HamiltonianSpec(terms), _schedule_of(spec), params1)
+    return evolve(psi, _hamiltonian_of(spec).restrict((sys_axis,)),
+                  _schedule_of(spec), params1)
 
 
 def run_measurement_scenario(spec):
@@ -669,7 +676,7 @@ def run_measurement_scenario(spec):
     thr = spec["thresholds"]
     ptr = spec["roles"]["pointer_axis"]
 
-    comps = _components_of(spec, grid, params)
+    comps = _components_of(spec, grid, params, H)
     full0 = WaveFunction(grid, sum(c.amplitudes for c in comps))
     n = spec["ensemble"]["n_particles"]
     x0s = sample_initial(full0, n, spec["seed"])
@@ -759,7 +766,7 @@ def _preparation_metrics(spec):
     s_ax, a_ax, e_ax = roles["system_axis"], roles["pointer_axis"], roles["env_axis"]
     gate = spec["couplings"]["gate"]
 
-    comps = _components_of(spec, grid, params)
+    comps = _components_of(spec, grid, params, H)
     x0 = np.asarray(_probe_start(spec), float)
 
     obs_state = {"gate_close": None, "eq3": None}

@@ -3,8 +3,8 @@ import pytest
 import scipy.fft as sfft
 
 from pilotwave.fields import (
-    FieldError, PhysicalParams, make_grid, init_gaussian, normalize,
-    superpose, WaveFunction, density,
+    FieldError, PhysicalParams, make_grid, gaussian_factors, init_gaussian,
+    normalize, superpose, WaveFunction, density,
 )
 from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
@@ -520,3 +520,151 @@ class TestFreeFlight:
         with pytest.raises(PropagationError,
                            match=r"non-finite amplitudes at " + at + "$"):
             evolve(WaveFunction(g, amp), FREE, Schedule(0, 1, 0.01, stride))
+
+
+# ---------------------------------------------------------------------------
+# axis blocks: the axes no term couples are stepped as separate factors
+
+SIGMAS = [0.4, 0.4, 0.9]  # tails below the warning limit on grid3d
+
+
+def grid3d():
+    return make_grid([{"points": 16, "lo": -8.0, "hi": 8.0},
+                      {"points": 12, "lo": -6.0, "hi": 6.0},
+                      {"points": 16, "lo": -12.0, "hi": 12.0}])
+
+
+class TestBlocks:
+    def test_single_axis_terms_give_singletons(self):
+        H = HamiltonianSpec((
+            PotentialTerm.make("harmonic", [0], omega=1.0),
+            PotentialTerm.make("gaussian_barrier", [2], height=1.0, width=1.0),
+            PotentialTerm.make("harmonic", [1], omega=1.0)))
+        assert H.blocks(grid3d()) == ((0,), (1,), (2,))
+        assert FREE.blocks(grid3d()) == ((0,), (1,), (2,))
+
+    @pytest.mark.parametrize("H, want", [
+        (HamiltonianSpec((PotentialTerm.make("linear_coupling", [2, 0],
+                                             strength=1.0),)),
+         ((0, 2), (1,))),
+        # a windowed term binds its axes whether or not the window is open
+        (HamiltonianSpec((PotentialTerm.make("linear_coupling", [1, 2],
+                                             window=(5.0, 6.0), strength=1.0),)),
+         ((0,), (1, 2))),
+        (HamiltonianSpec(coupling=MeasurementCoupling(2, 1, 1.0, 0.0, 0.1)),
+         ((0,), (1, 2))),
+        (HamiltonianSpec(
+            (PotentialTerm.make("linear_coupling", [0, 1], strength=1.0),),
+            MeasurementCoupling(1, 2, 1.0, 0.0, 0.1)),
+         ((0, 1, 2),)),
+    ])
+    def test_couplings_merge_axes(self, H, want):
+        assert H.blocks(grid3d()) == want
+
+    def test_custom_grid_binds_every_axis(self):
+        g = grid3d()
+        H = HamiltonianSpec((PotentialTerm.make(
+            "custom_grid", [0], values=np.zeros(g.shape)),))
+        assert H.blocks(g) == ((0, 1, 2),)
+
+    def test_blocks_validate_axes(self):
+        H = HamiltonianSpec((PotentialTerm.make("harmonic", [3], omega=1.0),))
+        with pytest.raises(FieldError, match="missing axis 3"):
+            H.blocks(grid3d())
+
+    def test_shipped_twins_split_and_main_runs_do_not(self):
+        from pilotwave.scenarios import _hamiltonian_of, _twin_spec, builtin_spec
+        for kind, twin_blocks in (("preparation", ((0, 1), (2,))),
+                                  ("decoherence", ((0,), (1,)))):
+            spec = builtin_spec(kind)
+            g = make_grid(spec["grid"])
+            assert _hamiltonian_of(spec).blocks(g) == (tuple(range(g.dims)),)
+            # the twin's env coupling of strength 0 adds nothing
+            assert _hamiltonian_of(_twin_spec(spec)).blocks(g) == twin_blocks
+
+    def test_restrict_renumbers_terms_and_gate(self):
+        H = HamiltonianSpec((
+            PotentialTerm.make("harmonic", [0], omega=1.0),
+            PotentialTerm.make("linear_coupling", [2, 1], window=(0.1, 0.2),
+                               strength=3.0),
+            PotentialTerm.make("harmonic", [2], omega=2.0)),
+            MeasurementCoupling(2, 1, 1.5, 0.0, 0.1))
+        R = H.restrict((1, 2))
+        assert R.terms == (
+            PotentialTerm.make("linear_coupling", [1, 0], window=(0.1, 0.2),
+                               strength=3.0),
+            PotentialTerm.make("harmonic", [1], omega=2.0))
+        assert R.coupling == MeasurementCoupling(1, 0, 1.5, 0.0, 0.1)
+        # a term or gate reaching outside the block is dropped
+        R = H.restrict((0,))
+        assert R.terms == (PotentialTerm.make("harmonic", [0], omega=1.0),)
+        assert R.coupling is None
+        assert H.restrict((0, 1, 2)) == H
+
+    def test_factors_across_a_coupling_rejected(self):
+        g = grid3d()
+        psi = gaussian_factors(g, ((0,), (1,), (2,)), [0.0] * 3, SIGMAS)
+        H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 1.0, 0.0, 0.1))
+        with pytest.raises(PropagationError, match="couples"):
+            evolve(psi, H, Schedule(0, 0.1, 0.01), PhysicalParams(masses=(1.0,) * 3))
+        # components factored over different blocks cannot be summed
+        whole = init_gaussian(g, [0.0] * 3, SIGMAS)
+        with pytest.raises(PropagationError, match="factored"):
+            coevolve([psi, whole], FREE, Schedule(0, 0.1, 0.01),
+                     PhysicalParams(masses=(1.0,) * 3), np.zeros((1, 3)))
+
+    def test_free_factor_jumps_once_per_observation(self, monkeypatch):
+        # preparation's twin: harmonic on axes 0 and 1, gate 0 -> 1, axis 2
+        # free; the 2-D block takes Strang steps, the free axis one jump per
+        # observation interval
+        g = grid3d()
+        H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=1.0),
+                             PotentialTerm.make("harmonic", [1], omega=1.0)),
+                            MeasurementCoupling(0, 1, 1.0, 0.05, 0.1))
+        psi = gaussian_factors(g, H.blocks(g), [0.0] * 3, SIGMAS)
+        calls = {"step_array": [], "free_flight": []}
+        for name in calls:
+            orig = getattr(SplitOperator, name)
+
+            def spy(self, amp, arg, _orig=orig, _log=calls[name]):
+                _log.append((amp.shape, arg))
+                return _orig(self, amp, arg)
+            monkeypatch.setattr(SplitOperator, name, spy)
+        sched = Schedule(0.0, 0.3, 0.01, 4)
+        rec = evolve(psi, H, sched, PhysicalParams(masses=(1.0, 2.0, 3.0)))
+        assert len(rec.snapshots) == 9
+        assert {shape for shape, _ in calls["step_array"]} == {(16, 12)}
+        assert len(calls["step_array"]) == 30
+        assert calls["free_flight"] == [((16,), 4)] * 7 + [((16,), 2)]
+
+
+class TestBoundaryTailOfFactors:
+    def spec(self, sigmas):
+        c = 0.7071067811865476
+        return {"packets": [
+            {"coefficient": c, "centers": [-1.0, 0.0, 0.0], "sigmas": sigmas},
+            {"coefficient": c, "centers": [1.0, 0.0, 0.0], "sigmas": sigmas}]}
+
+    def twin_components(self, sigmas):
+        from pilotwave.scenarios import _components_of
+        g = grid3d()
+        H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=1.0),),
+                            MeasurementCoupling(0, 1, 1.0, 0.0, 0.1))
+        with pytest.warns(UserWarning) as caught:
+            comps = _components_of(self.spec(sigmas), g,
+                                   PhysicalParams(masses=(1.0,) * 3), H)
+        assert [c.blocks for c in comps] == [((0, 1), (2,))] * 2
+        return [str(w.message) for w in caught]
+
+    def test_names_the_grids_axis(self):
+        # the axis-2 factor is 1-D: its own axis 0 is the grid's axis 2
+        msgs = self.twin_components([0.4, 0.4, 4.0])
+        assert len(msgs) == 2
+        assert all(m.startswith("packet tail at boundary of axis 2 ")
+                   for m in msgs)
+
+    def test_once_per_packet(self):
+        # tails on axes 1 and 2, in different factors: the first is named
+        msgs = self.twin_components([0.4, 2.0, 4.0])
+        assert len(msgs) == 2
+        assert all("axis 1 " in m for m in msgs)
