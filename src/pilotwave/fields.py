@@ -23,14 +23,16 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """hbar and per-axis masses (defaults 1.0, the unit system of the engine)."""
+    """Per-axis masses (default 1.0).
 
-    hbar: float = 1.0
+    The engine works in units where ħ = 1: masses, momenta, potential
+    strengths and times absorb it, so the kinetic term is k^2/2m and the
+    guidance law Im(d Psi / Psi)/m.
+    """
+
     masses: tuple = (1.0,)
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise FieldError(f"hbar must be positive, got {self.hbar}")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if any(m <= 0 for m in self.masses):
             raise FieldError(f"all masses must be positive, got {self.masses}")
@@ -237,8 +239,8 @@ def normalize(psi):
     return WaveFunction(psi.grid, psi.amplitudes / n, psi.time)
 
 
-def gaussian_factors(grid, blocks, center, sigma, momentum=None, params=None):
-    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i p.x/hbar),
+def gaussian_factors(grid, blocks, center, sigma, momentum=None):
+    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i p.x),
     held as one factor per block of axes.
 
     The packet is a product over its axes, so each factor is its Gaussian on
@@ -258,7 +260,6 @@ def gaussian_factors(grid, blocks, center, sigma, momentum=None, params=None):
     for i, c in enumerate(center):
         if not (grid.los[i] <= c < grid.his[i]):
             raise FieldError(f"center {c} outside domain on axis {i}")
-    hbar = params.hbar if params is not None else 1.0
 
     factors = []
     for block in blocks:
@@ -268,7 +269,7 @@ def gaussian_factors(grid, blocks, center, sigma, momentum=None, params=None):
             x = sub.mesh(i)
             amp = amp * np.exp(
                 -((x - center[a]) ** 2) / (4.0 * sigma[a] ** 2)
-                + 1j * momentum[a] * x / hbar
+                + 1j * momentum[a] * x
             )
         factors.append(normalize(WaveFunction(sub, amp)).amplitudes)
     psi = ProductWave(grid, blocks, factors)
@@ -276,11 +277,11 @@ def gaussian_factors(grid, blocks, center, sigma, momentum=None, params=None):
     return psi
 
 
-def init_gaussian(grid, center, sigma, momentum=None, params=None):
+def init_gaussian(grid, center, sigma, momentum=None):
     """Normalized Gaussian packet on the whole grid: `gaussian_factors` with
     one block of every axis."""
     psi = gaussian_factors(grid, (tuple(range(grid.dims)),), center, sigma,
-                           momentum, params)
+                           momentum)
     return WaveFunction(grid, psi.factors[0])
 
 

@@ -2,9 +2,9 @@
 
 The guidance law is the standard de Broglie-Bohm form
 
-    v_i = (hbar / m_i) * Im( d_i Psi / Psi )
+    v_i = Im( d_i Psi / Psi ) / m_i
 
-with the gradient evaluated spectrally.  Cells where |Psi| drops below
+in units where ħ = 1, with the gradient evaluated spectrally.  Cells where |Psi| drops below
 EPS_NODE * max|Psi| are flagged nodal; their velocity is filled from the
 nearest non-nodal cell and, when a query stencil touches a nodal cell during
 stepping, the speed is capped at dx/dt for that step.
@@ -107,7 +107,7 @@ class VelocityField:
                          axis=1, overwrite_x=True)
         # nodal cells of a line divide by ~0; they are never read
         with np.errstate(all="ignore"):
-            v = _guidance(params.hbar / params.masses[i], grad, amp)
+            v = _guidance(1.0 / params.masses[i], grad, amp)
         self._lines[i].update(zip(starts, v.tolist()))
 
 
@@ -121,12 +121,12 @@ class Trajectory:
 
 
 def _guidance(c, grad, amp):
-    """The guidance law c * Im(grad / Psi), c = hbar / m, at non-nodal cells."""
+    """The guidance law c * Im(grad / Psi), c = 1 / m, at non-nodal cells."""
     return c * np.imag(grad / amp)
 
 
 def _params_for(psi, params):
-    """`params`, or unit masses and hbar on the wave's axes when None."""
+    """`params`, or unit masses on the wave's axes when None."""
     if params is None:
         return PhysicalParams(masses=(1.0,) * psi.grid.dims)
     return params
@@ -146,7 +146,7 @@ def velocity_field(psi, params=None):
 
     The ratio grad/Psi is taken only at non-nodal cells; nodal cells are
     then filled from their nearest non-nodal cell.  A wave that is nodal
-    everywhere keeps hbar/m * Im(grad).
+    everywhere keeps Im(grad)/m.
     """
     params = _params_for(psi, params)
     grid = psi.grid
@@ -162,7 +162,7 @@ def velocity_field(psi, params=None):
     for i in range(grid.dims):
         grad = sfft.ifft(1j * grid.k_mesh(i) * sfft.fft(amp, axis=i), axis=i,
                          overwrite_x=True)
-        c = params.hbar / params.masses[i]
+        c = 1.0 / params.masses[i]
         if all_nodal:
             np.multiply(c, np.imag(grad), out=comps[i])
         else:

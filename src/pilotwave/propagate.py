@@ -4,12 +4,14 @@ One step applies, in order,
 
     exp(-i V dt/2) . exp(-i C tau/2) . exp(-i K dt) . exp(-i C tau/2) . exp(-i V dt/2)
 
-where K is the kinetic operator (diagonal in momentum space), V the position
-potential (diagonal in position space), and C the optional measurement
-coupling g * x_source * p_target, applied as a spectral phase along the target
-axis; tau is the overlap of [t, t+dt) with the coupling gate, so gate edges
-need not align with step boundaries.  Every factor is exactly unitary, making
-the composition second-order accurate and norm-preserving to rounding.
+where K is the kinetic operator, the sum over axes of k^2/2m in units where
+ħ = 1 (diagonal in momentum space), V the position potential, a sum of the
+quadratic terms of `TERM_KINDS` (diagonal in position space), and C the
+optional measurement coupling g * x_source * p_target, applied as a spectral
+phase along the target axis; tau is the overlap of [t, t+dt) with the
+coupling gate, so gate edges need not align with step boundaries.  Every
+factor is exactly unitary, making the composition second-order accurate and
+norm-preserving to rounding.
 
 Where no potential acts and no gate is open, the step is exp(-i K dt) alone,
 so n such steps are exactly exp(-i K n dt): on grids of two or more
@@ -60,14 +62,22 @@ class MeasurementCoupling:
             raise FieldError("coupling strength must be finite")
 
 
+# per potential kind: the number of axes a term binds and its parameters;
+# both kinds are quadratic
+TERM_KINDS = {
+    "harmonic": (1, ("omega",)),             # V = omega^2 x^2 / 2
+    "linear_coupling": (2, ("strength",)),   # V = strength x y
+}
+
+
 @dataclass(frozen=True)
 class PotentialTerm:
-    """One additive potential term.
+    """One additive potential term, checked where it is made.
 
-    kind: harmonic | gaussian_barrier | linear_coupling | custom_grid
-    axes: the axes the term binds
-    params: kind-specific parameters
-    window: optional (t_on, t_off) rectangular activation window
+    kind: a key of TERM_KINDS
+    axes: the axes the term binds, as many as its kind takes
+    params: exactly its kind's parameters
+    window: optional (t_on, t_off) rectangular activation window, t_off > t_on
     """
 
     kind: str
@@ -75,17 +85,26 @@ class PotentialTerm:
     params: dict
     window: tuple = None
 
+    def __post_init__(self):
+        if self.kind not in TERM_KINDS:
+            raise FieldError(f"unknown potential kind {self.kind!r}; "
+                             f"expected one of {', '.join(TERM_KINDS)}")
+        n_axes, names = TERM_KINDS[self.kind]
+        if len(self.axes) != n_axes:
+            raise FieldError(f"{self.kind} term binds {n_axes} "
+                             f"{'axis' if n_axes == 1 else 'axes'}, "
+                             f"got axes {list(self.axes)}")
+        if sorted(self.params) != sorted(names):
+            raise FieldError(f"{self.kind} term takes parameters "
+                             f"{', '.join(names)}; got "
+                             f"{', '.join(self.params) or 'none'}")
+        if self.window is not None and not self.window[1] > self.window[0]:
+            raise FieldError(f"{self.kind} term window {tuple(self.window)} "
+                             "needs t_off > t_on")
+
     @staticmethod
     def make(kind, axes, window=None, **params):
         return PotentialTerm(kind, tuple(axes), params, window)
-
-    @property
-    def bound_axes(self):
-        """The axes the term couples: a custom_grid term binds every axis of
-        its grid."""
-        if self.kind == "custom_grid":
-            return tuple(range(np.ndim(self.params["values"])))
-        return self.axes
 
 
 @dataclass(frozen=True)
@@ -100,10 +119,6 @@ class HamiltonianSpec:
             for a in t.axes:
                 if not 0 <= a < grid.dims:
                     raise FieldError(f"potential term binds missing axis {a}")
-            if t.kind == "custom_grid":
-                v = np.asarray(t.params["values"])
-                if v.shape != grid.shape:
-                    raise FieldError("custom_grid term shape does not match grid")
         if self.coupling is not None:
             for a in (self.coupling.source_axis, self.coupling.target_axis):
                 if not 0 <= a < grid.dims:
@@ -118,7 +133,7 @@ class HamiltonianSpec:
         self.validate(grid)
         dims = grid.dims
         label = list(range(dims))  # each axis's block, named by its first axis
-        bindings = [t.bound_axes for t in self.terms]
+        bindings = [t.axes for t in self.terms]
         if self.coupling is not None:
             bindings.append((self.coupling.source_axis, self.coupling.target_axis))
         for axes in bindings:
@@ -132,7 +147,7 @@ class HamiltonianSpec:
         its position in `axes`."""
         pos = {a: i for i, a in enumerate(axes)}
         terms = tuple(replace(t, axes=tuple(pos[a] for a in t.axes))
-                      for t in self.terms if set(t.bound_axes) <= pos.keys())
+                      for t in self.terms if set(t.axes) <= pos.keys())
         c = self.coupling
         if c is not None and {c.source_axis, c.target_axis} <= pos.keys():
             c = replace(c, source_axis=pos[c.source_axis],
@@ -170,23 +185,10 @@ class Schedule:
 
 def potential_grid(grid, term):
     """Evaluate one potential term on the grid (its static spatial profile)."""
-    p = term.params
     if term.kind == "harmonic":
-        (axis,) = term.axes
-        x = grid.mesh(axis)
-        c = p.get("center", 0.0)
-        m = p.get("mass", 1.0)
-        return 0.5 * m * p["omega"] ** 2 * (x - c) ** 2
-    if term.kind == "gaussian_barrier":
-        (axis,) = term.axes
-        x = grid.mesh(axis)
-        return p["height"] * np.exp(-((x - p.get("center", 0.0)) ** 2) / (2.0 * p["width"] ** 2))
-    if term.kind == "linear_coupling":
-        a, b = term.axes
-        return p["strength"] * grid.mesh(a) * grid.mesh(b)
-    if term.kind == "custom_grid":
-        return np.asarray(p["values"], dtype=float)
-    raise FieldError(f"unknown potential kind {term.kind!r}")
+        return 0.5 * term.params["omega"] ** 2 * grid.mesh(term.axes[0]) ** 2
+    a, b = term.axes
+    return term.params["strength"] * grid.mesh(a) * grid.mesh(b)
 
 
 def _overlap(lo, hi, t0, t1):
@@ -206,13 +208,13 @@ class SplitOperator:
         self.H = hamiltonian
         self.dt = float(dt)
 
-        # kinetic phase: exp(-i dt hbar k^2 / 2m) summed over axes
+        # kinetic phase: exp(-i dt k^2 / 2m) summed over axes
         ksq = np.zeros(grid.shape)
         for i in range(grid.dims):
-            ksq = ksq + (params.hbar * grid.k_mesh(i) ** 2) / (2.0 * params.masses[i])
+            ksq = ksq + grid.k_mesh(i) ** 2 / (2.0 * params.masses[i])
         self._kin_phase = np.exp(-1j * self.dt * ksq)
-        self._ksq_over = ksq  # hbar k^2 / 2m, reused for <H> and free flight
-        self._free_phases = {}  # n -> exp(-i n dt hbar k^2 / 2m)
+        self._ksq_over = ksq  # k^2 / 2m, reused for <H> and free flight
+        self._free_phases = {}  # n -> exp(-i n dt k^2 / 2m)
 
         self.v_static = np.zeros(grid.shape)
         self._windowed = []
@@ -222,7 +224,7 @@ class SplitOperator:
                 self.v_static = self.v_static + v
             else:
                 self._windowed.append((t.window, v))
-        self._exp_v_half_static = np.exp(-1j * self.v_static * self.dt / (2.0 * params.hbar))
+        self._exp_v_half_static = np.exp(-1j * self.v_static * self.dt / 2.0)
         self._has_static = bool(np.any(self.v_static))
         # (per-window overlaps, phase) of the last step that lay wholly
         # inside or outside each window; None while no window is active
@@ -256,7 +258,7 @@ class SplitOperator:
         for (_, v), tau in zip(self._windowed, taus):
             if tau > 0.0:
                 v_eff = v_eff + v * tau
-        phase = np.exp(-1j * v_eff / (2.0 * self.params.hbar))
+        phase = np.exp(-1j * v_eff / 2.0)
         if all(tau == 0.0 or tau == self.dt for tau in taus):
             self._window_phase = (taus, phase)
         return phase
@@ -319,7 +321,7 @@ class SplitOperator:
                               or self._gate_overlap(t) > 0.0):
             return None
         ft = sfft.fftn(amp) / np.sqrt(amp.size)
-        kin = np.sum(np.abs(ft) ** 2 * self._ksq_over) * self.params.hbar
+        kin = np.sum(np.abs(ft) ** 2 * self._ksq_over)
         # ft normalized so that sum |ft|^2 = sum |amp|^2; convert to integrals
         kin *= self.grid.dV
         pot = np.sum(self.v_static * np.abs(amp) ** 2) * self.grid.dV
@@ -364,8 +366,7 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
         raise PropagationError(f"components factored over {blocks}, but the "
                                f"Hamiltonian couples {coupled}")
     ops = [SplitOperator(grid.subgrid(b),
-                         PhysicalParams(params.hbar,
-                                        tuple(params.masses[a] for a in b)),
+                         PhysicalParams(tuple(params.masses[a] for a in b)),
                          hamiltonian.restrict(b), schedule.dt)
            for b in blocks]
     factors = [list(c.factors) for c in components]

@@ -88,15 +88,17 @@ def _schema():
         return json.load(fh)
 
 
-# what each kind requires: grid axes, top-level or coupling blocks, roles
+# what each kind requires: grid axes, packets (None: any number), top-level
+# or coupling blocks, roles; the two-packet analyses read packets 0 and 1
 _REQUIRES = {
-    "interference": (1, ("packets", "ensemble"), ()),
-    "decoherence": (2, ("packets", "couplings.env"), ("system_axis", "env_axis")),
-    "measurement": (2, ("packets", "couplings.gate", "ensemble"),
+    "interference": (1, 2, ("packets", "ensemble"), ()),
+    "decoherence": (2, 2, ("packets", "couplings.env"),
+                    ("system_axis", "env_axis")),
+    "measurement": (2, None, ("packets", "couplings.gate", "ensemble"),
                     ("system_axis", "pointer_axis")),
-    "preparation": (3, ("packets", "couplings.env", "couplings.gate"),
+    "preparation": (3, 2, ("packets", "couplings.env", "couplings.gate"),
                     ("system_axis", "pointer_axis", "env_axis")),
-    "relaxation": (2, ("relaxation", "ensemble"), ()),
+    "relaxation": (2, None, ("relaxation", "ensemble"), ()),
 }
 
 
@@ -111,7 +113,7 @@ def validate_spec_dict(d):
     ndim = len(d["grid"])
     if len(d["physical"]["masses"]) != ndim:
         raise SpecError("physical.masses: need one mass per grid axis")
-    n_axes, blocks, roles = _REQUIRES[kind]
+    n_axes, n_packets, blocks, roles = _REQUIRES[kind]
     if ndim != n_axes:
         raise SpecError(f"grid: kind {kind!r} needs {n_axes} axes")
     for block in blocks:
@@ -121,6 +123,9 @@ def validate_spec_dict(d):
         if not node:
             raise SpecError(f"{block}: required for kind {kind!r}")
     if "packets" in blocks:
+        if n_packets is not None and len(d["packets"]) != n_packets:
+            raise SpecError(f"packets: kind {kind!r} needs {n_packets} "
+                            f"packets, got {len(d['packets'])}")
         for i, p in enumerate(d["packets"]):
             for key in ("centers", "sigmas", "momenta"):
                 if key in p and len(p[key]) != ndim:
@@ -196,8 +201,7 @@ def _grid_of(spec):
 
 
 def _params_of(spec):
-    p = spec["physical"]
-    return PhysicalParams(p.get("hbar", 1.0), tuple(p["masses"]))
+    return PhysicalParams(tuple(spec["physical"]["masses"]))
 
 
 def _schedule_of(spec):
@@ -206,11 +210,8 @@ def _schedule_of(spec):
 
 
 def _potential_terms(spec):
-    terms = []
-    for t in spec.get("potentials", []):
-        window = tuple(t["window"]) if t.get("window") else None
-        terms.append(PotentialTerm.make(t["kind"], t["axes"], window=window,
-                                        **t["params"]))
+    terms = [PotentialTerm(t["kind"], tuple(t["axes"]), dict(t["params"]))
+             for t in spec.get("potentials", [])]
     env = spec.get("couplings", {}).get("env")
     if env is not None and env["strength"] != 0.0:
         terms.append(PotentialTerm.make(
@@ -229,7 +230,7 @@ def _hamiltonian_of(spec):
     return HamiltonianSpec(_potential_terms(spec), coupling)
 
 
-def _components_of(spec, grid, params, hamiltonian):
+def _components_of(spec, grid, hamiltonian):
     """One (unnormalized) wave per packet: c_n times a unit Gaussian.
 
     Each is held as one factor per block of axes that the Hamiltonian
@@ -240,7 +241,7 @@ def _components_of(spec, grid, params, hamiltonian):
     comps = []
     for p in spec["packets"]:
         psi = gaussian_factors(grid, blocks, p["centers"], p["sigmas"],
-                               p.get("momenta"), params=params)
+                               p.get("momenta"))
         comps.append(ProductWave(grid, blocks, [p["coefficient"] * psi.factors[0]]
                                  + psi.factors[1:]))
     return comps
@@ -256,7 +257,7 @@ def _evolve_packets(spec):
     """EvolutionRecord of each packet under the spec's Hamiltonian."""
     grid, params, sched, H = _simulation_of(spec)
     return [evolve(c, H, sched, params)
-            for c in _components_of(spec, grid, params, H)]
+            for c in _components_of(spec, grid, H)]
 
 
 def _twin_spec(spec):
@@ -446,9 +447,8 @@ def _full_record(branch_records):
 
 
 def _probe_start(spec):
-    """The probe's start: `probe.start`, else the first packet's center."""
-    return list(spec.get("probe", {}).get("start",
-                                          spec["packets"][0]["centers"]))
+    """The probe's start: the first packet's center."""
+    return list(spec["packets"][0]["centers"])
 
 
 @dataclass
@@ -509,13 +509,6 @@ def run_interference_scenario(spec):
     grid = _grid_of(spec)
     dx = grid.dxs[0]
 
-    if len(spec["packets"]) < 2:
-        # degenerate spec: a single packet has nothing to interfere with
-        times = _evolve_packets(spec)[0].times.tolist()
-        metrics = {"times": times, "l1_series": [0.0] * len(times),
-                   "l1_peak": 0.0}
-        return _report(spec, t0, metrics, {"overlap_reached": "inconclusive"})
-
     pair = _branch_pair(spec, 0)
     full, l1, times = pair.full, pair.l1, pair.full.times
     i_peak = int(np.argmax(l1))
@@ -531,8 +524,7 @@ def run_interference_scenario(spec):
         # fringe spacing at the recombination snapshot, near the midpoint
         k_rel = abs(spec["packets"][0].get("momenta", [0.0])[0]
                     - spec["packets"][1].get("momenta", [0.0])[0]) / 2.0
-        hbar = _params_of(spec).hbar
-        expected = np.pi * hbar / k_rel if k_rel > 0 else float("nan")
+        expected = np.pi / k_rel if k_rel > 0 else float("nan")
         rho = density(full.wave_at(i_peak)).values
         spacing = _fringe_spacing(rho, grid.axis_coords(0),
                                   window=4.0 * expected)
@@ -657,13 +649,11 @@ def _system_reference_record(spec, packet_index):
     """1D record of one system packet evolved under the system axis alone."""
     sys_axis = spec["roles"]["system_axis"]
     grid1 = make_grid([spec["grid"][sys_axis]])
-    params1 = PhysicalParams(spec["physical"].get("hbar", 1.0),
-                             (spec["physical"]["masses"][sys_axis],))
+    params1 = PhysicalParams((spec["physical"]["masses"][sys_axis],))
     p = spec["packets"][packet_index]
     psi = init_gaussian(grid1, [p["centers"][sys_axis]],
                         [p["sigmas"][sys_axis]],
-                        [p.get("momenta", [0.0] * len(p["centers"]))[sys_axis]],
-                        params=params1)
+                        [p.get("momenta", [0.0] * len(p["centers"]))[sys_axis]])
     return evolve(psi, _hamiltonian_of(spec).restrict((sys_axis,)),
                   _schedule_of(spec), params1)
 
@@ -676,7 +666,7 @@ def run_measurement_scenario(spec):
     thr = spec["thresholds"]
     ptr = spec["roles"]["pointer_axis"]
 
-    comps = _components_of(spec, grid, params, H)
+    comps = _components_of(spec, grid, H)
     full0 = WaveFunction(grid, sum(c.amplitudes for c in comps))
     n = spec["ensemble"]["n_particles"]
     x0s = sample_initial(full0, n, spec["seed"])
@@ -766,7 +756,7 @@ def _preparation_metrics(spec):
     s_ax, a_ax, e_ax = roles["system_axis"], roles["pointer_axis"], roles["env_axis"]
     gate = spec["couplings"]["gate"]
 
-    comps = _components_of(spec, grid, params, H)
+    comps = _components_of(spec, grid, H)
     x0 = np.asarray(_probe_start(spec), float)
 
     obs_state = {"gate_close": None, "eq3": None}

@@ -60,8 +60,8 @@ def relaxation_report():
 
 def free_gaussian_record(sigma0=1.0, t_end=2.0, dt=1e-3, stride=20, n=1024):
     g = make_grid([{"points": n, "lo": -20.0, "hi": 20.0}])
-    params = PhysicalParams(1.0, (1.0,))
-    psi = init_gaussian(g, [0.0], [sigma0], params=params)
+    params = PhysicalParams((1.0,))
+    psi = init_gaussian(g, [0.0], [sigma0])
     sched = Schedule(0.0, t_end, dt, stride)
     return evolve(psi, HamiltonianSpec(()), sched, params), g, params
 
@@ -71,8 +71,8 @@ def free_gaussian_record(sigma0=1.0, t_end=2.0, dt=1e-3, stride=20, n=1024):
 def test_criterion_01_unitarity_and_conservation():
     # static harmonic trap, 10^4 steps
     g = make_grid([{"points": 512, "lo": -20.0, "hi": 20.0}])
-    params = PhysicalParams(1.0, (1.0,))
-    psi = init_gaussian(g, [3.0], [1.0 / np.sqrt(2.0)], params=params)
+    params = PhysicalParams((1.0,))
+    psi = init_gaussian(g, [3.0], [1.0 / np.sqrt(2.0)])
     H = HamiltonianSpec((PotentialTerm.make("harmonic", (0,), omega=1.0),))
     rec = evolve(psi, H, Schedule(0.0, 10.0, 0.001, 500), params)
     norm_drift = float(np.max(np.abs(rec.norms - rec.norms[0])))

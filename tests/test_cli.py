@@ -104,6 +104,32 @@ class TestRun:
         assert err == ["error: NaN in trajectory output; regularization "
                        "failed"]
 
+    @pytest.mark.parametrize("kind, override", [
+        # a misspelled parameter, a missing one, a second axis, an extra one
+        ("measurement", 'potentials=[{"kind": "harmonic", "axes": [0], '
+                        '"params": {"omgea": 1.0}}]'),
+        ("measurement", 'potentials=[{"kind": "harmonic", "axes": [0], '
+                        '"params": {}}]'),
+        ("measurement", 'potentials=[{"kind": "harmonic", "axes": [0, 1], '
+                        '"params": {"omega": 1.0}}]'),
+        ("measurement", 'potentials=[{"kind": "harmonic", "axes": [0], '
+                        '"params": {"omega": 1.0, "center": 0.0}}]'),
+        # an env window that closes before it opens
+        ("decoherence", "couplings.env.t_off=-0.1"),
+    ])
+    def test_malformed_term_exit_1_one_line(self, tmp_path, kind, override):
+        spec = Path(pilotwave.__file__).parent / "specs" / f"{kind}.json"
+        src = str(Path(pilotwave.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "pilotwave.cli", "run", "--spec", str(spec),
+             "--out", str(tmp_path / "o"), "--threads", "1", "--set", override],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300)
+        assert res.returncode == 1, res.stderr
+        err = res.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_env_off_override_fails_by_design(self, tmp_path):
         spec = write_spec(tmp_path, "decoherence", FAST_DECOHERENCE)
         code = main(["run", "--spec", str(spec), "--out",

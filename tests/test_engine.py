@@ -120,7 +120,8 @@ def case_1d():
 
 def case_2d_nodes():
     # ground x first excited along axis 0: a nodal line at x = 0, plus a
-    # windowed potential; the last two starts sit where the wave is nodal
+    # windowed well whose edges fall inside steps; the last two starts sit
+    # where the wave is nodal
     g = make_grid([{"points": 48, "lo": -6.0, "hi": 6.0},
                    {"points": 40, "lo": -5.0, "hi": 5.0}])
     x, y = g.mesh(0), g.mesh(1)
@@ -129,8 +130,7 @@ def case_2d_nodes():
     H = HamiltonianSpec((
         PotentialTerm.make("harmonic", [0], omega=1.0),
         PotentialTerm.make("harmonic", [1], omega=1.0),
-        PotentialTerm.make("gaussian_barrier", [1], window=(0.1, 0.3),
-                           height=0.5, width=1.0),
+        PotentialTerm.make("harmonic", [1], window=(0.11, 0.29), omega=0.7),
     ))
     x0s = np.array([[-1.0, 0.5], [-0.3, -0.2], [0.2, 0.1], [1.1, 0.7],
                     [0.5, -1.2], [5.5, 4.5], [-5.5, -4.6]])
@@ -141,8 +141,8 @@ def case_2d_gated():
     g = make_grid([{"points": 48, "lo": -8.0, "hi": 8.0},
                    {"points": 64, "lo": -8.0, "hi": 8.0}])
     params = PhysicalParams(masses=(1.0, 20.0))
-    sa = init_gaussian(g, [-2.0, 0.0], [0.6, 0.5], params=params)
-    sb = init_gaussian(g, [2.0, 0.0], [0.6, 0.5], params=params)
+    sa = init_gaussian(g, [-2.0, 0.0], [0.6, 0.5])
+    sb = init_gaussian(g, [2.0, 0.0], [0.6, 0.5])
     psi = normalize(WaveFunction(g, sa.amplitudes + 0.6 * sb.amplitudes))
     H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 1.5, 0.05, 0.25))
     x0s = np.array([[-2.3, 0.2], [-1.8, -0.3], [1.9, 0.4], [2.4, -0.1],
@@ -162,10 +162,8 @@ def case_3d_gated():
                    {"points": 20, "lo": -8.0, "hi": 8.0},
                    {"points": 30, "lo": -10.0, "hi": 10.0}])
     params = PhysicalParams(masses=(1.0, 20.0, 5.0))
-    sa = init_gaussian(g, [-2.0, 0.0, 1.0], [0.6, 0.5, 0.7], [0.0, 0.0, -1.0],
-                       params=params)
-    sb = init_gaussian(g, [2.0, 0.0, -1.0], [0.6, 0.5, 0.7], [0.0, 0.0, 1.0],
-                       params=params)
+    sa = init_gaussian(g, [-2.0, 0.0, 1.0], [0.6, 0.5, 0.7], [0.0, 0.0, -1.0])
+    sb = init_gaussian(g, [2.0, 0.0, -1.0], [0.6, 0.5, 0.7], [0.0, 0.0, 1.0])
     psi = normalize(WaveFunction(g, sa.amplitudes + 0.6 * sb.amplitudes))
     H = HamiltonianSpec(
         (PotentialTerm.make("harmonic", [2], omega=0.5),),
@@ -384,7 +382,7 @@ def factored_case(grid_spec, masses, hamiltonian, packets, schedule, x0s):
         {"coefficient": c, "centers": ce, "sigmas": s, "momenta": m}
         for c, ce, s, m in packets]}
     return g, params, hamiltonian, schedule, np.asarray(x0s, dtype=float), \
-        _components_of(spec, g, params, hamiltonian)
+        _components_of(spec, g, hamiltonian)
 
 
 def factored_2d_free():

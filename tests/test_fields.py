@@ -46,11 +46,9 @@ class TestMakeGrid:
 class TestPhysicalParams:
     def test_defaults(self):
         p = PhysicalParams()
-        assert p.hbar == 1.0 and p.masses == (1.0,)
+        assert p.masses == (1.0,)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(FieldError):
-            PhysicalParams(hbar=0.0)
         with pytest.raises(FieldError):
             PhysicalParams(masses=(1.0, -1.0))
 

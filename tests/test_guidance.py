@@ -84,7 +84,7 @@ def _oracle_velocity_field(psi, params=None, eps_node=1e-8):
         shp = [1] * grid.dims
         shp[i] = grid.shape[i]
         grad = sfft.ifft(1j * k.reshape(shp) * sfft.fft(amp, axis=i), axis=i)
-        np.multiply(params.hbar / params.masses[i], np.imag(grad / safe),
+        np.multiply(1.0 / params.masses[i], np.imag(grad / safe),
                     out=comps[i])
     if np.any(nodal) and not all_nodal:
         idx = distance_transform_edt(nodal, return_distances=False,
@@ -350,9 +350,9 @@ def two_packet_waves(shape):
     waves = []
     for shift in (0.0, 0.2):
         a = init_gaussian(g, [-1.5 + shift] + [0.3] * (D - 1), [0.5] * D,
-                          [1.0] * D, params=params)
+                          [1.0] * D)
         b = init_gaussian(g, [1.5] + [-0.2 - shift] * (D - 1), [0.5] * D,
-                          [-1.0] + [0.5] * (D - 1), params=params)
+                          [-1.0] + [0.5] * (D - 1))
         waves.append(superpose([(0.8, a), (0.6, b)]))
     return g, params, waves
 
@@ -458,7 +458,7 @@ class TestLocalFieldOracle:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_zero_wave(self):
-        # a zero wave is nodal everywhere and keeps hbar/m * Im(grad) = 0
+        # a zero wave is nodal everywhere and keeps Im(grad)/m = 0
         g = make_grid([{"points": 24, "lo": -3, "hi": 3},
                        {"points": 20, "lo": -2, "hi": 2}])
         psi = WaveFunction(g, np.zeros((24, 20), dtype=complex), 0.5)

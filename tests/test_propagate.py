@@ -30,7 +30,7 @@ def step(psi, hamiltonian, dt):
 
 class TestStep:
     def test_plane_wave_kinetic_eigenstate(self):
-        # grid-commensurate plane wave picks up exactly exp(-i hbar k^2 dt/2m)
+        # grid-commensurate plane wave picks up exactly exp(-i k^2 dt/2m)
         g = grid1d(64, 0.0, 16.0)
         k = 2.0 * np.pi * 3 / 16.0
         x = g.axis_coords(0)
@@ -208,8 +208,8 @@ class TestEvolve:
         g = make_grid([{"points": 64, "lo": -10, "hi": 10},
                        {"points": 64, "lo": -10, "hi": 10}])
         params = PhysicalParams(masses=(1.0, 40.0))
-        sa = init_gaussian(g, [-3.0, 0.0], [0.6, 0.5], params=params)
-        sb = init_gaussian(g, [3.0, 0.0], [0.6, 0.5], params=params)
+        sa = init_gaussian(g, [-3.0, 0.0], [0.6, 0.5])
+        sb = init_gaussian(g, [3.0, 0.0], [0.6, 0.5])
         psi = superpose([(1 / np.sqrt(2), sa), (1 / np.sqrt(2), sb)])
         H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 2.0, 0.1, 0.6))
         rec = evolve(psi, H, Schedule(0, 0.8, 0.004, 200), params)
@@ -240,7 +240,7 @@ def _oracle_v_half_phase(op, t):
     v_eff = op.v_static * op.dt
     for (t_on, t_off), v in active:
         v_eff = v_eff + v * _overlap(t_on, t_off, t, t + op.dt)
-    return np.exp(-1j * v_eff / (2.0 * op.params.hbar))
+    return np.exp(-1j * v_eff / 2.0)
 
 
 def _oracle_step_array(op, amp, t):
@@ -289,7 +289,7 @@ def windowed_operator(shape):
                             strength=3.0)),
         MeasurementCoupling(0, 1, 2.0, *GATE))
     op = SplitOperator(g, PhysicalParams(masses=(1.0, 2.0)), H, DT)
-    psi = init_gaussian(g, [-1.0, 0.5], [0.6, 0.7], [0.3, -0.2], params=op.params)
+    psi = init_gaussian(g, [-1.0, 0.5], [0.6, 0.7], [0.3, -0.2])
     return op, psi.amplitudes
 
 
@@ -373,9 +373,7 @@ class TestStepArrayOracle:
 class TestFiniteAtObservations:
     def nan_case(self):
         g = grid1d(64)
-        bad = np.zeros(64)
-        bad[10] = np.nan
-        H = HamiltonianSpec((PotentialTerm.make("custom_grid", [0], values=bad),))
+        H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=np.nan),))
         return init_gaussian(g, [0.0], [1.0]), H
 
     def test_evolve_checks_each_observation(self):
@@ -407,8 +405,7 @@ def free_wave(shape):
                    for i, n in enumerate(shape)])
     params = PhysicalParams(masses=tuple(1.0 + i for i in range(len(shape))))
     d = len(shape)
-    psi = init_gaussian(g, [0.0] * d, [0.6] * d, [1.5 - i for i in range(d)],
-                        params=params)
+    psi = init_gaussian(g, [0.0] * d, [0.6] * d, [1.5 - i for i in range(d)])
     return g, params, psi.amplitudes
 
 
@@ -538,7 +535,7 @@ class TestBlocks:
     def test_single_axis_terms_give_singletons(self):
         H = HamiltonianSpec((
             PotentialTerm.make("harmonic", [0], omega=1.0),
-            PotentialTerm.make("gaussian_barrier", [2], height=1.0, width=1.0),
+            PotentialTerm.make("harmonic", [2], omega=2.0),
             PotentialTerm.make("harmonic", [1], omega=1.0)))
         assert H.blocks(grid3d()) == ((0,), (1,), (2,))
         assert FREE.blocks(grid3d()) == ((0,), (1,), (2,))
@@ -560,12 +557,6 @@ class TestBlocks:
     ])
     def test_couplings_merge_axes(self, H, want):
         assert H.blocks(grid3d()) == want
-
-    def test_custom_grid_binds_every_axis(self):
-        g = grid3d()
-        H = HamiltonianSpec((PotentialTerm.make(
-            "custom_grid", [0], values=np.zeros(g.shape)),))
-        assert H.blocks(g) == ((0, 1, 2),)
 
     def test_blocks_validate_axes(self):
         H = HamiltonianSpec((PotentialTerm.make("harmonic", [3], omega=1.0),))
@@ -651,8 +642,7 @@ class TestBoundaryTailOfFactors:
         H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=1.0),),
                             MeasurementCoupling(0, 1, 1.0, 0.0, 0.1))
         with pytest.warns(UserWarning) as caught:
-            comps = _components_of(self.spec(sigmas), g,
-                                   PhysicalParams(masses=(1.0,) * 3), H)
+            comps = _components_of(self.spec(sigmas), g, H)
         assert [c.blocks for c in comps] == [((0, 1), (2,))] * 2
         return [str(w.message) for w in caught]
 

@@ -95,6 +95,47 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="extra"):
             validate_spec_dict(d)
 
+    # inputs every run used with one value are gone: hbar = 1, the probe
+    # starts at packet 0's center, potentials are static and quadratic
+    @pytest.mark.parametrize("kind, key, value, path", [
+        ("interference", "physical.hbar", 1.0, r"physical: .*'hbar'"),
+        ("interference", "probe", {"start": [-5.0]}, r"\(root\): .*'probe'"),
+        ("preparation", "potentials.0.window", None,
+         r"potentials\.0: .*'window'"),
+        ("preparation", "potentials.0.kind", "gaussian_barrier",
+         r"potentials\.0\.kind: 'gaussian_barrier'"),
+        ("preparation", "potentials.0.kind", "custom_grid",
+         r"potentials\.0\.kind: 'custom_grid'"),
+    ])
+    def test_removed_inputs_rejected(self, kind, key, value, path):
+        d = builtin_spec(kind)
+        *parents, last = key.split(".")
+        node = d
+        for k in parents:
+            node = node[int(k) if isinstance(node, list) else k]
+        node[last] = value
+        with pytest.raises(SpecError, match=path):
+            validate_spec_dict(d)
+
+    @pytest.mark.parametrize("kind", ["interference", "decoherence",
+                                      "preparation"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_packet_count_rejected(self, kind, count):
+        # the two-packet analyses read packets 0 and 1, and no others
+        d = builtin_spec(kind)
+        packet = d["packets"][0]
+        d["packets"] = [dict(packet, coefficient=count ** -0.5)
+                        for _ in range(count)]
+        with pytest.raises(SpecError, match=r"^packets: .* needs 2 packets, "
+                           f"got {count}$"):
+            validate_spec_dict(d)
+
+    def test_measurement_takes_any_packet_count(self):
+        d = builtin_spec("measurement")
+        d["packets"] = [dict(p, coefficient=3 ** -0.5)
+                        for p in d["packets"] + d["packets"][:1]]
+        assert len(validate_spec_dict(d)["packets"]) == 3
+
 
 class TestOverridesAndHash:
     def test_dotted_override_with_list_index(self):
@@ -155,8 +196,8 @@ class TestCoevolve:
     def test_matches_batch_evolution(self):
         g = make_grid([{"points": 128, "lo": -16.0, "hi": 16.0}])
         from pilotwave.fields import PhysicalParams
-        params = PhysicalParams(1.0, (1.0,))
-        psi = init_gaussian(g, [-2.0], [1.0], [1.0], params=params)
+        params = PhysicalParams((1.0,))
+        psi = init_gaussian(g, [-2.0], [1.0], [1.0])
         H = HamiltonianSpec(())
         sched = Schedule(0.0, 0.5, 0.005, 10)
         rec = evolve(psi, H, sched, params)
@@ -167,9 +208,9 @@ class TestCoevolve:
     def test_component_sum_is_linear(self):
         g = make_grid([{"points": 128, "lo": -16.0, "hi": 16.0}])
         from pilotwave.fields import PhysicalParams
-        params = PhysicalParams(1.0, (1.0,))
-        pa = init_gaussian(g, [-3.0], [1.0], [1.0], params=params)
-        pb = init_gaussian(g, [3.0], [1.0], [-1.0], params=params)
+        params = PhysicalParams((1.0,))
+        pa = init_gaussian(g, [-3.0], [1.0], [1.0])
+        pb = init_gaussian(g, [3.0], [1.0], [-1.0])
         total = WaveFunction(g, (pa.amplitudes + pb.amplitudes) / np.sqrt(2))
         H = HamiltonianSpec(())
         sched = Schedule(0.0, 0.5, 0.005, 10)
@@ -183,8 +224,8 @@ class TestCoevolve:
         # packet moving at v = p/m: the probe at its center rides along
         g = make_grid([{"points": 256, "lo": -16.0, "hi": 16.0}])
         from pilotwave.fields import PhysicalParams
-        params = PhysicalParams(1.0, (1.0,))
-        psi = init_gaussian(g, [-4.0], [1.0], [2.0], params=params)
+        params = PhysicalParams((1.0,))
+        psi = init_gaussian(g, [-4.0], [1.0], [2.0])
         sched = Schedule(0.0, 2.0, 0.005, 20)
         res = coevolve([psi], HamiltonianSpec(()), sched, params,
                        np.array([[-4.0]]))
@@ -260,13 +301,6 @@ class TestInterferenceScenario:
         b = np.asarray(interference_report.metrics["l1_series"])
         assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_single_packet_inconclusive(self):
-        spec = builtin_spec("interference", FAST_INTERFERENCE + (
-            'packets=[{"coefficient": 1.0, "centers": [-5.0],'
-            ' "sigmas": [0.7], "momenta": [3.0]}]',))
-        rep = run_interference_scenario(spec)
-        assert rep.verdicts["overlap_reached"] == "inconclusive"
-        assert rep.verdict == "inconclusive"
 
 
 @pytest.fixture(scope="module")
