@@ -9,7 +9,9 @@ where K is the kinetic operator, the sum over axes of k^2/2m in units where
 quadratic terms of `TERM_KINDS` (diagonal in position space), and C the
 optional measurement coupling g * x_source * p_target, applied as a spectral
 phase along the target axis; tau is the overlap of [t, t+dt) with the
-coupling gate, so gate edges need not align with step boundaries.  Every
+coupling gate, so gate edges need not align with step boundaries.  Windows
+and the gate share one overlap rule (`_step_overlap`): a step inside gets
+exactly dt, and an overlap within rounding of t + dt counts as none.  Every
 factor is exactly unitary, making the composition second-order accurate and
 norm-preserving to rounding.
 
@@ -196,6 +198,22 @@ def _overlap(lo, hi, t0, t1):
     return max(0.0, min(hi, t1) - max(lo, t0))
 
 
+# a step's overlap with a window or the gate of at most this many ulps of
+# its end t + dt is the rounding of t + dt, not time inside the window
+SLIVER_ULPS = 4
+
+
+def _step_overlap(lo, hi, t, dt):
+    """Overlap of the step [t, t+dt) with [lo, hi): exactly dt when the step
+    lies inside, 0 for a sliver (at most SLIVER_ULPS ulps of t + dt), else
+    `_overlap`."""
+    t1 = t + dt
+    if lo <= t and t1 <= hi:
+        return dt
+    tau = _overlap(lo, hi, t, t1)
+    return tau if tau > SLIVER_ULPS * math.ulp(t1) else 0.0
+
+
 class SplitOperator:
     """Precomputed split-step engine for one (grid, params, H, dt)."""
 
@@ -236,10 +254,8 @@ class SplitOperator:
             self._ktarget = grid.k_mesh(c.target_axis)
 
     def _window_overlaps(self, t):
-        """Overlap of [t, t+dt) with each window; exactly dt when covered."""
-        t1 = t + self.dt
-        return tuple(self.dt if t_on <= t and t1 <= t_off
-                     else _overlap(t_on, t_off, t, t1)
+        """Overlap of [t, t+dt) with each window (`_step_overlap`)."""
+        return tuple(_step_overlap(t_on, t_off, t, self.dt)
                      for (t_on, t_off), _ in self._windowed)
 
     def _v_half_phase(self, t):
@@ -264,11 +280,12 @@ class SplitOperator:
         return phase
 
     def _gate_overlap(self, t):
-        """Overlap of [t, t+dt) with the coupling gate; 0 without one."""
+        """Overlap of [t, t+dt) with the coupling gate (`_step_overlap`);
+        0 without one."""
         c = self.H.coupling
         if c is None or c.strength == 0.0:
             return 0.0
-        return _overlap(c.t_on, c.t_off, t, t + self.dt)
+        return _step_overlap(c.t_on, c.t_off, t, self.dt)
 
     def _apply_coupling_half(self, amp, tau_half):
         """Coupling half-step; overwrites `amp`, which the caller owns."""

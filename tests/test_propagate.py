@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -230,7 +232,9 @@ class TestEvolve:
 
 
 # Reference implementation: the step that evaluates the windowed potential
-# phase afresh with the overlap (t+dt) - t and transforms out of place.
+# phase afresh with the overlap (t+dt) - t and transforms out of place; it
+# takes the gate's overlap from the operator, whose rule
+# `test_gate_steps_use_dt` and the sliver tests check.
 
 def _oracle_v_half_phase(op, t):
     active = [(w, v) for (w, v) in op._windowed
@@ -251,10 +255,7 @@ def _oracle_step_array(op, amp, t):
         return sfft.ifft(ft, axis=c.target_axis)
 
     expv = _oracle_v_half_phase(op, t)
-    tau = 0.0
-    c = op.H.coupling
-    if c is not None and c.strength != 0.0:
-        tau = _overlap(c.t_on, c.t_off, t, t + op.dt)
+    tau = op._gate_overlap(t)
     amp = expv * amp
     if tau > 0.0:
         amp = coupling_half(amp, tau / 2.0)
@@ -344,6 +345,18 @@ class TestStepArrayOracle:
                                        atol=1e-14 * np.max(np.abs(want)))
             amp = got
         # the old overlap (t+dt) - t is not dt at some of these steps
+        assert inexact > 0
+
+    def test_gate_steps_use_dt(self):
+        # the gate takes the windows' rule: dt exactly for a step inside,
+        # the plain overlap for a step across an edge
+        op, _ = windowed_operator((32, 24))
+        inexact = 0
+        for t in TIMES:
+            raw = _overlap(*GATE, t, t + DT)
+            inside = GATE[0] <= t and t + DT <= GATE[1]
+            assert op._gate_overlap(t) == (DT if inside else raw)
+            inexact += inside and raw != DT
         assert inexact > 0
 
     def test_one_cached_phase_dropped_after_window(self):
@@ -460,18 +473,35 @@ class TestFreeFlight:
         op, _ = windowed_operator((32, 24))
         assert not any(op.is_free(t) for t in TIMES)
 
-    def test_gate_sliver_is_not_free(self):
+    @staticmethod
+    def sliver_operator():
         # preparation_short's gate (0.35, 0.4) at dt 0.0125: the step from
-        # t_27 ends a rounding error past the gate's start
-        g, params, _ = free_wave((16, 12))
+        # t_27 ends one ulp of t + dt past the gate's start
+        g, params, amp = free_wave((16, 12))
         sched = Schedule(0.0, 0.45, 0.0125)
         H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 6.0, 0.35, 0.4))
-        op = SplitOperator(g, params, H, sched.dt)
+        return SplitOperator(g, params, H, sched.dt), sched, amp
+
+    def test_gate_sliver_is_free(self):
+        op, sched, _ = self.sliver_operator()
         t = sched.time_at(27)
-        assert 0.0 < op._gate_overlap(t) < 1e-15
-        assert not op.is_free(t)
-        assert op.is_free(sched.time_at(26))
+        assert 0.0 < _overlap(0.35, 0.4, t, t + sched.dt) <= math.ulp(t + sched.dt)
+        assert op._gate_overlap(t) == 0.0
+        assert op.is_free(t) and op.is_free(sched.time_at(26))
         assert not op.is_free(sched.time_at(28))
+
+    def test_gate_sliver_applies_no_coupling(self, monkeypatch):
+        op, sched, amp = self.sliver_operator()
+        calls = []
+
+        def spy(amp, tau_half, _orig=op._apply_coupling_half):
+            calls.append(tau_half)
+            return _orig(amp, tau_half)
+        monkeypatch.setattr(op, "_apply_coupling_half", spy)
+        op.step_array(amp, sched.time_at(27))
+        assert calls == []
+        op.step_array(amp, sched.time_at(28))
+        assert calls == [sched.dt / 2.0] * 2
 
     def test_window_steps_then_one_jump_per_interval(self, monkeypatch):
         # decoherence's schedule: a window over the first 150 of 1200 steps,
