@@ -23,12 +23,8 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Per-axis masses (default 1.0).
-
-    The engine works in units where ħ = 1: masses, momenta, potential
-    strengths and times absorb it, so the kinetic term is k^2/2m and the
-    guidance law Im(d Psi / Psi)/m.
-    """
+    """Per-axis masses (default 1.0), in units where ħ = 1: masses, momenta,
+    potential strengths and times absorb it."""
 
     masses: tuple = (1.0,)
 

@@ -4,10 +4,10 @@ The guidance law is the standard de Broglie-Bohm form
 
     v_i = Im( d_i Psi / Psi ) / m_i
 
-in units where ħ = 1, with the gradient evaluated spectrally.  Cells where |Psi| drops below
-EPS_NODE * max|Psi| are flagged nodal; their velocity is filled from the
-nearest non-nodal cell and, when a query stencil touches a nodal cell during
-stepping, the speed is capped at dx/dt for that step.
+in units where ħ = 1, with the gradient evaluated spectrally.  Cells where
+|Psi| drops below EPS_NODE * max|Psi| are flagged nodal; their velocity is
+filled from the nearest non-nodal cell and, when a query stencil touches a
+nodal cell during stepping, the speed is capped at dx/dt for that step.
 
 A group of one particle (`group_field`) reads a probe-local field instead
 of a complete one.  It holds the wave and the nodal mask, and evaluates the

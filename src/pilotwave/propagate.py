@@ -89,20 +89,16 @@ class PotentialTerm:
 
     def __post_init__(self):
         if self.kind not in TERM_KINDS:
-            raise FieldError(f"unknown potential kind {self.kind!r}; "
-                             f"expected one of {', '.join(TERM_KINDS)}")
+            raise FieldError(f"unknown potential kind {self.kind!r}")
         n_axes, names = TERM_KINDS[self.kind]
         if len(self.axes) != n_axes:
-            raise FieldError(f"{self.kind} term binds {n_axes} "
-                             f"{'axis' if n_axes == 1 else 'axes'}, "
-                             f"got axes {list(self.axes)}")
+            raise FieldError(f"{self.kind} term needs {n_axes} axes in `axes`, "
+                             f"got {list(self.axes)}")
         if sorted(self.params) != sorted(names):
-            raise FieldError(f"{self.kind} term takes parameters "
-                             f"{', '.join(names)}; got "
-                             f"{', '.join(self.params) or 'none'}")
+            raise FieldError(f"{self.kind} term takes params {list(names)}, "
+                             f"got {list(self.params)}")
         if self.window is not None and not self.window[1] > self.window[0]:
-            raise FieldError(f"{self.kind} term window {tuple(self.window)} "
-                             "needs t_off > t_on")
+            raise FieldError(f"{self.kind} window {self.window} needs t_off > t_on")
 
     @staticmethod
     def make(kind, axes, window=None, **params):
@@ -204,9 +200,8 @@ SLIVER_ULPS = 4
 
 
 def _step_overlap(lo, hi, t, dt):
-    """Overlap of the step [t, t+dt) with [lo, hi): exactly dt when the step
-    lies inside, 0 for a sliver (at most SLIVER_ULPS ulps of t + dt), else
-    `_overlap`."""
+    """Overlap of the step [t, t+dt) with [lo, hi): dt when the step lies
+    inside, 0 for a sliver of at most SLIVER_ULPS ulps of t + dt."""
     t1 = t + dt
     if lo <= t and t1 <= hi:
         return dt
@@ -280,8 +275,7 @@ class SplitOperator:
         return phase
 
     def _gate_overlap(self, t):
-        """Overlap of [t, t+dt) with the coupling gate (`_step_overlap`);
-        0 without one."""
+        """Overlap of [t, t+dt) with the gate (`_step_overlap`); 0 without."""
         c = self.H.coupling
         if c is None or c.strength == 0.0:
             return 0.0

@@ -200,10 +200,6 @@ def _grid_of(spec):
     return make_grid(spec["grid"])
 
 
-def _params_of(spec):
-    return PhysicalParams(tuple(spec["physical"]["masses"]))
-
-
 def _schedule_of(spec):
     s = spec["schedule"]
     return Schedule(s["t_start"], s["t_end"], s["dt"], s.get("stride", 1))
@@ -249,8 +245,8 @@ def _components_of(spec, grid, hamiltonian):
 
 def _simulation_of(spec):
     """Grid, physical parameters, schedule and Hamiltonian of a spec."""
-    return (_grid_of(spec), _params_of(spec), _schedule_of(spec),
-            _hamiltonian_of(spec))
+    return (_grid_of(spec), PhysicalParams(tuple(spec["physical"]["masses"])),
+            _schedule_of(spec), _hamiltonian_of(spec))
 
 
 def _evolve_packets(spec):

@@ -10,7 +10,7 @@ from pilotwave.fields import (
 )
 from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
-    PropagationError, SplitOperator, evolve, _overlap,
+    PropagationError, SplitOperator, evolve, potential_grid, _overlap,
 )
 from pilotwave.scenarios import coevolve
 
@@ -559,6 +559,35 @@ def grid3d():
     return make_grid([{"points": 16, "lo": -8.0, "hi": 8.0},
                       {"points": 12, "lo": -6.0, "hi": 6.0},
                       {"points": 16, "lo": -12.0, "hi": 12.0}])
+
+
+class TestPotentialTerm:
+    @pytest.mark.parametrize("args, match", [
+        (("gaussian_barrier", [0], None, {"height": 1.0, "width": 1.0}),
+         "unknown potential kind 'gaussian_barrier'"),
+        (("custom_grid", [0], None, {"values": [0.0] * 8}), "unknown"),
+        (("harmonic", [0, 1], None, {"omega": 1.0}), "needs 1 axes"),
+        (("linear_coupling", [0], None, {"strength": 1.0}), "needs 2 axes"),
+        (("harmonic", [0], None, {"omgea": 1.0}), "takes params"),
+        (("harmonic", [0], None, {}), "takes params"),
+        (("harmonic", [0], None, {"omega": 1.0, "center": 0.5}), "takes params"),
+        (("linear_coupling", [0, 1], (0.3, 0.3), {"strength": 1.0}),
+         "needs t_off > t_on"),
+    ])
+    def test_checked_where_made(self, args, match):
+        kind, axes, window, params = args
+        with pytest.raises(FieldError, match=match):
+            PotentialTerm.make(kind, axes, window=window, **params)
+
+    def test_quadratic_profiles(self):
+        g = grid3d()
+        x, y = g.mesh(0), g.mesh(1)
+        np.testing.assert_array_equal(
+            potential_grid(g, PotentialTerm.make("harmonic", [0], omega=1.5)),
+            0.5 * 1.5 ** 2 * x ** 2)
+        np.testing.assert_array_equal(potential_grid(
+            g, PotentialTerm.make("linear_coupling", [0, 1], strength=2.0)),
+            2.0 * x * y)
 
 
 class TestBlocks:
