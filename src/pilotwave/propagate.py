@@ -92,7 +92,7 @@ class PotentialTerm:
             raise FieldError(f"unknown potential kind {self.kind!r}")
         n_axes, names = TERM_KINDS[self.kind]
         if len(self.axes) != n_axes:
-            raise FieldError(f"{self.kind} term needs {n_axes} axes in `axes`, "
+            raise FieldError(f"{self.kind} term takes len(axes) == {n_axes}, "
                              f"got {list(self.axes)}")
         if sorted(self.params) != sorted(names):
             raise FieldError(f"{self.kind} term takes params {list(names)}, "

@@ -566,8 +566,8 @@ class TestPotentialTerm:
         (("gaussian_barrier", [0], None, {"height": 1.0, "width": 1.0}),
          "unknown potential kind 'gaussian_barrier'"),
         (("custom_grid", [0], None, {"values": [0.0] * 8}), "unknown"),
-        (("harmonic", [0, 1], None, {"omega": 1.0}), "needs 1 axes"),
-        (("linear_coupling", [0], None, {"strength": 1.0}), "needs 2 axes"),
+        (("harmonic", [0, 1], None, {"omega": 1.0}), r"len\(axes\) == 1"),
+        (("linear_coupling", [0], None, {"strength": 1.0}), r"len\(axes\) == 2"),
         (("harmonic", [0], None, {"omgea": 1.0}), "takes params"),
         (("harmonic", [0], None, {}), "takes params"),
         (("harmonic", [0], None, {"omega": 1.0, "center": 0.5}), "takes params"),
