@@ -88,18 +88,27 @@ def _schema():
         return json.load(fh)
 
 
-# what each kind requires: grid axes, packets (None: any number), top-level
-# or coupling blocks, roles; the two-packet analyses read packets 0 and 1
+# each kind's axis layout is fixed: the system is axis 0, the pointer axis 1
+# (measurement, preparation) and the environment the last axis; the gate
+# couples system -> pointer and the env coupling binds the environment and
+# the axis before it
+SYSTEM_AXIS = 0
+POINTER_AXIS = 1
+# interference's equilibrium ensemble reads every 5th snapshot
+ENSEMBLE_STRIDE = 5
+
+# what each kind requires: grid axes and top-level or coupling blocks; a
+# kind takes no other block but potentials and thresholds, and every kind
+# with packets takes exactly two, whose analyses read packets 0 and 1
 _REQUIRES = {
-    "interference": (1, 2, ("packets", "ensemble"), ()),
-    "decoherence": (2, 2, ("packets", "couplings.env"),
-                    ("system_axis", "env_axis")),
-    "measurement": (2, None, ("packets", "couplings.gate", "ensemble"),
-                    ("system_axis", "pointer_axis")),
-    "preparation": (3, 2, ("packets", "couplings.env", "couplings.gate"),
-                    ("system_axis", "pointer_axis", "env_axis")),
-    "relaxation": (2, None, ("relaxation", "ensemble"), ()),
+    "interference": (1, ("packets", "ensemble")),
+    "decoherence": (2, ("packets", "couplings.env")),
+    "measurement": (2, ("packets", "couplings.gate", "ensemble")),
+    "preparation": (3, ("packets", "couplings.env", "couplings.gate")),
+    "relaxation": (2, ("relaxation", "ensemble")),
 }
+_COMMON = ("kind", "seed", "grid", "physical", "schedule", "potentials",
+           "thresholds")
 
 
 def validate_spec_dict(d):
@@ -113,7 +122,7 @@ def validate_spec_dict(d):
     ndim = len(d["grid"])
     if len(d["physical"]["masses"]) != ndim:
         raise SpecError("physical.masses: need one mass per grid axis")
-    n_axes, n_packets, blocks, roles = _REQUIRES[kind]
+    n_axes, blocks = _REQUIRES[kind]
     if ndim != n_axes:
         raise SpecError(f"grid: kind {kind!r} needs {n_axes} axes")
     for block in blocks:
@@ -122,10 +131,14 @@ def validate_spec_dict(d):
             node = node.get(key) or {}
         if not node:
             raise SpecError(f"{block}: required for kind {kind!r}")
+    taken = {*_COMMON, *blocks, *(b.split(".")[0] for b in blocks)}
+    for block in [*d, *(f"couplings.{k}" for k in d.get("couplings", {}))]:
+        if block not in taken:
+            raise SpecError(f"{block}: not taken by kind {kind!r}")
     if "packets" in blocks:
-        if n_packets is not None and len(d["packets"]) != n_packets:
-            raise SpecError(f"packets: kind {kind!r} needs {n_packets} "
-                            f"packets, got {len(d['packets'])}")
+        if len(d["packets"]) != 2:
+            raise SpecError(f"packets: kind {kind!r} needs 2 packets, "
+                            f"got {len(d['packets'])}")
         for i, p in enumerate(d["packets"]):
             for key in ("centers", "sigmas", "momenta"):
                 if key in p and len(p[key]) != ndim:
@@ -133,11 +146,11 @@ def validate_spec_dict(d):
         total = sum(p["coefficient"] ** 2 for p in d["packets"])
         if abs(total - 1.0) > 1e-9:
             raise SpecError("packets: squared coefficients must sum to 1")
-    for key in roles:
-        if key not in d.get("roles", {}):
-            raise SpecError(f"roles.{key}: required for kind {kind!r}")
-        if not 0 <= d["roles"][key] < ndim:
-            raise SpecError(f"roles.{key}: axis out of range")
+        # measurement labels its branches by the pointer's two sides
+        s0, s1 = (p["centers"][SYSTEM_AXIS] for p in d["packets"])
+        if kind == "measurement" and s0 * s1 >= 0:
+            raise SpecError("packets: kind 'measurement' needs its packets "
+                            "on opposite sides of s = 0")
     thr = dict(DEFAULT_THRESHOLDS[kind])
     for k, v in d.get("thresholds", {}).items():
         if k not in thr:
@@ -205,13 +218,19 @@ def _schedule_of(spec):
     return Schedule(s["t_start"], s["t_end"], s["dt"], s.get("stride", 1))
 
 
+def _env_axis(spec):
+    """The environment: the last axis."""
+    return len(spec["grid"]) - 1
+
+
 def _potential_terms(spec):
     terms = [PotentialTerm(t["kind"], tuple(t["axes"]), dict(t["params"]))
              for t in spec.get("potentials", [])]
     env = spec.get("couplings", {}).get("env")
     if env is not None and env["strength"] != 0.0:
+        e = _env_axis(spec)
         terms.append(PotentialTerm.make(
-            "linear_coupling", env["axes"],
+            "linear_coupling", (e - 1, e),
             window=(env["t_on"], env["t_off"]), strength=env["strength"]))
     return tuple(terms)
 
@@ -220,7 +239,7 @@ def _hamiltonian_of(spec):
     gate = spec.get("couplings", {}).get("gate")
     coupling = None
     if gate is not None and gate["strength"] != 0.0:
-        coupling = MeasurementCoupling(gate["source_axis"], gate["target_axis"],
+        coupling = MeasurementCoupling(SYSTEM_AXIS, POINTER_AXIS,
                                        gate["strength"], gate["t_on"],
                                        gate["t_off"])
     return HamiltonianSpec(_potential_terms(spec), coupling)
@@ -405,14 +424,14 @@ def _order_preserved(positions):
     return bool(np.all(np.diff(sorted_paths, axis=1) >= -1e-12))
 
 
-def _lobe_metrics(psi, axis):
-    """Pointer lobes either side of 0 along `axis`.
+def _lobe_metrics(psi):
+    """Pointer lobes either side of 0.
 
     Returns the masses below and above 0 and the marginal density at 0
     relative to its maximum.
     """
-    marg = marginal_density(psi, axis).values
-    coords = psi.grid.axis_coords(axis)
+    marg = marginal_density(psi, POINTER_AXIS).values
+    coords = psi.grid.axis_coords(POINTER_AXIS)
     dx = coords[1] - coords[0]
     below = float(np.sum(marg[coords < 0.0]) * dx)
     above = float(np.sum(marg[coords >= 0.0]) * dx)
@@ -460,7 +479,7 @@ class _BranchPair:
     eq3: float                 # density identity at t=0, split at mid
 
 
-def _branch_pair(spec, axis):
+def _branch_pair(spec):
     """Evolve each packet; L1(t), full record, probe and density identity."""
     recs = _evolve_packets(spec)
     l1 = np.asarray([interference_term(recs[0].wave_at(i), recs[1].wave_at(i))[1]
@@ -468,10 +487,10 @@ def _branch_pair(spec, axis):
     full = _full_record(recs)
     drift = float(np.max(np.abs(full.norms - full.norms[0])))
     dev = single_branch_error(full, recs[0], _probe_start(spec))
-    mid = 0.5 * (spec["packets"][0]["centers"][axis]
-                 + spec["packets"][1]["centers"][axis])
+    mid = 0.5 * (spec["packets"][0]["centers"][SYSTEM_AXIS]
+                 + spec["packets"][1]["centers"][SYSTEM_AXIS])
     return _BranchPair(recs, full, l1, drift, dev, mid,
-                       _eq3_residual(full.wave_at(0), axis, mid))
+                       _eq3_residual(full.wave_at(0), SYSTEM_AXIS, mid))
 
 
 def _density_block(psi, axis, t):
@@ -505,7 +524,7 @@ def run_interference_scenario(spec):
     grid = _grid_of(spec)
     dx = grid.dxs[0]
 
-    pair = _branch_pair(spec, 0)
+    pair = _branch_pair(spec)
     full, l1, times = pair.full, pair.l1, pair.full.times
     i_peak = int(np.argmax(l1))
     metrics = {"times": times.tolist(), "l1_series": l1.tolist(),
@@ -547,8 +566,7 @@ def run_interference_scenario(spec):
 
     # equilibrium ensemble: no-crossing, node safety, equivariance
     n = spec["ensemble"]["n_particles"]
-    ens = run_ensemble(full, n, spec["seed"],
-                       stride=spec["ensemble"].get("stride", 1))
+    ens = run_ensemble(full, n, spec["seed"], stride=ENSEMBLE_STRIDE)
     metrics["degenerate_fraction"] = ens.degenerate_fraction()
     metrics["order_preserved"] = _order_preserved(ens.positions)
     verdicts["no_crossing"] = _vd(metrics["order_preserved"])
@@ -578,12 +596,10 @@ def run_interference_scenario(spec):
 
 def _decoherence_metrics(spec):
     """Branch evolution, r(t), L1(t), and the single-branch deviation."""
-    sys_axis = spec["roles"]["system_axis"]
-    env_axis = spec["roles"]["env_axis"]
-    pair = _branch_pair(spec, sys_axis)
+    pair = _branch_pair(spec)
     recs, full, dev, times = pair.recs, pair.full, pair.dev, pair.full.times
     r_series = np.asarray([
-        overlap_factor(recs[0].wave_at(i), recs[1].wave_at(i), env_axis)
+        overlap_factor(recs[0].wave_at(i), recs[1].wave_at(i), _env_axis(spec))
         for i in range(len(times))])
     i_gate = _index_at(times, spec["couplings"]["env"]["t_off"])
     i_rec = int(np.argmax(pair.l1))
@@ -602,7 +618,7 @@ def _decoherence_metrics(spec):
         "deviation_series": dev.deviations.tolist(),
         "norm_drift": pair.norm_drift,
         "eq3_residual": pair.eq3,
-        "density": _density_block(full.wave_at(i_rec), sys_axis,
+        "density": _density_block(full.wave_at(i_rec), SYSTEM_AXIS,
                                   times[i_rec]),
         "trajectories": _trajectory_block(
             dev.full.times, [dev.full.positions, dev.branch.positions],
@@ -615,7 +631,7 @@ def run_decoherence_scenario(spec):
         raise SpecError("kind: expected decoherence")
     t0 = _time.time()
     thr = spec["thresholds"]
-    dx = _grid_of(spec).dxs[spec["roles"]["system_axis"]]
+    dx = _grid_of(spec).dxs[SYSTEM_AXIS]
 
     metrics = _decoherence_metrics(spec)
     twin = _decoherence_metrics(_twin_spec(spec))
@@ -643,14 +659,13 @@ def run_decoherence_scenario(spec):
 
 def _system_reference_record(spec, packet_index):
     """1D record of one system packet evolved under the system axis alone."""
-    sys_axis = spec["roles"]["system_axis"]
-    grid1 = make_grid([spec["grid"][sys_axis]])
-    params1 = PhysicalParams((spec["physical"]["masses"][sys_axis],))
+    grid1 = make_grid([spec["grid"][SYSTEM_AXIS]])
+    params1 = PhysicalParams((spec["physical"]["masses"][SYSTEM_AXIS],))
     p = spec["packets"][packet_index]
-    psi = init_gaussian(grid1, [p["centers"][sys_axis]],
-                        [p["sigmas"][sys_axis]],
-                        [p.get("momenta", [0.0] * len(p["centers"]))[sys_axis]])
-    return evolve(psi, _hamiltonian_of(spec).restrict((sys_axis,)),
+    psi = init_gaussian(grid1, [p["centers"][SYSTEM_AXIS]],
+                        [p["sigmas"][SYSTEM_AXIS]],
+                        [p.get("momenta", [0.0])[SYSTEM_AXIS]])
+    return evolve(psi, _hamiltonian_of(spec).restrict((SYSTEM_AXIS,)),
                   _schedule_of(spec), params1)
 
 
@@ -660,7 +675,6 @@ def run_measurement_scenario(spec):
     t0 = _time.time()
     grid, params, sched, H = _simulation_of(spec)
     thr = spec["thresholds"]
-    ptr = spec["roles"]["pointer_axis"]
 
     comps = _components_of(spec, grid, H)
     full0 = WaveFunction(grid, sum(c.amplitudes for c in comps))
@@ -675,7 +689,7 @@ def run_measurement_scenario(spec):
     verdicts = {}
 
     # pointer marginal lobes at the end
-    below, above, gap_rel = _lobe_metrics(psi_end, ptr)
+    below, above, gap_rel = _lobe_metrics(psi_end)
     metrics["lobe_mass_below"] = below
     metrics["lobe_mass_above"] = above
     metrics["lobe_gap_rel"] = gap_rel
@@ -694,9 +708,9 @@ def run_measurement_scenario(spec):
     sgn = 1.0 if gate["strength"] * tau > 0 else -1.0
     masks = []
     for p in spec["packets"]:
-        s_c = p["centers"][spec["roles"]["system_axis"]]
+        s_c = p["centers"][SYSTEM_AXIS]
         side = "below" if sgn * s_c < 0 else "above"
-        masks.append(halfspace_mask(grid, ptr, 0.0, side, f"R{side}"))
+        masks.append(halfspace_mask(grid, POINTER_AXIS, 0.0, side, f"R{side}"))
 
     labels = occupancy_labels(grid, positions[-1], masks)
     metrics["occupancy"] = {}
@@ -715,8 +729,8 @@ def run_measurement_scenario(spec):
         if len(occupants) == 0:
             metrics["fidelity"][m.label] = None
             continue
-        a_rep = float(np.median(occupants[:, ptr]))
-        eff = effective_wavefunction(psi_end, ptr, a_rep)
+        a_rep = float(np.median(occupants[:, POINTER_AXIS]))
+        eff = effective_wavefunction(psi_end, POINTER_AXIS, a_rep)
         ref_rec = _system_reference_record(spec, i)
         ref = normalize(ref_rec.wave_at(-1))
         fid = float(abs(np.vdot(eff.amplitudes, ref.amplitudes))
@@ -731,12 +745,11 @@ def run_measurement_scenario(spec):
     verdicts["node_safety"] = _vd(
         metrics["degenerate_fraction"] < thr["degenerate_max_fraction"])
 
-    metrics["density"] = _density_block(psi_end, ptr, sched.t_end)
+    metrics["density"] = _density_block(psi_end, POINTER_AXIS, sched.t_end)
     metrics["trajectories"] = _some_paths(result.times, positions)
 
-    # identity check on a proper pointer-axis partition (occupancy masks may
-    # coincide for single-packet specs)
-    metrics["eq3_residual"] = _eq3_residual(psi_end, ptr, 0.0)
+    # identity check on the pointer's two halfspaces at 0
+    metrics["eq3_residual"] = _eq3_residual(psi_end, POINTER_AXIS, 0.0)
     verdicts["density_identity"] = _vd(metrics["eq3_residual"] <= thr["eq3_max"])
 
     metrics["norm_end"] = float(psi_end.norm())
@@ -748,8 +761,7 @@ def run_measurement_scenario(spec):
 
 def _preparation_metrics(spec):
     grid, params, sched, H = _simulation_of(spec)
-    roles = spec["roles"]
-    s_ax, a_ax, e_ax = roles["system_axis"], roles["pointer_axis"], roles["env_axis"]
+    e_ax = _env_axis(spec)
     gate = spec["couplings"]["gate"]
 
     comps = _components_of(spec, grid, H)
@@ -765,8 +777,8 @@ def _preparation_metrics(spec):
         row = {"t": t, "r": r, "l1": l1}
         if obs_state["gate_close"] is None and t >= gate["t_off"]:
             total = WaveFunction(grid, amps[0] + amps[1], t)
-            below, above, gap = _lobe_metrics(total, a_ax)
-            obs_state["eq3"] = _eq3_residual(total, a_ax, 0.0)
+            below, above, gap = _lobe_metrics(total)
+            obs_state["eq3"] = _eq3_residual(total, POINTER_AXIS, 0.0)
             obs_state["gate_close"] = {
                 "t": t, "lobe_mass_below": below, "lobe_mass_above": above,
                 "lobe_gap_rel": gap}
@@ -776,13 +788,14 @@ def _preparation_metrics(spec):
 
     # reference: the prepared eigenstate alone, on the system axis
     ref_rec = _system_reference_record(spec, 0)
-    s0 = np.array([[x0[s_ax]]])
+    s0 = np.array([[x0[SYSTEM_AXIS]]])
     tr_ref = simulate_trajectories(ref_rec, s0)[0]
 
     times = result.times
     # the reference trajectory has the same times (same schedule and stride)
-    dev = _periodic_dev(grid.subgrid((s_ax,)),
-                        result.probe_paths[:, 0, [s_ax]], tr_ref.positions)
+    dev = _periodic_dev(grid.subgrid((SYSTEM_AXIS,)),
+                        result.probe_paths[:, 0, [SYSTEM_AXIS]],
+                        tr_ref.positions)
     post = times >= gate["t_off"]
 
     r_series = np.asarray([row["r"] for row in result.observations])
@@ -805,7 +818,7 @@ def _preparation_metrics(spec):
         "density": _density_block(
             WaveFunction(grid, sum(c.amplitudes
                                    for c in result.final_components)),
-            s_ax, sched.t_end),
+            SYSTEM_AXIS, sched.t_end),
         "trajectories": _trajectory_block(
             times, [result.probe_paths[:, 0], tr_ref.positions],
             ["full_wave_probe", "prepared_eigenstate_probe"]),
@@ -817,7 +830,7 @@ def run_preparation_scenario(spec):
         raise SpecError("kind: expected preparation")
     t0 = _time.time()
     thr = spec["thresholds"]
-    dx = _grid_of(spec).dxs[spec["roles"]["system_axis"]]
+    dx = _grid_of(spec).dxs[SYSTEM_AXIS]
 
     metrics = _preparation_metrics(spec)
     twin = _preparation_metrics(_twin_spec(spec))

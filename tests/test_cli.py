@@ -130,6 +130,33 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error:"), res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("via", ["file", "set"])
+    @pytest.mark.parametrize("kind, key, value", [
+        # the kind fixes the axis layout and the ensemble stride
+        ("decoherence", "roles.env_axis", 0),
+        ("decoherence", "couplings.env.axes", [1, 1]),
+        ("preparation", "couplings.gate.source_axis", 2),
+        ("interference", "ensemble.stride", 5),
+    ])
+    def test_removed_layout_key_exit_1_one_line(self, tmp_path, capsys, via,
+                                                kind, key, value):
+        spec = builtin_spec(kind)
+        overrides = ["--set", f"{key}={json.dumps(value)}"]
+        if via == "file":
+            *parents, last = key.split(".")
+            node = spec
+            for k in parents:
+                node = node.setdefault(k, {})
+            node[last] = value
+            overrides = []
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        code = main(["run", "--spec", str(p), "--out", str(tmp_path / "o"),
+                     *overrides])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_env_off_override_fails_by_design(self, tmp_path):
         spec = write_spec(tmp_path, "decoherence", FAST_DECOHERENCE)
         code = main(["run", "--spec", str(spec), "--out",

@@ -479,9 +479,9 @@ def test_system_reference_record_keeps_its_bits(kind):
     on the system axis alone, renumbered to axis 0, and no gate.  Equal
     Hamiltonians give the record the same bits."""
     from dataclasses import replace
-    from pilotwave.scenarios import _potential_terms, _system_reference_record
+    from pilotwave.scenarios import (
+        SYSTEM_AXIS, _potential_terms, _system_reference_record)
     spec = builtin_spec(kind)
-    sys_axis = spec["roles"]["system_axis"]
     terms = tuple(replace(t, axes=(0,)) for t in _potential_terms(spec)
-                  if t.axes == (sys_axis,))
+                  if t.axes == (SYSTEM_AXIS,))
     assert _system_reference_record(spec, 0).hamiltonian == HamiltonianSpec(terms)

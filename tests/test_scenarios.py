@@ -1,17 +1,20 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pilotwave.fields import WaveFunction, make_grid, init_gaussian, density
-from pilotwave.propagate import HamiltonianSpec, Schedule, evolve
+from pilotwave.propagate import (
+    HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule, evolve,
+)
 from pilotwave.scenarios import (
     KINDS, DEFAULT_THRESHOLDS, SpecError,
     validate_spec_dict, apply_overrides, spec_hash, load_spec, builtin_spec,
     coevolve, overall_verdict,
     run_interference_scenario, run_decoherence_scenario,
     run_measurement_scenario, run_relaxation_scenario,
-    run_preparation_scenario, run_scenario, _twin_spec,
+    run_preparation_scenario, run_scenario, _hamiltonian_of, _twin_spec,
 )
 
 FAST_INTERFERENCE = (
@@ -65,12 +68,6 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="couplings.env"):
             validate_spec_dict(d)
 
-    def test_missing_roles_rejected(self):
-        d = builtin_spec("preparation")
-        del d["roles"]["pointer_axis"]
-        with pytest.raises(SpecError, match="roles.pointer_axis"):
-            validate_spec_dict(d)
-
     def test_unknown_threshold_rejected(self):
         d = builtin_spec("interference")
         d["thresholds"] = {"frobnication_max": 1.0}
@@ -96,7 +93,8 @@ class TestSpecValidation:
             validate_spec_dict(d)
 
     # inputs every run used with one value are gone: hbar = 1, the probe
-    # starts at packet 0's center, potentials are static and quadratic
+    # starts at packet 0's center, potentials are static and quadratic, and
+    # the kind fixes the axis layout and interference's ensemble stride
     @pytest.mark.parametrize("kind, key, value, path", [
         ("interference", "physical.hbar", 1.0, r"physical: .*'hbar'"),
         ("interference", "probe", {"start": [-5.0]}, r"\(root\): .*'probe'"),
@@ -106,6 +104,16 @@ class TestSpecValidation:
          r"potentials\.0\.kind: 'gaussian_barrier'"),
         ("preparation", "potentials.0.kind", "custom_grid",
          r"potentials\.0\.kind: 'custom_grid'"),
+        ("preparation", "roles",
+         {"system_axis": 0, "pointer_axis": 1, "env_axis": 2},
+         r"\(root\): .*'roles'"),
+        ("measurement", "couplings.gate.source_axis", 0,
+         r"couplings\.gate: .*'source_axis'"),
+        ("measurement", "couplings.gate.target_axis", 1,
+         r"couplings\.gate: .*'target_axis'"),
+        ("decoherence", "couplings.env.axes", [0, 1],
+         r"couplings\.env: .*'axes'"),
+        ("interference", "ensemble.stride", 5, r"ensemble: .*'stride'"),
     ])
     def test_removed_inputs_rejected(self, kind, key, value, path):
         d = builtin_spec(kind)
@@ -118,7 +126,7 @@ class TestSpecValidation:
             validate_spec_dict(d)
 
     @pytest.mark.parametrize("kind", ["interference", "decoherence",
-                                      "preparation"])
+                                      "measurement", "preparation"])
     @pytest.mark.parametrize("count", [1, 3])
     def test_packet_count_rejected(self, kind, count):
         # the two-packet analyses read packets 0 and 1, and no others
@@ -130,11 +138,57 @@ class TestSpecValidation:
                            f"got {count}$"):
             validate_spec_dict(d)
 
-    def test_measurement_takes_any_packet_count(self):
+    def test_measurement_packets_on_one_side_rejected(self):
+        # both would land on one side of the pointer and share its label
         d = builtin_spec("measurement")
-        d["packets"] = [dict(p, coefficient=3 ** -0.5)
-                        for p in d["packets"] + d["packets"][:1]]
-        assert len(validate_spec_dict(d)["packets"]) == 3
+        d["packets"][1]["centers"][0] = -2.0
+        with pytest.raises(SpecError, match=r"^packets: .* opposite sides"):
+            validate_spec_dict(d)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("decoherence", "ensemble", {"n_particles": 100}),
+        ("preparation", "ensemble", {"n_particles": 100}),
+        ("relaxation", "packets",
+         [{"coefficient": 1.0, "centers": [0.0, 0.0], "sigmas": [1.0, 1.0]}]),
+        ("interference", "relaxation",
+         {"modes": 2, "subbox": [[0.0, 1.0]], "coarse_len": 0.5}),
+        ("interference", "couplings", {}),
+        ("decoherence", "couplings.gate",
+         {"strength": 1.0, "t_on": 0.0, "t_off": 0.1}),
+        ("measurement", "couplings.env",
+         {"strength": 1.0, "t_on": 0.0, "t_off": 0.1}),
+    ])
+    def test_block_not_taken_rejected(self, kind, key, value):
+        d = builtin_spec(kind)
+        *parents, last = key.split(".")
+        node = d
+        for k in parents:
+            node = node[k]
+        node[last] = value
+        with pytest.raises(SpecError, match=rf"^{re.escape(key)}: not taken "
+                           f"by kind '{kind}'$"):
+            validate_spec_dict(d)
+
+    def test_kind_fixes_the_axes(self):
+        # system axis 0, pointer axis 1, environment the last axis; the gate
+        # couples system -> pointer, the env term the environment and the
+        # axis before it
+        env = {"decoherence": PotentialTerm.make(
+                   "linear_coupling", (0, 1), window=(0.0, 0.3), strength=2.0),
+               "preparation": PotentialTerm.make(
+                   "linear_coupling", (1, 2), window=(0.0, 0.3), strength=5.0)}
+        harmonic = tuple(PotentialTerm.make("harmonic", (a,), omega=1.0)
+                         for a in (0, 1))
+        want = {
+            "decoherence": HamiltonianSpec((env["decoherence"],)),
+            "measurement": HamiltonianSpec(
+                (), MeasurementCoupling(0, 1, 10.0, 0.2, 0.25)),
+            "preparation": HamiltonianSpec(
+                harmonic + (env["preparation"],),
+                MeasurementCoupling(0, 1, 6.0, 0.35, 0.4)),
+        }
+        for kind, H in want.items():
+            assert _hamiltonian_of(builtin_spec(kind)) == H, kind
 
 
 class TestOverridesAndHash:
