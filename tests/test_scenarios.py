@@ -116,12 +116,8 @@ class TestSpecValidation:
         ("interference", "ensemble.stride", 5, r"ensemble: .*'stride'"),
     ])
     def test_removed_inputs_rejected(self, kind, key, value, path):
-        d = builtin_spec(kind)
-        *parents, last = key.split(".")
-        node = d
-        for k in parents:
-            node = node[int(k) if isinstance(node, list) else k]
-        node[last] = value
+        d = apply_overrides(builtin_spec(kind),
+                            (f"{key}={json.dumps(value)}",))
         with pytest.raises(SpecError, match=path):
             validate_spec_dict(d)
 
@@ -159,36 +155,29 @@ class TestSpecValidation:
          {"strength": 1.0, "t_on": 0.0, "t_off": 0.1}),
     ])
     def test_block_not_taken_rejected(self, kind, key, value):
-        d = builtin_spec(kind)
-        *parents, last = key.split(".")
-        node = d
-        for k in parents:
-            node = node[k]
-        node[last] = value
+        d = apply_overrides(builtin_spec(kind),
+                            (f"{key}={json.dumps(value)}",))
         with pytest.raises(SpecError, match=rf"^{re.escape(key)}: not taken "
                            f"by kind '{kind}'$"):
             validate_spec_dict(d)
 
-    def test_kind_fixes_the_axes(self):
-        # system axis 0, pointer axis 1, environment the last axis; the gate
-        # couples system -> pointer, the env term the environment and the
-        # axis before it
-        env = {"decoherence": PotentialTerm.make(
-                   "linear_coupling", (0, 1), window=(0.0, 0.3), strength=2.0),
-               "preparation": PotentialTerm.make(
-                   "linear_coupling", (1, 2), window=(0.0, 0.3), strength=5.0)}
-        harmonic = tuple(PotentialTerm.make("harmonic", (a,), omega=1.0)
-                         for a in (0, 1))
-        want = {
-            "decoherence": HamiltonianSpec((env["decoherence"],)),
-            "measurement": HamiltonianSpec(
-                (), MeasurementCoupling(0, 1, 10.0, 0.2, 0.25)),
-            "preparation": HamiltonianSpec(
-                harmonic + (env["preparation"],),
-                MeasurementCoupling(0, 1, 6.0, 0.35, 0.4)),
-        }
-        for kind, H in want.items():
-            assert _hamiltonian_of(builtin_spec(kind)) == H, kind
+    # system axis 0, pointer axis 1, environment the last axis; the gate
+    # couples system -> pointer, the env term binds the environment and the
+    # axis before it
+    @pytest.mark.parametrize("kind, H", [
+        ("decoherence", HamiltonianSpec((PotentialTerm.make(
+            "linear_coupling", (0, 1), window=(0.0, 0.3), strength=2.0),))),
+        ("measurement", HamiltonianSpec(
+            (), MeasurementCoupling(0, 1, 10.0, 0.2, 0.25))),
+        ("preparation", HamiltonianSpec(
+            (PotentialTerm.make("harmonic", (0,), omega=1.0),
+             PotentialTerm.make("harmonic", (1,), omega=1.0),
+             PotentialTerm.make("linear_coupling", (1, 2), window=(0.0, 0.3),
+                                strength=5.0)),
+            MeasurementCoupling(0, 1, 6.0, 0.35, 0.4))),
+    ])
+    def test_kind_fixes_the_axes(self, kind, H):
+        assert _hamiltonian_of(builtin_spec(kind)) == H
 
 
 class TestOverridesAndHash:
