@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import FieldError, WaveFunction, normalize
 from .guidance import (
-    Trajectory, interp_stencil, simulate_trajectories,
+    Trajectory, _grid_lists, _stencil_one, simulate_trajectories,
 )
 
 COVERAGE_TOL = 1e-6        # hard error if more probability mass is unmasked
@@ -221,8 +221,9 @@ def single_branch_error(full_record, branch_record, x0):
 
 
 def _density_at(grid, absamp, point):
-    flat, w = interp_stencil(grid, np.asarray(point, float)[None, :])
+    point = np.asarray(point, float).tolist()
+    flat, w, _ = _stencil_one(_grid_lists(grid), point)
     val = 0.0
-    for wc, a in zip(w[:, 0], absamp.reshape(-1).take(flat[:, 0])):
-        val += float(wc) * float(a) ** 2
+    for wc, a in zip(w, absamp.reshape(-1).take(flat)):
+        val += wc * float(a) ** 2
     return val

@@ -111,7 +111,7 @@ class Grid:
         y = np.asarray(coords, dtype=float) - los
         outside = ~((y >= 0.0) & (y < lengths))
         if outside.any():
-            y[outside] = np.mod(y[outside], np.broadcast_to(lengths, y.shape)[outside])
+            np.mod(y, lengths, out=y, where=outside)
         y += los
         return y
 

@@ -21,31 +21,33 @@ nodal, the field builds the complete `velocity_field` once, global
 nearest-cell fill included, and reads from it from then on.  A probe-local
 field has one reader, the one-particle kernel's `_read_corners`, which
 `velocity_at_many` also uses on such a field, point by point; the
-vectorized reader `_interp` completes a probe-local field before it reads
+vectorized reader `_sampler` completes a probe-local field before it reads
 one.
 
 `advance_interval` advances a group of two or more particles with numpy
-arrays (`_advance_many`).  A group of exactly one particle, as every probe
+arrays (`_advance_many`), reading both fields from one padded `_sampler`
+table per interval.  A group of exactly one particle, as every probe
 is, runs a kernel on Python floats (`_advance_one`) that skips numpy's
 per-call cost and touches numpy only to read the fields: `.item()` on a
 field's nodal mask and a complete field's components, and `_add_lines` for
 the lines a probe-local field lacks, whose cache holds Python lists.  The
 kernel repeats the vectorized path's IEEE operations in the same order, so
 both give the same bits:
-  - `Grid.wrap`: x - lo, `np.mod` only outside [0, L), then + lo;
-  - `interp_stencil`: `floor`, the integer `mod` and the hi-edge fix; bit i
-    of corner c selects the upper neighbour on axis i, and a corner's weight
+  - `Grid.wrap` at every stage: x - lo, `np.mod` only outside [0, L), + lo;
+  - the stencil: u = (x - lo) / dx, f = floor(u), frac = u - f; bit i of
+    corner c selects the upper neighbour on axis i (the kernel's integer
+    `mod` and the table's padding find the same cell), and a corner's weight
     is the product of its axes' weights in axis order;
-  - `_interp`: each component accumulated from 0.0 in corner order;
+  - each component accumulated from 0.0 in corner order;
   - the time blend (1 - f) * a + f * b;
   - the nodal speed cap: speed = sqrt(((0 + v0^2) + v1^2) ...), then
     v * (cap / speed);
   - the RK4 sum ((k1 + 2 k2) + 2 k3) + k4, and the freeze of a particle
-    whose stencil is nodal everywhere.
+    whose stencil is nodal everywhere at both time levels.
 A reordering there changes last bits, which a position update can absorb;
-tests compare the kernel's samples with `_sample`'s directly.  Where a stage
-point is not finite, the kernel raises RuntimeError at once; the vectorized
-path returns it and raises at the next interval.
+tests compare the kernel's samples with the table's directly.  Where a
+stage point is not finite, the kernel raises RuntimeError at once, and the
+vectorized path at the end of the interval.
 """
 
 import logging
@@ -204,51 +206,65 @@ def group_field(psi, params, n):
     return velocity_field(psi, params)
 
 
-def interp_stencil(grid, pts):
-    """Multilinear interpolation stencil for wrapped points of shape (M, D).
+def _sampler(fields):
+    """A reader of velocity fields that share one grid, through one table.
 
-    Returns (flat, weights), both of shape (2**D, M): row c is the corner
-    that takes the upper neighbour along axis i where bit i of c is set,
-    `flat` its index into the raveled grid and `weights` its weight.
+    The table stacks the fields' components, padded periodically by two
+    cells at the upper end of each axis: u = (x - lo) / dx of a wrapped point
+    may round to n, so a stencil's lower corner f on an axis lies in [0, n],
+    and its upper one is f + 1.  Two flags per lower corner mark stencils
+    with some corner nodal in some field (`touched`) and every corner nodal
+    in every field (`inside`).  A probe-local field becomes complete first.
+
+    Returns read(x): for points x of shape (D, M), each field's velocity,
+    shape (L, D, M), and each point's `touched` and `inside` flags.
     """
-    los, dxs, shape, strides = grid._stencil_arrays
-    u = (pts - los) / dxs
-    f = np.floor(u)
-    frac = (u - f).T
-    lo = np.mod(f.astype(np.int64), shape)
-    hi = lo + 1
-    hi[hi == shape] = 0
-    lo, hi = (lo * strides).T, (hi * strides).T
-    flat = np.concatenate([lo[:1], hi[:1]])
-    w = np.concatenate([1.0 - frac[:1], frac[:1]])
-    for i in range(1, grid.dims):
-        flat = np.concatenate([flat + lo[i], flat + hi[i]])
-        w = np.concatenate([w * (1.0 - frac[i]), w * frac[i]])
-    return flat, w
-
-
-def _interp(fields, flat, w):
-    """Interpolate velocity fields that share one grid at one stencil.
-
-    A probe-local field becomes complete first.
-
-    Returns (values, nodal): values of shape (L, M, D), one (M, D) block per
-    field, and the nodal flags of every stencil corner, shape (L, 2**D, M).
-    Corners are accumulated in stencil order; another order changes the
-    last bits of the result.
-    """
-    D = fields[0].grid.dims
-    vals = np.empty((len(fields), D) + flat.shape)
-    nodal = np.empty((len(fields),) + flat.shape, dtype=bool)
-    for k, vf in enumerate(fields):
+    grid = fields[0].grid
+    D = grid.dims
+    for vf in fields:
         if vf.components is None:
             vf._complete()
-        vf.nodal.reshape(-1).take(flat, out=nodal[k])
-        vf.components.reshape(D, -1).take(flat, axis=1, out=vals[k])
-    out = np.zeros(vals.shape[:2] + vals.shape[3:])
-    for c in range(len(w)):
-        out += w[c] * vals[:, :, c]
-    return out.transpose(0, 2, 1), nodal
+    pad = ((0, 0),) + ((0, 2),) * D
+    values = np.pad(np.concatenate([vf.components for vf in fields]), pad,
+                    mode="wrap")
+    nodal = np.pad(np.stack([vf.nodal for vf in fields]), pad, mode="wrap")
+    strides = [s // values.itemsize for s in values[0].strides]
+    # corner c takes the upper neighbour along axis i where bit i is set
+    bits = [[(c >> i) & 1 for i in range(D)] for c in range(1 << D)]
+    offsets = [int(np.dot(b, strides)) for b in bits]
+    corners = np.stack([nodal[(slice(None),) + tuple(
+        slice(k, k + n + 1) for k, n in zip(b, grid.shape))] for b in bits])
+    touched, inside = (np.pad(a, ((0, 1),) * D).reshape(-1) for a in (
+        corners.any(axis=(0, 1)), corners.all(axis=(0, 1))))
+    values = values.reshape(len(values), -1)
+    los, dxs = (a[:, None] for a in grid._stencil_arrays[:2])
+    shape = (len(fields), D)
+
+    def read(x):
+        u = grid.wrap(x.T).T
+        u -= los
+        u /= dxs
+        f = np.floor(u)
+        frac = np.subtract(u, f, out=u)
+        rest = 1.0 - frac
+        f = f.astype(np.int64)
+        low = f[-1]
+        for i in range(D - 1):
+            low = low + f[i] * strides[i]
+        w = [rest[0], frac[0]]
+        for i in range(1, D):
+            w = [c * rest[i] for c in w] + [c * frac[i] for c in w]
+        # corners accumulate from 0.0 in stencil order, as the kernel does
+        out = np.zeros((len(values), x.shape[1]))
+        corner = np.empty_like(out)
+        for c, off in zip(w, offsets):
+            values.take(low + off, axis=1, out=corner, mode="clip")
+            corner *= c
+            out += corner
+        return (out.reshape(shape + out.shape[1:]),
+                touched.take(low, mode="clip"), inside.take(low, mode="clip"))
+
+    return read
 
 
 def velocity_at_many(vfield, pts):
@@ -267,60 +283,21 @@ def velocity_at_many(vfield, pts):
                 for x in pts.tolist()]
         return (np.array([v for v, _ in read]).reshape(-1, grid.dims),
                 np.array([any(nodal) for _, nodal in read], dtype=bool))
-    flat, w = interp_stencil(grid, grid.wrap(pts))
-    (out,), (nodal,) = _interp((vfield,), flat, w)
-    return out, nodal.any(axis=0)
+    (out,), touched, _ = _sampler((vfield,))(
+        np.ascontiguousarray(pts.T, dtype=float))
+    return out.T, touched
 
 
-def _sample(vf0, vf1, pts):
-    """Both snapshots' velocities at points (M, D), from one shared stencil.
-
-    Returns (a, b, touched, inside): the velocities of vf0 and vf1, the
-    points whose stencil touches a nodal cell at either time level, and the
-    points whose entire stencil is nodal at both.
-    """
-    grid = vf0.grid
-    flat, w = interp_stencil(grid, grid.wrap(pts))
-    (a, b), nodal = _interp((vf0, vf1), flat, w)
-    return a, b, nodal.any(axis=(0, 1)), nodal.all(axis=(0, 1))
-
-
-def _rk4_many(vf0, vf1, pts, dt, f0=0.0, f1=1.0, first=None):
-    """Vectorized RK4 for dX/dt = v(X, t), v linearly interpolated in time.
-
-    The step covers the fraction [f0, f1] of the interval between the two
-    velocity-field snapshots; `first`, if given, is `_sample` at `pts`.
-    Returns (new positions, degenerate mask).
-    """
-    grid = vf0.grid
-
-    def eval_v(sample, frac):
-        a, b, touched, inside = sample
-        v = (1.0 - frac) * a + frac * b
-        if np.any(touched):
-            cap = min(grid.dxs) / dt
-            speed = np.sqrt(np.sum(v * v, axis=1))
-            over = touched & (speed > cap)
-            if np.any(over):
-                v[over] *= (cap / speed[over])[:, None]
-        return v, inside
-
-    fm = 0.5 * (f0 + f1)
-    if first is None:
-        first = _sample(vf0, vf1, pts)
-    k1, deep = eval_v(first, f0)
-    k2, _ = eval_v(_sample(vf0, vf1, pts + 0.5 * dt * k1), fm)
-    k3, _ = eval_v(_sample(vf0, vf1, pts + 0.5 * dt * k2), fm)
-    k4, _ = eval_v(_sample(vf0, vf1, pts + dt * k3), f1)
-    new = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # a particle whose entire stencil is nodal at both time levels sits in a
-    # region the regularization cannot resolve: freeze and flag it
-    degen = deep.copy()
-    if vf0.all_nodal or vf1.all_nodal:
-        degen[:] = True
-    if np.any(degen):
-        new[degen] = pts[degen]
-    return grid.wrap(new), degen
+def _velocity(sample, frac, cap):
+    """A stage's velocities (D, M): the time blend and the nodal speed cap."""
+    (a, b), touched, _ = sample
+    v = (1.0 - frac) * a + frac * b
+    if touched.any():
+        speed = np.sqrt(np.sum(v * v, axis=0))
+        over = touched & (speed > cap)
+        if over.any():
+            v[:, over] *= cap / speed[over]
+    return v
 
 
 SUBSTEP_CFL = 0.2       # max fraction of a cell traversed per substep
@@ -339,8 +316,8 @@ def _substeps(vmax, dt, grid):
     return min(max(need, 1), MAX_SUBSTEPS)
 
 
-# One particle: the operations of `Grid.wrap`, `interp_stencil`, `_interp`
-# and `_rk4_many` on Python floats, in the same order, so that the path is
+# One particle: the operations of `Grid.wrap`, `_sampler` and
+# `_advance_many` on Python floats, in the same order, so that the path is
 # bitwise the one the vectorized code computes for a group of one.
 
 def _wrap_one(g, x):
@@ -368,7 +345,7 @@ def _grid_lists(grid):
 
 
 def _stencil_one(g, x):
-    """`interp_stencil` of one wrapped point x: per corner, in the same
+    """The stencil of one wrapped point x: per corner, in `_sampler`'s
     order, its raveled index, its weight and its index along each axis."""
     flat, w, index = [0], [1.0], [()]
     for xi, lo, dx, n, stride in zip(x, *g[:4]):
@@ -411,8 +388,8 @@ def _read_corners(vf, flat, index):
 
 
 def _interp_one(vf, flat, w, index):
-    """`_interp` of one field at one stencil of `_stencil_one`: the velocity
-    as a list of floats, and the corners' nodal flags."""
+    """One field at one stencil of `_stencil_one`: the velocity as a list of
+    floats, and the corners' nodal flags."""
     vals, nodal = _read_corners(vf, flat, index)
     v = []
     for comp in vals:
@@ -424,7 +401,8 @@ def _interp_one(vf, flat, w, index):
 
 
 def _sample_one(vf0, vf1, g, x):
-    """`_sample` at one point x: (a, b, touched, inside)."""
+    """Both fields at one point x, as `_sampler` reads them: (a, b, touched,
+    inside)."""
     flat, w, index = _stencil_one(g, _wrap_one(g, x))
     a, nodal0 = _interp_one(vf0, flat, w, index)
     b, nodal1 = _interp_one(vf1, flat, w, index)
@@ -433,7 +411,7 @@ def _sample_one(vf0, vf1, g, x):
 
 
 def _velocity_one(sample, frac, cap):
-    """`_rk4_many`'s stage velocity: the time blend and the nodal speed cap."""
+    """`_velocity` of one particle."""
     a, b, touched, _ = sample
     v = [(1.0 - frac) * p + frac * q for p, q in zip(a, b)]
     if touched:
@@ -524,20 +502,41 @@ def advance_interval(vf0, vf1, pts, dt):
 
 
 def _advance_many(vf0, vf1, pts, dt):
-    """`advance_interval` on numpy arrays, vectorized over the group."""
-    first = _sample(vf0, vf1, pts)
-    va, vb = first[:2]
-    vmax = float(np.maximum(np.max(np.abs(va)), np.max(np.abs(vb))))
-    if not math.isfinite(vmax):
+    """`advance_interval` on numpy arrays: both fields read through one
+    `_sampler`, and positions held as (D, M) inside the interval."""
+    grid = vf0.grid
+    read = _sampler((vf0, vf1))
+    x = np.ascontiguousarray(pts.T)
+    # a non-finite stage point reads a clipped corner; the end check raises
+    with np.errstate(invalid="ignore"):
+        first = read(x)
+        vmax = float(np.max(np.abs(first[0])))
+        if not math.isfinite(vmax):
+            raise RuntimeError(_NAN_MSG)
+        n = _substeps(vmax, dt, grid)
+        h = dt / n
+        cap = min(grid.dxs) / h
+        frozen = vf0.all_nodal or vf1.all_nodal
+        degen_any = np.zeros(x.shape[1], dtype=bool)
+        for k in range(n):
+            if k:
+                first = read(x)
+            f0, f1 = k / n, (k + 1) / n
+            fm = 0.5 * (f0 + f1)
+            k1 = _velocity(first, f0, cap)
+            k2 = _velocity(read(x + 0.5 * h * k1), fm, cap)
+            k3 = _velocity(read(x + 0.5 * h * k2), fm, cap)
+            k4 = _velocity(read(x + h * k3), f1, cap)
+            new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # a stencil nodal everywhere at both levels freezes the particle
+            degen = first[2] | frozen
+            if degen.any():
+                new[:, degen] = x[:, degen]
+            x = grid.wrap(new.T).T
+            degen_any |= degen
+    if not np.isfinite(x).all():
         raise RuntimeError(_NAN_MSG)
-    n = _substeps(vmax, dt, vf0.grid)
-    degen_any = np.zeros(len(pts), dtype=bool)
-    for k in range(n):
-        pts, degen = _rk4_many(vf0, vf1, pts, dt / n, f0=k / n,
-                               f1=(k + 1) / n, first=first)
-        first = None
-        degen_any |= degen
-    return pts, degen_any
+    return x.T, degen_any
 
 
 def advance_group(vf0, vf1, pts, frozen, coupling, t0, t1):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -288,11 +289,20 @@ def probe_points(g, n=200):
     rng = np.random.default_rng(11)
     los, lengths = np.asarray(g.los), np.asarray(g.lengths)
     pts = los + lengths * rng.uniform(-2.0, 3.0, size=(n, g.dims))
-    # the largest coordinate below hi: u = (x - lo) / dx rounds to n
+    # the largest coordinate below hi: u = (x - lo) / dx rounds to n, but
+    # `Grid.wrap` may map it to lo (`hi_edge` finds points whose wrapped
+    # stencil starts at n)
     edge = np.nextafter(g.his[0], -np.inf)
     assert (edge - g.los[0]) / g.dxs[0] == g.shape[0]
     pts[0, 0] = edge
     return pts
+
+
+def sample(vf0, vf1, pts):
+    """Both fields at points (M, D) through one `_sampler` table, as
+    (a, b, touched, inside) with a and b of shape (M, D)."""
+    (a, b), touched, inside = guidance._sampler((vf0, vf1))(pts.T)
+    return a.T, b.T, touched, inside
 
 
 class TestSharedStencil:
@@ -306,9 +316,8 @@ class TestSharedStencil:
         assert any(np.any(w) for w in want[1:])
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        # stencils nodal everywhere, as `_sample` flags them
-        assert np.array_equal(guidance._sample(vf0, vf0, probe_points(g))[3],
-                              want[2])
+        # stencils nodal everywhere, as the table flags them
+        assert np.array_equal(sample(vf0, vf0, probe_points(g))[3], want[2])
 
     @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
     @pytest.mark.parametrize("dt", [1e-3, 0.05, 50.0])
@@ -336,6 +345,99 @@ class TestSharedStencil:
         want = _oracle_advance_interval(listed, vf1, pts, 0.05)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def assert_group_matches_oracle(vf0, vf1, pts, dt):
+    """A group's advance_interval is the oracle's, bit for bit; returns the
+    degenerate flags."""
+    got = advance_interval(vf0, vf1, pts, dt)
+    want = _oracle_advance_interval(vf0, vf1, pts, dt)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    return got[1]
+
+
+def hi_edge(g, i):
+    """A coordinate below hi on axis i that `Grid.wrap` keeps, and whose
+    u = (x - lo) / dx rounds to n: the stencil's lower corner is n."""
+    lo, dx, n = g.los[i], g.dxs[i], g.shape[i]
+    x = g.his[i]
+    for _ in range(64):
+        x = np.nextafter(x, -np.inf)
+        y = x - lo
+        # the wrapped point is y + lo
+        if y < g.lengths[i] and math.floor((y + lo - lo) / dx) == n:
+            return x
+    raise AssertionError(f"no hi-edge point on axis {i}")
+
+
+def with_nodal(vf, nodal):
+    """`vf`'s components with another nodal mask."""
+    return VelocityField(vf.grid, vf.components, nodal, vf.time)
+
+
+class TestSamplingTable:
+    """What the padded table adds: the padding, and its two flags."""
+
+    # on these axes some x < hi stays below hi when wrapped, and its
+    # stencil's lower corner floor(u) is n
+    @pytest.mark.parametrize("shape", [(35,), (35, 33), (35, 33, 12)])
+    def test_last_cell_reads_padded_first_cell(self, shape):
+        g, vf0, vf1 = noded_fields(shape)
+        # the second cell on each axis nodal at level 1: a hi-edge stencil
+        # reads it as its upper corner
+        nodal = vf1.nodal.copy()
+        for i in range(g.dims):
+            nodal[(slice(None),) * i + (1,)] = True
+        vf1 = with_nodal(vf1, nodal)
+        los, dxs, n = (np.asarray(a) for a in (g.los, g.dxs, g.shape))
+        edge = [hi_edge(g, i) for i in range(g.dims)]
+        # per axis, a point in the last cell, on the hi edge or in the bulk
+        rng = np.random.default_rng(13)
+        cell = rng.choice([-1, 0, 1], size=(300, g.dims))
+        u = np.where(cell < 0, n - rng.uniform(0.05, 0.95, size=cell.shape),
+                     rng.uniform(0.0, n - 1.0, size=cell.shape))
+        pts = np.where(cell == 0, edge, los + u * dxs)
+        f = np.floor((g.wrap(pts) - los) / dxs)
+        for c, want in ((-1, n - 1), (0, n)):
+            assert np.array_equal(f[cell == c],
+                                  np.broadcast_to(want, f.shape)[cell == c])
+        assert (cell < 0).all(axis=1).any() and (cell == 0).all(axis=1).any()
+        got = sample(vf0, vf1, pts)
+        a, na, ia = _oracle_velocity_at_many(vf0, pts)
+        b, nb, ib = _oracle_velocity_at_many(vf1, pts)
+        for x, y in zip(got, (a, b, na | nb, ia & ib)):
+            assert np.array_equal(x, y)
+        for dt in (0.05, 50.0):
+            assert_group_matches_oracle(vf0, vf1, pts, dt)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_nodal_at_one_level_only(self, level):
+        # a block nodal at one time level: its stencils touch nodes, and the
+        # particles move on
+        g, vf0, vf1 = noded_fields((32, 24))
+        block = np.zeros(g.shape, dtype=bool)
+        block[8:20, 6:18] = True
+        fields = [with_nodal(vf, np.zeros(g.shape, dtype=bool))
+                  for vf in (vf0, vf1)]
+        fields[level] = with_nodal(fields[level], block)
+        pts = np.add(g.los, np.multiply(g.dxs, [[12.3, 10.6], [14.0, 12.5],
+                                               [9.1, 16.2]]))
+        assert _oracle_velocity_at_many(fields[level], pts)[2].all()
+        degen = assert_group_matches_oracle(*fields, pts, 0.01)
+        assert not degen.any()
+
+    def test_nodal_at_both_levels_freezes(self):
+        g, vf0, vf1 = noded_fields((32, 24))
+        block = np.zeros(g.shape, dtype=bool)
+        block[8:20, 6:18] = True
+        fields = [with_nodal(vf, block) for vf in (vf0, vf1)]
+        pts = np.add(g.los, np.multiply(g.dxs, [[12.3, 10.6], [14.0, 12.5],
+                                               [2.5, 3.5]]))
+        degen = assert_group_matches_oracle(*fields, pts, 0.01)
+        assert degen.tolist() == [True, True, False]
+        assert np.array_equal(advance_interval(*fields, pts, 0.01)[0][:2],
+                              g.wrap(pts[:2]))
 
 
 # Probe-local fields: the values a probe reads, at every stencil corner it
@@ -444,14 +546,14 @@ class TestLocalFieldOracle:
             calls.clear()
 
     def test_vectorized_read_completes_local_fields(self):
-        # a group of two reads through `_sample`, which takes complete fields
+        # a group of two reads through `_sampler`, which takes complete fields
         g, params, (psi0, psi1) = two_packet_waves((32, 28))
         vfs = [velocity_field(p, params) for p in (psi0, psi1)]
         lfs = [local_field(p, params) for p in (psi0, psi1)]
         pts = np.array([[-1.4, 0.2], [1.5, -0.3]])
-        got = guidance._sample(*lfs, pts)
+        got = sample(*lfs, pts)
         assert all(lf.components is not None for lf in lfs)
-        want = guidance._sample(*vfs, pts)
+        want = sample(*vfs, pts)
         assert not want[2].any()
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -526,7 +628,7 @@ class TestOneParticleKernel:
         # stage sample and velocity are compared on their own
         g, vf0, vf1 = noded_fields(shape)
         pts = probe_points(g)
-        want = guidance._sample(vf0, vf1, pts)
+        want = sample(vf0, vf1, pts)
         got = [guidance._sample_one(vf0, vf1, guidance._grid_lists(g),
                                     p.tolist()) for p in pts]
         for k in range(4):
@@ -575,6 +677,10 @@ class TestOneParticleKernel:
         assert want_degen.all()
         assert np.array_equal(np.concatenate([p for p, _ in got]), want)
         assert np.array_equal(want, g.wrap(pts))
+        # a group freezes as each of its particles alone does
+        group = advance_interval(*fields, pts, 0.05)
+        assert group[1].all()
+        assert np.array_equal(group[0], want)
 
     def test_nodal_corner_completes_local_fields_once(self, monkeypatch):
         g, params, (psi0, psi1) = two_packet_waves((32, 28))
@@ -623,6 +729,18 @@ class TestOneParticleKernel:
         vf = VelocityField(g, [comps], np.zeros(64, dtype=bool))
         with pytest.raises(RuntimeError, match="NaN in trajectory output"):
             advance_interval(vf, vf, np.array([[1.0]]), 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_cells_raise_for_every_group_size(self, n):
+        # the particles cross NaN cells 40-43 within the interval; were it a
+        # walk's last, no later interval's check would see the NaN
+        g = grid1d(64, 0.0, 16.0)
+        comps = np.full(64, 10.0)
+        comps[40:44] = np.nan
+        vf = VelocityField(g, [comps], np.zeros(64, dtype=bool))
+        with pytest.raises(RuntimeError, match="NaN in trajectory output"):
+            advance_interval(vf, vf, np.array([[1.0], [1.2]])[:n], 1.0)
 
 
 class TestSubstepCap:
