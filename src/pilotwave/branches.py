@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldError, WaveFunction, normalize
-from .guidance import (
-    Trajectory, _grid_lists, _stencil_one, simulate_trajectories,
-)
+from .guidance import _grid_lists, _stencil_one
 
 COVERAGE_TOL = 1e-6        # hard error if more probability mass is unmasked
 SUPPORT_FLOOR = 1e-10      # branch support: density above this * its max
@@ -164,19 +162,12 @@ def occupancy_labels(grid, positions, masks):
 
 @dataclass
 class DeviationResult:
-    """Max trajectory deviation between full-wave and branch-only guidance.
-
-    `full` and `branch` are the two probes' whole trajectories, also past a
-    truncation.
-    """
+    """Max trajectory deviation between full-wave and branch-only guidance."""
 
     max_deviation: float
     time_of_max: float
     truncated: bool
-    times: np.ndarray
     deviations: np.ndarray
-    full: Trajectory
-    branch: Trajectory
 
 
 def _periodic_dev(grid, a, b):
@@ -186,44 +177,30 @@ def _periodic_dev(grid, a, b):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def single_branch_error(full_record, branch_record, x0):
-    """Guide the same particle under the full wave and under one branch.
+def single_branch_error(grid, times, full, branch, supported):
+    """Deviation of the same particle guided by the full wave and by one branch.
 
-    branch_record should evolve the (renormalized) occupied branch alone on
-    the same grid and schedule.  Returns the max deviation over time; if the
-    branch-only particle leaves the branch support (local density below
-    SUPPORT_FLOOR of the max), the comparison is truncated there and flagged.
+    `full` and `branch` are the two probes' paths (T, D) at `times`, the
+    second guided by the occupied branch alone; `supported[i]` flags whether
+    the branch supported it at times[i] (`_supported`).  Returns the max
+    deviation, cut and flagged `truncated` after the first unsupported time.
     """
-    if full_record.grid != branch_record.grid:
-        raise BranchError("records must share one grid")
-    x0 = np.asarray(x0, float)
-    tr_full = simulate_trajectories(full_record, x0[None, :])[0]
-    tr_br = simulate_trajectories(branch_record, x0[None, :])[0]
-    grid = full_record.grid
-
-    times = tr_full.times
-    devs = _periodic_dev(grid, tr_full.positions, tr_br.positions)
-
-    truncated = False
-    cut = len(times)
-    for i in range(len(times)):
-        # the probes read every snapshot, so probe time i is snapshot i
-        amp = np.abs(branch_record.snapshots[i])
-        corners_val = _density_at(grid, amp, tr_br.positions[i])
-        if corners_val < SUPPORT_FLOOR * float(np.max(amp)) ** 2:
-            truncated = True
-            cut = i + 1
-            break
-    times, devs = times[:cut], devs[:cut]
+    devs = _periodic_dev(grid, full, branch)
+    left = np.flatnonzero(~np.asarray(supported, dtype=bool))
+    truncated = len(left) > 0
+    devs = devs[:left[0] + 1] if truncated else devs
     imax = int(np.argmax(devs))
     return DeviationResult(float(devs[imax]), float(times[imax]), truncated,
-                           times, devs, tr_full, tr_br)
+                           devs)
 
 
-def _density_at(grid, absamp, point):
+def _supported(grid, amp, point):
+    """Whether a branch's amplitudes `amp` support a particle at `point`:
+    the density on its stencil is not below SUPPORT_FLOOR of the maximum."""
+    absamp = np.abs(amp)
     point = np.asarray(point, float).tolist()
     flat, w, _ = _stencil_one(_grid_lists(grid), point)
     val = 0.0
     for wc, a in zip(w, absamp.reshape(-1).take(flat)):
         val += wc * float(a) ** 2
-    return val
+    return not val < SUPPORT_FLOOR * float(np.max(absamp)) ** 2

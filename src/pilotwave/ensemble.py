@@ -88,10 +88,10 @@ def sample_initial(psi, n, seed):
     return los + (multi + jitter) * dxs
 
 
-def run_ensemble(record, n, seed, stride=1):
+def run_ensemble(record, n, seed):
     """Sample |Psi(t_start)|^2 and integrate all trajectories through a record."""
     x0 = sample_initial(record.wave_at(0), n, seed)
-    trajs = simulate_trajectories(record, x0, stride=stride)
+    trajs = simulate_trajectories(record, x0)
     times = trajs[0].times
     positions = np.stack([tr.positions for tr in trajs], axis=1)
     degenerate = np.array([tr.degenerate for tr in trajs], dtype=bool)
@@ -105,30 +105,28 @@ def _axis_density(psi, axis):
     return marginal_density(psi, axis)
 
 
-def binning_for(record, bins=DEFAULT_BINS):
-    """Axis-0 bin edges covering the cells occupied anywhere in the evolution.
+def binning_for(densities, bins=DEFAULT_BINS):
+    """Axis-0 bin edges covering the cells occupied at any observation.
 
     The range is clipped to coordinates where the axis-0 density exceeds
-    DENSITY_CLIP of its maximum at some snapshot (avoids empty-bin
+    DENSITY_CLIP of its maximum at some observation (avoids empty-bin
     pathologies in the chi-square statistic).
     """
     lo, hi = np.inf, -np.inf
-    x = record.grid.axis_coords(0)
-    dx = record.grid.dxs[0]
-    for i in range(len(record.snapshots)):
-        rho = _axis_density(record.wave_at(i), 0).values
-        occ = x[rho > DENSITY_CLIP * rho.max()]
+    x = densities[0].grid.axis_coords(0)
+    dx = densities[0].grid.dxs[0]
+    for rho in densities:
+        occ = x[rho.values > DENSITY_CLIP * rho.values.max()]
         lo = min(lo, occ.min())
         hi = max(hi, occ.max() + dx)
     return np.linspace(lo, hi, bins + 1)
 
 
-def _expected_bin_mass(psi, edges):
-    """Integral of the axis-0 density over each bin (midpoint-free, exact
+def _expected_bin_mass(rho, edges):
+    """Integral of an axis-0 density over each bin (midpoint-free, exact
     per-cell accumulation)."""
-    rho = _axis_density(psi, 0)
-    x = psi.grid.axis_coords(0)
-    dx = psi.grid.dxs[0]
+    x = rho.grid.axis_coords(0)
+    dx = rho.grid.dxs[0]
     which = np.digitize(x + 0.5 * dx, edges) - 1
     mass = np.zeros(len(edges) - 1)
     ok = (which >= 0) & (which < len(mass))
@@ -146,28 +144,28 @@ def _chisquare(obs, exp):
     return chi2, chdtrc(float(len(obs) - 1), chi2)
 
 
-def equivariance_test(ensemble, record, bins=DEFAULT_BINS,
+def equivariance_test(ensemble, densities, bins=DEFAULT_BINS,
                       resamples=BOOTSTRAP_RESAMPLES):
     """Compare the empirical axis-0 histogram to |Psi_t|^2 over time.
 
-    TV distance and chi-square at each ensemble time; the bootstrap band
-    resamples the t=0 draw (trajectory-level, B resamples, seeded by the
-    ensemble seed + 1) so the band reflects pure sampling noise under exact
-    equivariance.
+    `densities`: the axis-0 density at every observation.  TV distance and
+    chi-square at each ensemble time; the bootstrap band resamples the t=0
+    draw (trajectory-level, B resamples, seeded by the ensemble seed + 1) so
+    the band reflects pure sampling noise under exact equivariance.
     """
-    edges = binning_for(record, bins)
+    edges = binning_for(densities, bins)
     n = ensemble.n_particles
     rng = rng_for(ensemble.seed + 1)
     boot_idx = rng.integers(0, n, size=(resamples, n))
 
-    # map ensemble times onto snapshot indices
-    snap_times = record.times
+    # map ensemble times onto observations
+    obs_times = np.array([rho.time for rho in densities])
     tvs, means, sigmas, chis, ps = [], [], [], [], []
     for ti, t in enumerate(ensemble.times):
-        si = int(np.argmin(np.abs(snap_times - t)))
-        if abs(snap_times[si] - t) > 1e-9 * max(1.0, abs(t)):
-            raise FieldError("ensemble times do not align with snapshots")
-        expected = _expected_bin_mass(record.wave_at(si), edges)
+        si = int(np.argmin(np.abs(obs_times - t)))
+        if abs(obs_times[si] - t) > 1e-9 * max(1.0, abs(t)):
+            raise FieldError("ensemble times do not align with observations")
+        expected = _expected_bin_mass(densities[si], edges)
         xs = ensemble.positions[ti, :, 0]
         which = np.digitize(xs, edges) - 1
         inside = (which >= 0) & (which < len(expected))

@@ -53,7 +53,6 @@ vectorized path at the end of the interval.
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 import scipy.fft as sfft
@@ -216,8 +215,9 @@ def _sampler(fields):
     with some corner nodal in some field (`touched`) and every corner nodal
     in every field (`inside`).  A probe-local field becomes complete first.
 
-    Returns read(x): for points x of shape (D, M), each field's velocity,
-    shape (L, D, M), and each point's `touched` and `inside` flags.
+    Returns read and `inside`: read(x), for points x of shape (D, M), gives
+    each field's velocity, shape (L, D, M), each point's `touched` flag and
+    its stencil's lower corner, the index into `inside`.
     """
     grid = fields[0].grid
     D = grid.dims
@@ -262,9 +262,9 @@ def _sampler(fields):
             corner *= c
             out += corner
         return (out.reshape(shape + out.shape[1:]),
-                touched.take(low, mode="clip"), inside.take(low, mode="clip"))
+                touched.take(low, mode="clip"), low)
 
-    return read
+    return read, inside
 
 
 def velocity_at_many(vfield, pts):
@@ -283,8 +283,8 @@ def velocity_at_many(vfield, pts):
                 for x in pts.tolist()]
         return (np.array([v for v, _ in read]).reshape(-1, grid.dims),
                 np.array([any(nodal) for _, nodal in read], dtype=bool))
-    (out,), touched, _ = _sampler((vfield,))(
-        np.ascontiguousarray(pts.T, dtype=float))
+    read, _ = _sampler((vfield,))
+    (out,), touched, _ = read(np.ascontiguousarray(pts.T, dtype=float))
     return out.T, touched
 
 
@@ -505,7 +505,7 @@ def _advance_many(vf0, vf1, pts, dt):
     """`advance_interval` on numpy arrays: both fields read through one
     `_sampler`, and positions held as (D, M) inside the interval."""
     grid = vf0.grid
-    read = _sampler((vf0, vf1))
+    read, inside = _sampler((vf0, vf1))
     x = np.ascontiguousarray(pts.T)
     # a non-finite stage point reads a clipped corner; the end check raises
     with np.errstate(invalid="ignore"):
@@ -529,7 +529,7 @@ def _advance_many(vf0, vf1, pts, dt):
             k4 = _velocity(read(x + h * k3), f1, cap)
             new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # a stencil nodal everywhere at both levels freezes the particle
-            degen = first[2] | frozen
+            degen = inside.take(first[2], mode="clip") | frozen
             if degen.any():
                 new[:, degen] = x[:, degen]
             x = grid.wrap(new.T).T
@@ -560,44 +560,45 @@ def simulate_trajectory(record, x0):
     return simulate_trajectories(record, np.asarray(x0, float)[None, :])[0]
 
 
-def guided_walk(waves, params, coupling, x0s):
-    """Advance particles from x0s (N, D) through a sequence of waves.
+class GuidedWalk:
+    """Particles from x0s (N, D), guided through n waves fed one at a time.
 
-    The first wave is the particles' start; between each wave and the next
-    the particles advance with `advance_group`, each wave read through its
-    `group_field`.  Returns the waves' times, the paths (T, N, D) and the
-    frozen flags (N,).
-    """
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    # map keeps no wave once its field is made, so a field that completes
-    # frees its wave
-    fields = map(group_field, waves, repeat(params), repeat(len(x0s)))
-    vf0 = next(fields)
-    pts = vf0.grid.wrap(x0s)
-    frozen = np.zeros(len(pts), dtype=bool)
-    times, path = [vf0.time], [pts]
-    for vf1 in fields:
-        pts = advance_group(vf0, vf1, pts, frozen, coupling, vf0.time,
-                            vf1.time)
-        times.append(vf1.time)
-        path.append(pts)
-        vf0 = vf1
-    return np.asarray(times), np.asarray(path), frozen
+    The first wave is their start; each later one advances them from the
+    one before with `advance_group`, every wave read through its
+    `group_field`, and fills a row of `times` (n,) and `path` (n, N, D).
+    Only the last wave's field is kept, so a field that completes frees its
+    wave.  `frozen` (N,) flags frozen particles."""
+
+    def __init__(self, params, coupling, x0s, n):
+        self.params, self.coupling = params, coupling
+        self.x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+        self.frozen = np.zeros(len(self.x0s), dtype=bool)
+        self.times, self.path = np.empty(n), np.empty((n,) + self.x0s.shape)
+        self._fed, self._field = 0, None
+
+    def feed(self, psi):
+        """Advance to the wave psi; returns the positions (N, D) at its time."""
+        vf0, vf1 = self._field, group_field(psi, self.params, len(self.frozen))
+        k, self._field = self._fed, vf1
+        if k == 0:
+            pts = vf1.grid.wrap(self.x0s)
+        else:
+            pts = advance_group(vf0, vf1, self.path[k - 1], self.frozen,
+                                self.coupling, vf0.time, vf1.time)
+        self.times[k], self.path[k] = vf1.time, pts
+        self._fed = k + 1
+        return pts
 
 
-def simulate_trajectories(record, x0s, stride=1):
+def simulate_trajectories(record, x0s):
     """Integrate many particles at once (shared velocity fields).
 
     x0s: array (N, D) of initial configurations at record.times[0].
-    Returns a list of Trajectory, one per particle, on the strided time axis;
-    the guidance step is the snapshot spacing times `stride`.
+    Returns a list of Trajectory, one per particle, at every snapshot.
     """
-    n_snap = len(record.snapshots)
-    idxs = list(range(0, n_snap, stride))
-    if idxs[-1] != n_snap - 1:
-        idxs.append(n_snap - 1)
-    times, path, frozen = guided_walk(
-        map(record.wave_at, idxs), record.params,
-        record.hamiltonian.coupling, x0s)
-    return [Trajectory(times, path[:, j, :], bool(frozen[j]))
-            for j in range(path.shape[1])]
+    n = len(record.snapshots)
+    walk = GuidedWalk(record.params, record.hamiltonian.coupling, x0s, n)
+    for i in range(n):
+        walk.feed(record.wave_at(i))
+    return [Trajectory(walk.times, walk.path[:, j, :], bool(walk.frozen[j]))
+            for j in range(walk.path.shape[1])]

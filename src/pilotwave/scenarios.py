@@ -2,9 +2,10 @@
 
 Each runner takes a validated ScenarioSpec and produces a ScenarioReport whose
 verdicts are derivable from the recorded metrics and the echoed thresholds
-alone.  Large runs use a streaming co-evolution engine: branch components are
-stepped together and probes (single particles or whole ensembles) advance
-between observation times, so no full snapshot record is ever materialized.
+alone.  Every runner makes one streaming pass (`coevolve`): its components
+are stepped together, particle bundles (single probes or whole ensembles)
+advance at the observation times, and observers reduce each observation to
+what the analyses need, so no full snapshot record is ever materialized.
 
 Scenario kinds:
   interference  two converging packets, fringe check, empty-branch steering
@@ -29,21 +30,21 @@ import jsonschema
 
 from .fields import (
     FieldError, PhysicalParams, ProductWave, WaveFunction, make_grid,
-    gaussian_factors, init_gaussian, normalize, density, marginal_density,
+    gaussian_factors, init_gaussian, normalize, marginal_density,
 )
 from .propagate import (
-    HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule,
-    EvolutionRecord, evolve, _observed_steps,
+    HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule, evolve,
+    _observed_steps,
 )
-from .guidance import guided_walk, simulate_trajectories
+from .guidance import GuidedWalk, simulate_trajectories
 from .ensemble import (
-    rng_for, sample_initial, run_ensemble, equivariance_test, h_function,
+    Ensemble, rng_for, sample_initial, equivariance_test, h_function,
     _axis_density,
 )
 from .branches import (
     halfspace_mask, decompose, interference_term, overlap_factor,
     effective_wavefunction, occupancy_labels, single_branch_error,
-    _periodic_dev,
+    _periodic_dev, _supported,
 )
 
 KINDS = ("interference", "decoherence", "measurement", "preparation",
@@ -94,7 +95,7 @@ def _schema():
 # the axis before it
 SYSTEM_AXIS = 0
 POINTER_AXIS = 1
-# interference's equilibrium ensemble reads every 5th snapshot
+# interference's equilibrium ensemble advances at every 5th observation
 ENSEMBLE_STRIDE = 5
 
 # what each kind requires: grid axes and top-level or coupling blocks; a
@@ -268,13 +269,6 @@ def _simulation_of(spec):
             _schedule_of(spec), _hamiltonian_of(spec))
 
 
-def _evolve_packets(spec):
-    """EvolutionRecord of each packet under the spec's Hamiltonian."""
-    grid, params, sched, H = _simulation_of(spec)
-    return [evolve(c, H, sched, params)
-            for c in _components_of(spec, grid, H)]
-
-
 def _twin_spec(spec):
     """The lambda = 0 control: identical but with the env coupling off."""
     d = copy.deepcopy(spec)
@@ -286,43 +280,59 @@ def _twin_spec(spec):
 # streaming co-evolution engine
 
 @dataclass
+class Bundle:
+    """Particles x0s (N, D) that `coevolve` advances as one group, guided by
+    the components' sum (`source` None) or by component `source` alone, at
+    every `stride`-th observation and the last."""
+
+    x0s: np.ndarray
+    source: int = None
+    stride: int = 1
+
+
+@dataclass
 class StreamResult:
     times: np.ndarray                  # observation times
-    probe_paths: np.ndarray            # (T, N, D)
-    probe_degenerate: np.ndarray       # (N,) bool
+    probe_times: list                  # per bundle: the times it advanced to
+    probe_paths: list                  # per bundle: paths (T_b, N, D)
+    probe_degenerate: list             # per bundle: frozen flags (N,)
     observations: list                 # per observation: observer return value
     final_components: list             # WaveFunction per component
 
 
-def coevolve(components, hamiltonian, schedule, params, x0s, observer=None):
-    """Step all components through one schedule, advancing probes in stride.
+def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
+    """Step all components through one schedule, advancing particle bundles.
 
     Components share the Hamiltonian (evolution is linear, so their sum is
     the full wave at all times); each is a WaveFunction, or a ProductWave
-    factored like the others over blocks that no term couples.  The probes
-    `x0s` (N, D) advance over each observation interval, guided by the sum
-    of all components.  The observer, if given, is called at every
-    observation time with (t, list of full amplitude arrays) and its return
-    values are collected.
-    """
+    factored like the others over blocks that no term couples.  At each
+    observation every `Bundle` due advances as its own group (`GuidedWalk`;
+    a group's fastest particle sets its substeps), the sum formed once, in
+    component order.  Then the observer, if given, gets (t, list of full
+    amplitude arrays, each bundle's positions (N, D) or None), and its
+    return values are collected."""
     grid = components[0].grid
-    amps = []
-    observations = []
-
-    def full_waves():
-        for t in _observed_steps(components, hamiltonian, schedule, params,
-                                 amps):
-            if observer is not None:
-                observations.append(observer(t, amps))
-            # the full wave, summed in component order
-            yield WaveFunction(grid, sum(amps[1:], amps[0]), t)
-
-    times, paths, frozen = guided_walk(full_waves(), params,
-                                       hamiltonian.coupling, x0s)
+    # the last observation's index: step 0, then one per stride of steps
+    last = len(range(0, schedule.n_steps, schedule.stride))
+    walks = [GuidedWalk(params, hamiltonian.coupling, b.x0s,
+                        len(range(0, last, b.stride)) + 1) for b in bundles]
+    amps, times, observations = [], [], []
+    for i, t in enumerate(_observed_steps(components, hamiltonian, schedule,
+                                          params, amps)):
+        times.append(t)
+        due = [i % b.stride == 0 or i == last for b in bundles]
+        waves = {k: WaveFunction(grid, amps[k] if k is not None
+                                 else sum(amps[1:], amps[0]), t)
+                 for k in {b.source for b, d in zip(bundles, due) if d}}
+        positions = [walk.feed(waves[b.source]) if d else None
+                     for b, walk, d in zip(bundles, walks, due)]
+        if observer is not None:
+            observations.append(observer(t, amps, positions))
     return StreamResult(
-        times=times,
-        probe_paths=paths,
-        probe_degenerate=frozen,
+        times=np.asarray(times),
+        probe_times=[w.times for w in walks],
+        probe_paths=[w.path for w in walks],
+        probe_degenerate=[w.frozen for w in walks],
         observations=observations,
         final_components=[WaveFunction(grid, a, schedule.t_end) for a in amps],
     )
@@ -444,60 +454,68 @@ def _index_at(times, t):
     return min(int(np.searchsorted(times, t - 1e-12)), len(times) - 1)
 
 
-def _full_record(branch_records):
-    """EvolutionRecord of the summed (full) wave, reusing branch snapshots."""
-    r0 = branch_records[0]
-    snaps = []
-    for i in range(len(r0.snapshots)):
-        total = r0.snapshots[i].copy()
-        for r in branch_records[1:]:
-            total += r.snapshots[i]
-        snaps.append(total)
-    norms = np.asarray([float(np.sqrt(np.sum(np.abs(a) ** 2) * r0.grid.dV))
-                        for a in snaps])
-    return EvolutionRecord(grid=r0.grid, params=r0.params,
-                           hamiltonian=r0.hamiltonian, schedule=r0.schedule,
-                           times=r0.times.copy(), snapshots=snaps,
-                           norms=norms)
-
-
 def _probe_start(spec):
     """The probe's start: the first packet's center."""
     return list(spec["packets"][0]["centers"])
 
 
 @dataclass
-class _BranchPair:
-    """What both two-packet runners derive from their packets' records."""
+class _PairStream:
+    """What both two-packet runners read off one stream of their packets."""
 
-    recs: list                 # EvolutionRecord per packet
-    full: EvolutionRecord      # the summed wave
-    l1: np.ndarray             # interference-term L1 per snapshot
+    result: StreamResult       # bundles: full-wave probe, branch probe, extra
+    l1: np.ndarray             # interference-term L1 per observation
     norm_drift: float          # of the full wave
     dev: object                # DeviationResult: full wave vs packet 0
-    mid: float                 # packets' midpoint on the split axis
+    peak: object               # full wave's axis-0 density at the first L1 max
+    mid: float                 # packets' midpoint on the system axis
     eq3: float                 # density identity at t=0, split at mid
+    seen: list                 # per observation: observe's value
 
 
-def _branch_pair(spec):
-    """Evolve each packet; L1(t), full record, probe and density identity."""
-    recs = _evolve_packets(spec)
-    l1 = np.asarray([interference_term(recs[0].wave_at(i), recs[1].wave_at(i))[1]
-                     for i in range(len(recs[0].times))])
-    full = _full_record(recs)
-    drift = float(np.max(np.abs(full.norms - full.norms[0])))
-    dev = single_branch_error(full, recs[0], _probe_start(spec))
+def _branch_pair(spec, extra=None, observe=None):
+    """Stream both packets with two probes from packet 0's center, guided by
+    the full wave and by packet 0 alone, then the bundles `extra(full0,
+    mid)` gives for the full wave at t = 0 and the packets' midpoint.  The
+    observer keeps L1, the full wave's norm, the branch probe's support flag
+    (`_supported`), the full wave's axis-0 density at the first L1 maximum
+    and observe(w0, w1, full) of both packets and their sum, if given."""
+    grid, params, sched, H = _simulation_of(spec)
+    comps = _components_of(spec, grid, H)
     mid = 0.5 * (spec["packets"][0]["centers"][SYSTEM_AXIS]
                  + spec["packets"][1]["centers"][SYSTEM_AXIS])
-    return _BranchPair(recs, full, l1, drift, dev, mid,
-                       _eq3_residual(full.wave_at(0), SYSTEM_AXIS, mid))
+    full0 = WaveFunction(grid, comps[0].amplitudes + comps[1].amplitudes)
+    eq3 = _eq3_residual(full0, SYSTEM_AXIS, mid)
+    x0 = np.array([_probe_start(spec)])
+    bundles = [Bundle(x0), Bundle(x0, source=0),
+               *(extra(full0, mid) if extra else ())]
+    del full0  # not held while the components step
+    peak = {"l1": -np.inf}
+
+    def observer(t, amps, positions):
+        w0, w1 = (WaveFunction(grid, a, t) for a in amps)
+        full = WaveFunction(grid, amps[0] + amps[1], t)
+        l1 = interference_term(w0, w1)[1]
+        # only a larger L1 moves the peak, as np.argmax takes the first
+        if l1 > peak["l1"]:
+            peak.update(l1=l1, density=_axis_density(full, SYSTEM_AXIS))
+        return (l1, full.norm(), _supported(grid, amps[0], positions[1][0]),
+                None if observe is None else observe(w0, w1, full))
+
+    result = coevolve(comps, H, sched, params, bundles, observer)
+    l1, norms, supported, seen = zip(*result.observations)
+    full, branch = (p[:, 0] for p in result.probe_paths[:2])
+    return _PairStream(
+        result, np.asarray(l1),
+        float(np.max(np.abs(np.subtract(norms, norms[0])))),
+        single_branch_error(grid, result.times, full, branch, supported),
+        peak["density"], mid, eq3, list(seen))
 
 
-def _density_block(psi, axis, t):
-    """Plot-source block: 1D marginal density along one axis."""
+def _density_block(rho, axis, t):
+    """Plot-source block: the 1D density `rho` along one axis."""
     return {"axis": int(axis), "t": float(t),
-            "x": psi.grid.axis_coords(axis).tolist(),
-            "rho": _axis_density(psi, axis).values.tolist()}
+            "x": rho.grid.axis_coords(0).tolist(), "rho": rho.values.tolist()}
 
 
 def _trajectory_block(times, paths, labels):
@@ -523,9 +541,18 @@ def run_interference_scenario(spec):
     thr = spec["thresholds"]
     grid = _grid_of(spec)
     dx = grid.dxs[0]
+    n = spec["ensemble"]["n_particles"]
 
-    pair = _branch_pair(spec)
-    full, l1, times = pair.full, pair.l1, pair.full.times
+    def extra(full0, mid):
+        """The symmetry probe at the midpoint and the equilibrium ensemble."""
+        return [Bundle(np.array([[mid]])),
+                Bundle(sample_initial(full0, n, spec["seed"]),
+                       stride=ENSEMBLE_STRIDE)]
+
+    # the axis-0 density at every observation, for the equivariance test
+    pair = _branch_pair(spec, extra,
+                        lambda w0, w1, full: _axis_density(full, 0))
+    result, l1, times = pair.result, pair.l1, pair.result.times
     i_peak = int(np.argmax(l1))
     metrics = {"times": times.tolist(), "l1_series": l1.tolist(),
                "l1_peak": float(l1[i_peak]), "t_peak": float(times[i_peak]),
@@ -536,12 +563,11 @@ def run_interference_scenario(spec):
         verdicts["overlap_reached"] = "inconclusive"
     else:
         verdicts["overlap_reached"] = "pass"
-        # fringe spacing at the recombination snapshot, near the midpoint
+        # fringe spacing at the recombination observation, near the midpoint
         k_rel = abs(spec["packets"][0].get("momenta", [0.0])[0]
                     - spec["packets"][1].get("momenta", [0.0])[0]) / 2.0
         expected = np.pi / k_rel if k_rel > 0 else float("nan")
-        rho = density(full.wave_at(i_peak)).values
-        spacing = _fringe_spacing(rho, grid.axis_coords(0),
+        spacing = _fringe_spacing(pair.peak.values, grid.axis_coords(0),
                                   window=4.0 * expected)
         metrics["fringe_spacing"] = spacing
         metrics["fringe_expected"] = float(expected)
@@ -559,20 +585,19 @@ def run_interference_scenario(spec):
         dev.max_deviation >= thr["deviation_min_dx"] * dx)
 
     # symmetry probe at the midpoint between the packets
-    tr_mid = simulate_trajectories(full, np.array([[pair.mid]]))[0]
-    sym_dev = float(np.max(np.abs(tr_mid.positions[:, 0] - pair.mid)))
+    sym_dev = float(np.max(np.abs(result.probe_paths[2][:, 0, 0] - pair.mid)))
     metrics["symmetry_max_dev"] = sym_dev
     verdicts["symmetry"] = _vd(sym_dev <= thr["symmetry_max_dx"] * dx)
 
     # equilibrium ensemble: no-crossing, node safety, equivariance
-    n = spec["ensemble"]["n_particles"]
-    ens = run_ensemble(full, n, spec["seed"], stride=ENSEMBLE_STRIDE)
+    ens = Ensemble(result.probe_times[3], result.probe_paths[3],
+                   result.probe_degenerate[3], spec["seed"])
     metrics["degenerate_fraction"] = ens.degenerate_fraction()
     metrics["order_preserved"] = _order_preserved(ens.positions)
     verdicts["no_crossing"] = _vd(metrics["order_preserved"])
     verdicts["node_safety"] = _vd(
         ens.degenerate_fraction() < thr["degenerate_max_fraction"])
-    eq = equivariance_test(ens, full)
+    eq = equivariance_test(ens, pair.seen)
     metrics["equivariance"] = {
         "times": eq.times.tolist(), "tv": eq.tv.tolist(),
         "band_mean": eq.tv_band_mean.tolist(),
@@ -581,8 +606,7 @@ def run_interference_scenario(spec):
     }
     verdicts["equivariance"] = _vd(eq.within_band(thr["equivariance_n_sigma"]))
 
-    metrics["density"] = _density_block(full.wave_at(i_peak), 0,
-                                        times[i_peak])
+    metrics["density"] = _density_block(pair.peak, 0, times[i_peak])
     metrics["trajectories"] = _some_paths(ens.times, ens.positions)
 
     # density identity on a halfspace decomposition at the start
@@ -596,17 +620,17 @@ def run_interference_scenario(spec):
 
 def _decoherence_metrics(spec):
     """Branch evolution, r(t), L1(t), and the single-branch deviation."""
-    pair = _branch_pair(spec)
-    recs, full, dev, times = pair.recs, pair.full, pair.dev, pair.full.times
-    r_series = np.asarray([
-        overlap_factor(recs[0].wave_at(i), recs[1].wave_at(i), _env_axis(spec))
-        for i in range(len(times))])
+    e_ax = _env_axis(spec)
+    pair = _branch_pair(
+        spec, observe=lambda w0, w1, full: overlap_factor(w0, w1, e_ax))
+    result, dev, times = pair.result, pair.dev, pair.result.times
+    r_series = pair.seen
     i_gate = _index_at(times, spec["couplings"]["env"]["t_off"])
     i_rec = int(np.argmax(pair.l1))
 
     return {
         "times": times.tolist(),
-        "r_series": r_series.tolist(),
+        "r_series": r_series,
         "l1_series": pair.l1.tolist(),
         "r_gate_close": float(r_series[i_gate]),
         "t_gate_close": float(times[i_gate]),
@@ -618,10 +642,9 @@ def _decoherence_metrics(spec):
         "deviation_series": dev.deviations.tolist(),
         "norm_drift": pair.norm_drift,
         "eq3_residual": pair.eq3,
-        "density": _density_block(full.wave_at(i_rec), SYSTEM_AXIS,
-                                  times[i_rec]),
+        "density": _density_block(pair.peak, SYSTEM_AXIS, times[i_rec]),
         "trajectories": _trajectory_block(
-            dev.full.times, [dev.full.positions, dev.branch.positions],
+            times, [p[:, 0] for p in result.probe_paths],
             ["full_wave_probe", "single_branch_probe"]),
     }
 
@@ -681,9 +704,9 @@ def run_measurement_scenario(spec):
     n = spec["ensemble"]["n_particles"]
     x0s = sample_initial(full0, n, spec["seed"])
 
-    result = coevolve([full0], H, sched, params, x0s)
+    result = coevolve([full0], H, sched, params, [Bundle(x0s)])
     psi_end = result.final_components[0]
-    positions = result.probe_paths              # (T, N, 2)
+    positions = result.probe_paths[0]           # (T, N, 2)
 
     metrics = {"times": result.times.tolist()}
     verdicts = {}
@@ -741,11 +764,12 @@ def run_measurement_scenario(spec):
     verdicts["born_occupancy"] = _vd(occupancy_ok)
     verdicts["effective_fidelity"] = _vd(fidelity_ok)
 
-    metrics["degenerate_fraction"] = float(np.mean(result.probe_degenerate))
+    metrics["degenerate_fraction"] = float(np.mean(result.probe_degenerate[0]))
     verdicts["node_safety"] = _vd(
         metrics["degenerate_fraction"] < thr["degenerate_max_fraction"])
 
-    metrics["density"] = _density_block(psi_end, POINTER_AXIS, sched.t_end)
+    metrics["density"] = _density_block(
+        _axis_density(psi_end, POINTER_AXIS), POINTER_AXIS, sched.t_end)
     metrics["trajectories"] = _some_paths(result.times, positions)
 
     # identity check on the pointer's two halfspaces at 0
@@ -769,12 +793,8 @@ def _preparation_metrics(spec):
 
     obs_state = {"gate_close": None, "eq3": None}
 
-    def observer(t, amps):
-        w1 = WaveFunction(grid, amps[0], t)
-        w2 = WaveFunction(grid, amps[1], t)
-        r = overlap_factor(w1, w2, e_ax)
-        _, l1 = interference_term(w1, w2)
-        row = {"t": t, "r": r, "l1": l1}
+    def observer(t, amps, positions):
+        w1, w2 = (WaveFunction(grid, a, t) for a in amps)
         if obs_state["gate_close"] is None and t >= gate["t_off"]:
             total = WaveFunction(grid, amps[0] + amps[1], t)
             below, above, gap = _lobe_metrics(total)
@@ -782,9 +802,10 @@ def _preparation_metrics(spec):
             obs_state["gate_close"] = {
                 "t": t, "lobe_mass_below": below, "lobe_mass_above": above,
                 "lobe_gap_rel": gap}
-        return row
+        return overlap_factor(w1, w2, e_ax), interference_term(w1, w2)[1]
 
-    result = coevolve(comps, H, sched, params, x0[None, :], observer)
+    result = coevolve(comps, H, sched, params, [Bundle([x0])], observer)
+    probe = result.probe_paths[0][:, 0]
 
     # reference: the prepared eigenstate alone, on the system axis
     ref_rec = _system_reference_record(spec, 0)
@@ -794,17 +815,17 @@ def _preparation_metrics(spec):
     times = result.times
     # the reference trajectory has the same times (same schedule and stride)
     dev = _periodic_dev(grid.subgrid((SYSTEM_AXIS,)),
-                        result.probe_paths[:, 0, [SYSTEM_AXIS]],
+                        probe[:, [SYSTEM_AXIS]],
                         tr_ref.positions)
     post = times >= gate["t_off"]
 
-    r_series = np.asarray([row["r"] for row in result.observations])
+    r_series, l1_series = (list(c) for c in zip(*result.observations))
     i_env = _index_at(times, spec["couplings"]["env"]["t_off"])
 
     return {
         "times": times.tolist(),
-        "r_series": r_series.tolist(),
-        "l1_series": [row["l1"] for row in result.observations],
+        "r_series": r_series,
+        "l1_series": l1_series,
         "r_env_close": float(r_series[i_env]),
         "t_env_close": float(times[i_env]),
         "gate_close": obs_state["gate_close"],
@@ -812,15 +833,15 @@ def _preparation_metrics(spec):
         "deviation_series": dev.tolist(),
         "deviation_max_stage3": float(np.max(dev[post])),
         "deviation_max": float(np.max(dev)),
-        "probe_degenerate": bool(result.probe_degenerate[0]),
+        "probe_degenerate": bool(result.probe_degenerate[0][0]),
         "norm_end": float(np.sqrt(sum(
             c.norm() ** 2 for c in result.final_components))),
-        "density": _density_block(
+        "density": _density_block(_axis_density(
             WaveFunction(grid, sum(c.amplitudes
                                    for c in result.final_components)),
-            SYSTEM_AXIS, sched.t_end),
+            SYSTEM_AXIS), SYSTEM_AXIS, sched.t_end),
         "trajectories": _trajectory_block(
-            times, [result.probe_paths[:, 0], tr_ref.positions],
+            times, [probe, tr_ref.positions],
             ["full_wave_probe", "prepared_eigenstate_probe"]),
     }
 
@@ -883,39 +904,42 @@ def run_relaxation_scenario(spec):
     n = spec["ensemble"]["n_particles"]
 
     psi0 = _box_modes_state(grid, rx["modes"], spec["seed"])
-    rec = evolve(psi0, H, sched, params)
-
-    def h_run(x):
-        """Paths (T, N, D), frozen flags and H(t) of particles from x."""
-        trajs = simulate_trajectories(rec, x)
-        pos = np.stack([tr.positions for tr in trajs], axis=1)
-        return pos, [tr.degenerate for tr in trajs], [
-            h_function(pos[i], rec.wave_at(i), rx["coarse_len"])
-            for i in range(len(rec.times))]
-
     # non-equilibrium start: uniform over the configured sub-box
     rng = rng_for(spec["seed"] + 1)
     box = np.asarray(rx["subbox"], dtype=float)
     x0 = box[:, 0] + rng.random((n, grid.dims)) * (box[:, 1] - box[:, 0])
-    positions, frozen, h_series = h_run(x0)
-    degenerate = float(np.mean(frozen))
+    bundles = [Bundle(x0)]
+    control = rx.get("equilibrium_control", True)
+    if control:
+        bundles.append(Bundle(sample_initial(psi0, n, spec["seed"] + 2)))
+
+    def observer(t, amps, positions):
+        """The norm, and H(t) of each bundle."""
+        psi = WaveFunction(grid, amps[0], t)
+        return psi.norm(), [h_function(x, psi, rx["coarse_len"])
+                            for x in positions]
+
+    result = coevolve([psi0], H, sched, params, bundles, observer)
+    norms, h = (np.asarray(c) for c in zip(*result.observations))
+    h_series = h[:, 0].tolist()
+    degenerate = float(np.mean(result.probe_degenerate[0]))
 
     metrics = {
-        "times": rec.times.tolist(),
+        "times": result.times.tolist(),
         "h_series": h_series,
         "h_initial": h_series[0],
         "h_final": h_series[-1],
         "degenerate_fraction": degenerate,
         "n_particles": n,
-        "norm_drift": float(np.max(np.abs(rec.norms - rec.norms[0]))),
-        "density": _density_block(rec.wave_at(-1), 0, sched.t_end),
-        "trajectories": _some_paths(rec.times, positions),
+        "norm_drift": float(np.max(np.abs(norms - norms[0]))),
+        "density": _density_block(_axis_density(result.final_components[0], 0),
+                                  0, sched.t_end),
+        "trajectories": _some_paths(result.times, result.probe_paths[0]),
     }
     verdicts = {}
 
-    if rx.get("equilibrium_control", True):
-        h_eq = h_run(sample_initial(psi0, n, spec["seed"] + 2))[2]
-        metrics["h_eq_series"] = h_eq
+    if control:
+        h_eq = metrics["h_eq_series"] = h[:, 1].tolist()
         verdicts["equilibrium_flat"] = _vd(max(h_eq) <= thr["eq_h_max"])
 
     if n < thr["min_particles"]:

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from pilotwave.fields import PhysicalParams, make_grid, init_gaussian
+from pilotwave.fields import PhysicalParams, density, make_grid, init_gaussian
 from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, Schedule, evolve,
 )
@@ -114,15 +114,16 @@ def test_criterion_02_free_gaussian_oracle():
 
 def test_criterion_03_equivariance(interference_report):
     rec, _, _ = free_gaussian_record(stride=100)
+    densities = [density(rec.wave_at(i)) for i in range(len(rec.times))]
     ens = run_ensemble(rec, 10_000, seed=11)
-    rep = equivariance_test(ens, rec)
+    rep = equivariance_test(ens, densities)
     free_ok = rep.within_band(3.0)
 
     slit_ok = interference_report.verdicts["equivariance"] == "pass"
 
     shifted = run_ensemble(rec, 10_000, seed=12)
     shifted.positions = shifted.positions + 1.0
-    rep_neg = equivariance_test(shifted, rec)
+    rep_neg = equivariance_test(shifted, densities)
     p_neg = float(np.nanmin(rep_neg.p_value))
 
     criterion(3, "equivariance",

@@ -8,8 +8,9 @@ from pilotwave.propagate import HamiltonianSpec, PotentialTerm, Schedule, evolve
 from pilotwave.branches import (
     BranchError, RegionMask, halfspace_mask,
     decompose, interference_term, effective_wavefunction,
-    occupancy_labels, single_branch_error, overlap_factor,
+    occupancy_labels, single_branch_error, overlap_factor, _supported,
 )
+from pilotwave.guidance import simulate_trajectory
 
 
 def grid1d(n=512, lo=-20.0, hi=20.0):
@@ -228,6 +229,15 @@ class TestOccupancy:
             occupancy_labels(g, [[1.0, -1.0]], masks)
 
 
+def branch_error(full, branch, x0):
+    """`single_branch_error` of one probe guided through each record."""
+    tr_full, tr_br = (simulate_trajectory(r, x0) for r in (full, branch))
+    supported = [_supported(full.grid, a, x)
+                 for a, x in zip(branch.snapshots, tr_br.positions)]
+    return single_branch_error(full.grid, tr_full.times, tr_full.positions,
+                               tr_br.positions, supported)
+
+
 class TestSingleBranchError:
     def test_disjoint_branches_tiny_deviation(self):
         # non-interfering separated packets: guiding by the occupied branch
@@ -240,7 +250,7 @@ class TestSingleBranchError:
         H = HamiltonianSpec()
         full = evolve(psi, H, sched)
         branch = evolve(ga, H, sched)
-        res = single_branch_error(full, branch, [-6.5])
+        res = branch_error(full, branch, [-6.5])
         assert not res.truncated
         assert res.max_deviation <= 2 * g.dxs[0]
 
@@ -254,5 +264,5 @@ class TestSingleBranchError:
         H = HamiltonianSpec()
         full = evolve(psi, H, sched)
         branch = evolve(ga, H, sched)
-        res = single_branch_error(full, branch, [-5.0])
+        res = branch_error(full, branch, [-5.0])
         assert res.max_deviation >= 10 * g.dxs[0]

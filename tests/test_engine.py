@@ -1,10 +1,11 @@
 """The stepping loop and the particle advance, checked against reference loops.
 
 `evolve` and `coevolve` share one stepping loop, and `simulate_trajectories`
-and the probes of `coevolve` share one particle loop (`guided_walk`).  The
+and the bundles of `coevolve` share one particle loop (`GuidedWalk`).  The
 reference functions below are the separate loops those replaced, kept as
 oracles: on every case where the old loops agreed with each other, the shared
-code must give the same bits.
+code must give the same bits.  Each bundle of a `coevolve` call also keeps the
+bits of `simulate_trajectories` over a record of its source.
 
 The one exception is a free-flight jump over more than one step: where the
 Hamiltonian is kinetic only, the shared loop applies exp(-i K n dt) once
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from pilotwave import guidance
+from pilotwave.branches import decompose, halfspace_mask
 from pilotwave.fields import PhysicalParams, WaveFunction, init_gaussian, make_grid, normalize
 from pilotwave.guidance import (
     advance_interval, gate_kick, simulate_trajectories, velocity_field,
@@ -25,7 +27,7 @@ from pilotwave.propagate import (
     EvolutionRecord, HamiltonianSpec, MeasurementCoupling, PotentialTerm,
     Schedule, SplitOperator, evolve,
 )
-from pilotwave.scenarios import _components_of, builtin_spec, coevolve
+from pilotwave.scenarios import Bundle, _components_of, builtin_spec, coevolve
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +229,63 @@ def test_trajectories_match_reference(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_coevolve_probes_match_reference(name):
     psi, H, sched, params, x0s = CASES[name]()
-    res = coevolve([psi], H, sched, params, x0s)
+    res = coevolve([psi], H, sched, params, [Bundle(x0s)])
     path, frozen = reference_probes(psi, H, sched, params, x0s)
-    assert_matches(name, "path", res.probe_paths, path)
-    assert np.array_equal(res.probe_degenerate, frozen)
+    assert_matches(name, "path", res.probe_paths[0], path)
+    assert np.array_equal(res.probe_degenerate[0], frozen)
     ref = reference_evolve(psi, H, sched, params)
     assert np.array_equal(res.times, ref.times)
     assert_matches(name, "amplitude", res.final_components[0].amplitudes,
                    ref.snapshots[-1], np.max(np.abs(ref.snapshots[-1])))
+
+
+def record_of(recs, source, stride):
+    """The record a bundle reads: component `source`'s, or the components'
+    sum (None), summed per snapshot in component order; every `stride`-th
+    snapshot and the last."""
+    r0 = recs[0]
+    snaps = (recs[source].snapshots if source is not None
+             else [sum(s[1:], s[0]) for s in zip(*(r.snapshots for r in recs))])
+    last = len(r0.times) - 1
+    idx = [*range(0, last, stride), last]
+    return EvolutionRecord(r0.grid, r0.params, r0.hamiltonian, r0.schedule,
+                           r0.times[idx], [snaps[i] for i in idx])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coevolve_bundles_match_record_path(name):
+    """Bundles of one `coevolve` call on two components (the halves of the
+    case's wave either side of x0 = 0): each keeps the bits of
+    `simulate_trajectories` over an `evolve` record of its source at its
+    stride, and the observer sees its path row at every time it advances."""
+    psi, H, sched, params, x0s = CASES[name]()
+    comps = [b.wave for b in decompose(psi, [
+        halfspace_mask(psi.grid, 0, 0.0, side) for side in ("below", "above")])]
+    last = len(range(0, sched.n_steps, sched.stride))
+    stride = 3 if last % 3 else 4
+    assert last % stride and len(x0s) > 1
+    bundles = [Bundle(x0s), Bundle(x0s[:1], source=0),
+               Bundle(x0s, source=0, stride=stride),
+               Bundle(x0s[1:2], stride=stride)]
+    seen = []
+    res = coevolve(comps, H, sched, params, bundles,
+                   lambda t, amps, positions: seen.append(
+                       [None if p is None else p.copy() for p in positions]))
+    recs = [evolve(c, H, sched, params) for c in comps]
+    for k, b in enumerate(bundles):
+        trs = simulate_trajectories(record_of(recs, b.source, b.stride), b.x0s)
+        assert np.array_equal(res.probe_times[k], trs[0].times)
+        assert np.array_equal(res.probe_paths[k],
+                              np.stack([tr.positions for tr in trs], axis=1))
+        assert np.array_equal(res.probe_degenerate[k],
+                              [tr.degenerate for tr in trs])
+        rows = [i for i in range(last + 1) if i % b.stride == 0 or i == last]
+        for i, row in enumerate(seen):
+            if i in rows:
+                assert np.array_equal(row[k],
+                                      res.probe_paths[k][rows.index(i)])
+            else:
+                assert row[k] is None
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +304,9 @@ def test_frozen_particle_stays_put_under_gate():
     psi, H, sched, params = gated_gaussian()
     x0 = np.array([[6.0, 3.0]])
     tr = simulate_trajectories(evolve(psi, H, sched, params), x0)[0]
-    res = coevolve([psi], H, sched, params, x0)
+    res = coevolve([psi], H, sched, params, [Bundle(x0)])
     for path, frozen in ((tr.positions, tr.degenerate),
-                         (res.probe_paths[:, 0], res.probe_degenerate[0])):
+                         (res.probe_paths[0][:, 0], res.probe_degenerate[0][0])):
         assert frozen
         assert len(path) == 5
         assert np.all(path == [6.0, 3.0])
@@ -270,7 +321,7 @@ def test_nan_start_raises_runtime_error():
     with pytest.raises(RuntimeError, match="NaN in trajectory output"):
         simulate_trajectories(rec, x0)
     with pytest.raises(RuntimeError, match="NaN in trajectory output"):
-        coevolve([psi], H, sched, params, x0)
+        coevolve([psi], H, sched, params, [Bundle(x0)])
 
 
 
@@ -299,11 +350,12 @@ def test_local_fields_match_complete_fields(name, monkeypatch):
     def alone():
         """Each particle run alone: paths and frozen flags of both runs."""
         trs = [simulate_trajectories(rec, x0[None, :])[0] for x0 in x0s]
-        res = [coevolve([psi], H, sched, params, x0[None, :]) for x0 in x0s]
+        res = [coevolve([psi], H, sched, params, [Bundle(x0[None, :])])
+               for x0 in x0s]
         return (np.stack([tr.positions for tr in trs]),
                 [tr.degenerate for tr in trs],
-                np.stack([r.probe_paths for r in res]),
-                np.stack([r.probe_degenerate for r in res]))
+                np.stack([r.probe_paths[0] for r in res]),
+                np.stack([r.probe_degenerate[0] for r in res]))
 
     got = alone()
     # every run reads one local field per observation
@@ -343,11 +395,12 @@ def test_one_particle_kernel_matches_vector_path(name, monkeypatch):
 
     def alone():
         trs = [simulate_trajectories(rec, x0[None, :])[0] for x0 in x0s]
-        res = [coevolve([psi], H, sched, params, x0[None, :]) for x0 in x0s]
+        res = [coevolve([psi], H, sched, params, [Bundle(x0[None, :])])
+               for x0 in x0s]
         return (np.stack([tr.positions for tr in trs]),
                 [tr.degenerate for tr in trs],
-                np.stack([r.probe_paths for r in res]),
-                np.stack([r.probe_degenerate for r in res]))
+                np.stack([r.probe_paths[0] for r in res]),
+                np.stack([r.probe_degenerate[0] for r in res]))
 
     runs = []
     one = guidance._advance_one
@@ -439,11 +492,12 @@ def test_factored_coevolve_matches_materialized(name):
     g, params, H, sched, x0s, comps = FACTORED[name]()
     assert all(len(c.blocks) > 1 for c in comps)
 
-    def observer(t, amps):
+    def observer(t, amps, positions):
         return [a.copy() for a in amps]
 
-    got = coevolve(comps, H, sched, params, x0s, observer)
-    want = coevolve(materialized(comps), H, sched, params, x0s, observer)
+    got = coevolve(comps, H, sched, params, [Bundle(x0s)], observer)
+    want = coevolve(materialized(comps), H, sched, params, [Bundle(x0s)],
+                    observer)
     tol = FACTORED_TOL
     peak = max(np.max(np.abs(a)) for obs in want.observations for a in obs)
     assert np.array_equal(got.times, want.times)
@@ -451,9 +505,9 @@ def test_factored_coevolve_matches_materialized(name):
     for a_obs, b_obs in zip(got.observations, want.observations):
         for a, b in zip(a_obs, b_obs):
             np.testing.assert_allclose(a, b, rtol=0, atol=tol["amplitude"] * peak)
-    np.testing.assert_allclose(got.probe_paths, want.probe_paths, rtol=0,
+    np.testing.assert_allclose(got.probe_paths[0], want.probe_paths[0], rtol=0,
                                atol=tol["path"])
-    assert np.array_equal(got.probe_degenerate, want.probe_degenerate)
+    assert np.array_equal(got.probe_degenerate[0], want.probe_degenerate[0])
     for a, b in zip(got.final_components, want.final_components):
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, rtol=0,
                                    atol=tol["amplitude"] * peak)

@@ -64,6 +64,12 @@ def harmonic_record(t_end=1.0, dt=0.01, stride=10):
     return evolve(psi, H, Schedule(0, t_end, dt, stride))
 
 
+def densities(rec):
+    """The axis-0 density at every snapshot of a record."""
+    return [ensemble._axis_density(rec.wave_at(i), 0)
+            for i in range(len(rec.times))]
+
+
 def free_record(t_end=2.0, dt=0.002, stride=100, n=1024):
     g = make_grid([{"points": n, "lo": -20, "hi": 20}])
     psi = init_gaussian(g, [0.0], [1.0])
@@ -95,7 +101,7 @@ class TestEquivariance:
     def test_free_gaussian_within_band(self):
         rec = free_record()
         ens = run_ensemble(rec, 2000, seed=21)
-        rep = equivariance_test(ens, rec, bins=32)
+        rep = equivariance_test(ens, densities(rec), bins=32)
         assert rep.within_band(3.0)
         assert np.all(rep.tv >= 0) and np.all(rep.tv <= 1)
         ok = ~np.isnan(rep.p_value)
@@ -104,27 +110,27 @@ class TestEquivariance:
     def test_initial_time_within_band(self):
         rec = free_record(t_end=0.5, stride=250)
         ens = run_ensemble(rec, 3000, seed=2)
-        rep = equivariance_test(ens, rec, bins=32)
+        rep = equivariance_test(ens, densities(rec), bins=32)
         assert rep.tv[0] <= rep.tv_band_mean[0] + 3 * rep.tv_band_sigma[0]
 
     def test_shifted_ensemble_detected(self):
         rec = free_record(t_end=0.5, stride=250)
         ens = run_ensemble(rec, 10_000, seed=13)
         ens.positions = ens.positions + 1.0  # shift by one sigma
-        rep = equivariance_test(ens, rec, bins=64)
+        rep = equivariance_test(ens, densities(rec), bins=64)
         assert np.nanmin(rep.p_value) < 1e-6
 
 
 def loop_band(ens, rec, bins, resamples):
     """Bootstrap band mean and sigma per time, one bincount per resample:
     the reference for the chunked bincounts of equivariance_test."""
-    edges = ensemble.binning_for(rec, bins)
+    edges = ensemble.binning_for(densities(rec), bins)
     n = ens.n_particles
     boot_idx = rng_for(ens.seed + 1).integers(0, n, size=(resamples, n))
     means, sigmas = [], []
     for ti, t in enumerate(ens.times):
         si = int(np.argmin(np.abs(rec.times - t)))
-        expected = ensemble._expected_bin_mass(rec.wave_at(si), edges)
+        expected = ensemble._expected_bin_mass(densities(rec)[si], edges)
         which = np.digitize(ens.positions[ti, :, 0], edges) - 1
         inside = (which >= 0) & (which < len(expected))
         wsafe = np.where(inside, which, 0)
@@ -149,9 +155,10 @@ class TestBootstrapBand:
         ens = run_ensemble(rec, 500, seed=3)
         # a shift puts some particles outside the binned range
         ens.positions = ens.positions + 6.0
-        rep = equivariance_test(ens, rec, bins=bins, resamples=resamples)
+        rep = equivariance_test(ens, densities(rec), bins=bins,
+                                resamples=resamples)
         xs = ens.positions[:, :, 0]
-        edges = ensemble.binning_for(rec, bins)
+        edges = ensemble.binning_for(densities(rec), bins)
         assert ((xs < edges[0]) | (xs >= edges[-1])).any()
         mean, sigma = loop_band(ens, rec, bins, resamples)
         assert np.array_equal(rep.tv_band_mean, mean)
@@ -183,7 +190,7 @@ class TestChiSquare:
             return chisquare(obs, exp)
 
         monkeypatch.setattr(ensemble, "_chisquare", spy)
-        rep = equivariance_test(ens, rec, bins=32)
+        rep = equivariance_test(ens, densities(rec), bins=32)
         assert len(seen) == len(rep.times) == 6
         assert np.array_equal(rep.chi2, [w.statistic for w in seen])
         assert np.array_equal(rep.p_value, [w.pvalue for w in seen])
@@ -192,7 +199,8 @@ class TestChiSquare:
     def test_too_few_bins_is_nan(self):
         # 3 particles expect fewer than 5 in every bin: no chi-square
         rec = free_record(t_end=0.5, stride=250)
-        rep = equivariance_test(run_ensemble(rec, 3, seed=8), rec, bins=32)
+        rep = equivariance_test(run_ensemble(rec, 3, seed=8), densities(rec),
+                                bins=32)
         assert np.isnan(rep.chi2).all() and np.isnan(rep.p_value).all()
         assert np.isfinite(rep.tv).all()
 

@@ -301,8 +301,9 @@ def probe_points(g, n=200):
 def sample(vf0, vf1, pts):
     """Both fields at points (M, D) through one `_sampler` table, as
     (a, b, touched, inside) with a and b of shape (M, D)."""
-    (a, b), touched, inside = guidance._sampler((vf0, vf1))(pts.T)
-    return a.T, b.T, touched, inside
+    read, inside = guidance._sampler((vf0, vf1))
+    (a, b), touched, low = read(pts.T)
+    return a.T, b.T, touched, inside.take(low, mode="clip")
 
 
 class TestSharedStencil:

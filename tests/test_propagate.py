@@ -12,7 +12,7 @@ from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
     PropagationError, SplitOperator, evolve, potential_grid, _overlap,
 )
-from pilotwave.scenarios import coevolve
+from pilotwave.scenarios import Bundle, coevolve
 
 
 def grid1d(n=256, lo=-16.0, hi=16.0):
@@ -407,7 +407,7 @@ class TestFiniteAtObservations:
         with pytest.raises(PropagationError,
                            match=r"non-finite amplitudes at step 5 \(t=0.05\)$"):
             coevolve([psi], H, Schedule(0, 1, 0.01, 5), PhysicalParams(),
-                     np.zeros((1, 1)))
+                     [Bundle(np.zeros((1, 1)))])
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +661,8 @@ class TestBlocks:
         whole = init_gaussian(g, [0.0] * 3, SIGMAS)
         with pytest.raises(PropagationError, match="factored"):
             coevolve([psi, whole], FREE, Schedule(0, 0.1, 0.01),
-                     PhysicalParams(masses=(1.0,) * 3), np.zeros((1, 3)))
+                     PhysicalParams(masses=(1.0,) * 3),
+                     [Bundle(np.zeros((1, 3)))])
 
     def test_free_factor_jumps_once_per_observation(self, monkeypatch):
         # preparation's twin: harmonic on axes 0 and 1, gate 0 -> 1, axis 2

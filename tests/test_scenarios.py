@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pilotwave.propagate import (
 from pilotwave.scenarios import (
     KINDS, DEFAULT_THRESHOLDS, SpecError,
     validate_spec_dict, apply_overrides, spec_hash, load_spec, builtin_spec,
-    coevolve, overall_verdict,
+    Bundle, coevolve, overall_verdict,
     run_interference_scenario, run_decoherence_scenario,
     run_measurement_scenario, run_relaxation_scenario,
     run_preparation_scenario, run_scenario, _hamiltonian_of, _twin_spec,
@@ -244,7 +245,8 @@ class TestCoevolve:
         H = HamiltonianSpec(())
         sched = Schedule(0.0, 0.5, 0.005, 10)
         rec = evolve(psi, H, sched, params)
-        res = coevolve([psi], H, sched, params, np.array([[-2.0]]))
+        res = coevolve([psi], H, sched, params,
+                       [Bundle(np.array([[-2.0]]))])
         assert np.max(np.abs(res.final_components[0].amplitudes
                              - rec.wave_at(-1).amplitudes)) <= 1e-12
 
@@ -257,7 +259,8 @@ class TestCoevolve:
         total = WaveFunction(g, (pa.amplitudes + pb.amplitudes) / np.sqrt(2))
         H = HamiltonianSpec(())
         sched = Schedule(0.0, 0.5, 0.005, 10)
-        res = coevolve([pa, pb], H, sched, params, np.array([[0.0]]))
+        res = coevolve([pa, pb], H, sched, params,
+                       [Bundle(np.array([[0.0]]))])
         rec = evolve(total, H, sched, params)
         summed = (res.final_components[0].amplitudes
                   + res.final_components[1].amplitudes) / np.sqrt(2)
@@ -271,8 +274,8 @@ class TestCoevolve:
         psi = init_gaussian(g, [-4.0], [1.0], [2.0])
         sched = Schedule(0.0, 2.0, 0.005, 20)
         res = coevolve([psi], HamiltonianSpec(()), sched, params,
-                       np.array([[-4.0]]))
-        end = res.probe_paths[-1, 0, 0]
+                       [Bundle(np.array([[-4.0]]))])
+        end = res.probe_paths[0][-1, 0, 0]
         assert end == pytest.approx(0.0, abs=0.05)
 
 
@@ -377,6 +380,20 @@ class TestDecoherenceScenario:
         assert report.twin["l1_recombination"] >= 0.1
         assert report.metrics["l1_recombination"] < \
             0.2 * report.twin["l1_recombination"]
+
+    def test_holds_no_snapshot_record(self):
+        # one 256x64 amplitude array is 256 KiB; the streamed run peaked at
+        # 3.7 MiB of traced memory, and one holding the two packets' 31
+        # snapshots each and their sum at 24.4 MiB; the bound, 32 arrays,
+        # leaves 2.2x headroom above the stream
+        spec = builtin_spec("decoherence", FAST_DECOHERENCE)
+        tracemalloc.start()
+        try:
+            run_decoherence_scenario(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, peak
 
 
 class TestMeasurementScenario:
