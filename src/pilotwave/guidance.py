@@ -402,12 +402,13 @@ def _interp_one(vf, flat, w, index):
 
 def _sample_one(vf0, vf1, g, x):
     """Both fields at one point x, as `_sampler` reads them: (a, b, touched,
-    inside)."""
+    nodal), with the stencil's corner flags in both fields, whose `all` is
+    `_sampler`'s `inside`."""
     flat, w, index = _stencil_one(g, _wrap_one(g, x))
     a, nodal0 = _interp_one(vf0, flat, w, index)
     b, nodal1 = _interp_one(vf1, flat, w, index)
     nodal = nodal0 + nodal1
-    return a, b, any(nodal), all(nodal)
+    return a, b, any(nodal), nodal
 
 
 def _velocity_one(sample, frac, cap):
@@ -451,7 +452,7 @@ def _advance_one(vf0, vf1, pts, dt):
         k4 = _velocity_one(_sample_one(
             vf0, vf1, g, [p + h * v for p, v in zip(x, k3)]), f1, cap)
         # a stencil nodal everywhere at both time levels freezes the particle
-        degen = first[3] or frozen
+        degen = frozen or all(first[3])
         if not degen:
             x = [p + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                  for p, a, b, c, d in zip(x, k1, k2, k3, k4)]

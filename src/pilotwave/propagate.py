@@ -1,19 +1,19 @@
 """Unitary time evolution by Strang-split spectral stepping.
 
-One step applies, in order,
+One step from t applies, in order,
 
-    exp(-i V dt/2) . exp(-i C tau/2) . exp(-i K dt) . exp(-i C tau/2) . exp(-i V dt/2)
+    exp(-i V dt/2) . exp(-i C dt/2) . exp(-i K dt) . exp(-i C dt/2) . exp(-i V dt/2)
 
 where K is the kinetic operator, the sum over axes of k^2/2m in units where
 ħ = 1 (diagonal in momentum space), V the position potential, a sum of the
 quadratic terms of `TERM_KINDS` (diagonal in position space), and C the
 optional measurement coupling g * x_source * p_target, applied as a spectral
-phase along the target axis; tau is the overlap of [t, t+dt) with the
-coupling gate, so gate edges need not align with step boundaries.  Windows
-and the gate share one overlap rule (`_step_overlap`): a step inside gets
-exactly dt, and an overlap within rounding of t + dt counts as none.  Every
-factor is exactly unitary, making the composition second-order accurate and
-norm-preserving to rounding.
+phase along the target axis.  Every window and gate edge lies on the step
+grid t_start + k dt (`_observed_steps` checks it before the first step), so
+H is constant across each step, and a windowed term or the gate acts on a
+step exactly when the step's midpoint lies inside its window (`_inside`).
+Every factor is exactly unitary, making the composition second-order
+accurate and norm-preserving to rounding.
 
 Where no potential acts and no gate is open, the step is exp(-i K dt) alone,
 so n such steps are exactly exp(-i K n dt): on grids of two or more
@@ -167,11 +167,16 @@ class Schedule:
             raise FieldError("schedule.dt must be positive")
         if self.stride < 1:
             raise FieldError("schedule.stride must be >= 1")
-        steps = (self.t_end - self.t_start) / self.dt
-        if steps < 0.5 or abs(steps - round(steps)) > 1e-6:
+        if (self.t_end - self.t_start) / self.dt < 0.5 or not self.on_grid(self.t_end):
             raise FieldError(
                 "(t_end - t_start)/dt must be a positive integer within rounding"
             )
+
+    def on_grid(self, t):
+        """True when t is a step time t_start + k*dt, k within 1e-6 of an
+        integer."""
+        k = (t - self.t_start) / self.dt
+        return abs(k - round(k)) <= 1e-6
 
     @property
     def n_steps(self):
@@ -194,19 +199,11 @@ def _overlap(lo, hi, t0, t1):
     return max(0.0, min(hi, t1) - max(lo, t0))
 
 
-# a step's overlap with a window or the gate of at most this many ulps of
-# its end t + dt is the rounding of t + dt, not time inside the window
-SLIVER_ULPS = 4
-
-
-def _step_overlap(lo, hi, t, dt):
-    """Overlap of the step [t, t+dt) with [lo, hi): dt when the step lies
-    inside, 0 for a sliver of at most SLIVER_ULPS ulps of t + dt."""
-    t1 = t + dt
-    if lo <= t and t1 <= hi:
-        return dt
-    tau = _overlap(lo, hi, t, t1)
-    return tau if tau > SLIVER_ULPS * math.ulp(t1) else 0.0
+def _inside(lo, hi, t, dt):
+    """True when the step [t, t+dt) counts as inside [lo, hi): its midpoint
+    does.  With lo and hi on the step grid, each step lies wholly inside or
+    wholly outside."""
+    return lo <= t + 0.5 * dt < hi
 
 
 class SplitOperator:
@@ -239,54 +236,48 @@ class SplitOperator:
                 self._windowed.append((t.window, v))
         self._exp_v_half_static = np.exp(-1j * self.v_static * self.dt / 2.0)
         self._has_static = bool(np.any(self.v_static))
-        # (per-window overlaps, phase) of the last step that lay wholly
-        # inside or outside each window; None while no window is active
+        # (windows on, phase) of the last step inside some window; None
+        # while no window is on
         self._window_phase = None
 
         c = hamiltonian.coupling
         if c is not None:
-            self._src = grid.mesh(c.source_axis)
-            self._ktarget = grid.k_mesh(c.target_axis)
+            # exp(-i C dt/2) along the target axis, for every gated step
+            self._gate_half = np.exp(-1j * c.strength * (self.dt / 2.0)
+                                     * grid.mesh(c.source_axis)
+                                     * grid.k_mesh(c.target_axis))
 
-    def _window_overlaps(self, t):
-        """Overlap of [t, t+dt) with each window (`_step_overlap`)."""
-        return tuple(_step_overlap(t_on, t_off, t, self.dt)
-                     for (t_on, t_off), _ in self._windowed)
+    def _windows_on(self, t):
+        """Per window, whether the step from t lies inside it (`_inside`)."""
+        return tuple(_inside(*w, t, self.dt) for w, _ in self._windowed)
 
     def _v_half_phase(self, t):
-        """exp(-i V dt_eff / 2) including windowed terms active in [t, t+dt).
-
-        Steps that cover every active window whole share one cached phase;
-        a step that only partly overlaps a window computes its own.
-        """
-        taus = self._window_overlaps(t)
-        if not any(tau > 0.0 for tau in taus):
+        """exp(-i V dt / 2) with the windowed terms the step from t lies in;
+        steps inside the same windows share one cached phase."""
+        on = self._windows_on(t)
+        if not any(on):
             self._window_phase = None
             return self._exp_v_half_static
-        if self._window_phase is not None and self._window_phase[0] == taus:
-            return self._window_phase[1]
-        v_eff = self.v_static * self.dt
-        for (_, v), tau in zip(self._windowed, taus):
-            if tau > 0.0:
-                v_eff = v_eff + v * tau
-        phase = np.exp(-1j * v_eff / 2.0)
-        if all(tau == 0.0 or tau == self.dt for tau in taus):
-            self._window_phase = (taus, phase)
-        return phase
+        if self._window_phase is None or self._window_phase[0] != on:
+            v_eff = self.v_static * self.dt
+            for (_, v), inside in zip(self._windowed, on):
+                if inside:
+                    v_eff = v_eff + v * self.dt
+            self._window_phase = (on, np.exp(-1j * v_eff / 2.0))
+        return self._window_phase[1]
 
-    def _gate_overlap(self, t):
-        """Overlap of [t, t+dt) with the gate (`_step_overlap`); 0 without."""
+    def _gate_on(self, t):
+        """True when the step from t lies inside a gate of nonzero strength."""
         c = self.H.coupling
-        if c is None or c.strength == 0.0:
-            return 0.0
-        return _step_overlap(c.t_on, c.t_off, t, self.dt)
+        return (c is not None and c.strength != 0.0
+                and _inside(c.t_on, c.t_off, t, self.dt))
 
-    def _apply_coupling_half(self, amp, tau_half):
+    def _apply_coupling_half(self, amp):
         """Coupling half-step; overwrites `amp`, which the caller owns."""
-        c = self.H.coupling
-        ft = sfft.fft(amp, axis=c.target_axis, overwrite_x=True)
-        ft *= np.exp(-1j * c.strength * tau_half * self._src * self._ktarget)
-        return sfft.ifft(ft, axis=c.target_axis, overwrite_x=True)
+        axis = self.H.coupling.target_axis
+        ft = sfft.fft(amp, axis=axis, overwrite_x=True)
+        ft *= self._gate_half
+        return sfft.ifft(ft, axis=axis, overwrite_x=True)
 
     def step_array(self, amp, t):
         """One Strang step of the raw amplitude array from time t.
@@ -295,23 +286,23 @@ class SplitOperator:
         place on the step's own array.
         """
         expv = self._v_half_phase(t)
-        tau = self._gate_overlap(t)
+        gated = self._gate_on(t)
         amp = expv * amp
-        if tau > 0.0:
-            amp = self._apply_coupling_half(amp, tau / 2.0)
+        if gated:
+            amp = self._apply_coupling_half(amp)
         amp = sfft.fftn(amp, overwrite_x=True)
         np.multiply(self._kin_phase, amp, out=amp)
         amp = sfft.ifftn(amp, overwrite_x=True)
-        if tau > 0.0:
-            amp = self._apply_coupling_half(amp, tau / 2.0)
+        if gated:
+            amp = self._apply_coupling_half(amp)
         np.multiply(expv, amp, out=amp)
         return amp
 
     def is_free(self, t):
         """True when the step from t is kinetic only: no static potential,
-        and neither a window nor the gate overlaps [t, t+dt)."""
-        return (not self._has_static and self._gate_overlap(t) == 0.0
-                and not any(self._window_overlaps(t)))
+        and it lies inside no window and outside the gate."""
+        return not (self._has_static or self._gate_on(t)
+                    or any(self._windows_on(t)))
 
     def free_flight(self, amp, n):
         """`n` kinetic-only steps as one exact jump exp(-i K n dt).
@@ -328,8 +319,7 @@ class SplitOperator:
 
     def energy(self, amp, t=None):
         """<H> (kinetic + static potential); None while a window is active."""
-        if t is not None and (any(tau > 0.0 for tau in self._window_overlaps(t))
-                              or self._gate_overlap(t) > 0.0):
+        if t is not None and (any(self._windows_on(t)) or self._gate_on(t)):
             return None
         ft = sfft.fftn(amp) / np.sqrt(amp.size)
         kin = np.sum(np.abs(ft) ** 2 * self._ksq_over)
@@ -360,8 +350,9 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
     its own SplitOperator on the block's subgrid under
     `hamiltonian.restrict(block)`; the components must share their blocks,
     and no term may bind two of them.  A factored component's full array is
-    the outer product of its factors, formed at each observation.  The
-    trailing steps of an observation interval that are all free
+    the outer product of its factors, formed at each observation.  Every
+    window and gate edge must be a step time (`Schedule.on_grid`), else a
+    FieldError is raised before the first step.  The trailing steps of an observation interval that are all free
     (`op.is_free`) are taken as one `free_flight` jump, on grids of two or
     more dimensions and on every factor of a factored component; every
     other step is a Strang step.  Amplitudes are checked finite at every
@@ -372,6 +363,15 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
     coupled = hamiltonian.blocks(grid)
     if len(params.masses) != grid.dims:
         raise FieldError("need one mass per grid axis")
+    edges = [(f"{t.kind} window", t.window) for t in hamiltonian.terms if t.window]
+    gate = hamiltonian.coupling
+    if gate is not None:
+        edges.append(("gate", (gate.t_on, gate.t_off)))
+    for name, pair in edges:
+        for e in pair:
+            if not schedule.on_grid(e):
+                raise FieldError(f"{name} edge {e!r} is not on the step grid "
+                                 f"t_start + k*dt (dt={schedule.dt!r})")
     if any(c.blocks != blocks for c in components) or any(
             not any(set(b) <= set(block) for block in blocks) for b in coupled):
         raise PropagationError(f"components factored over {blocks}, but the "

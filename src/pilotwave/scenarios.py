@@ -307,10 +307,11 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
     the full wave at all times); each is a WaveFunction, or a ProductWave
     factored like the others over blocks that no term couples.  At each
     observation every `Bundle` due advances as its own group (`GuidedWalk`;
-    a group's fastest particle sets its substeps), the sum formed once, in
-    component order.  Then the observer, if given, gets (t, list of full
-    amplitude arrays, each bundle's positions (N, D) or None), and its
-    return values are collected."""
+    a group's fastest particle sets its substeps).  Then the observer, if
+    given, gets t, the full wave (a WaveFunction of the components' sum,
+    formed once in component order, which the sum-guided bundles read), the
+    list of component amplitude arrays and each bundle's positions (N, D)
+    or None; its return values are collected."""
     grid = components[0].grid
     # the last observation's index: step 0, then one per stride of steps
     last = len(range(0, schedule.n_steps, schedule.stride))
@@ -321,13 +322,13 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
                                           params, amps)):
         times.append(t)
         due = [i % b.stride == 0 or i == last for b in bundles]
-        waves = {k: WaveFunction(grid, amps[k] if k is not None
-                                 else sum(amps[1:], amps[0]), t)
+        full = WaveFunction(grid, sum(amps[1:], amps[0]), t)
+        waves = {k: full if k is None else WaveFunction(grid, amps[k], t)
                  for k in {b.source for b, d in zip(bundles, due) if d}}
         positions = [walk.feed(waves[b.source]) if d else None
                      for b, walk, d in zip(bundles, walks, due)]
         if observer is not None:
-            observations.append(observer(t, amps, positions))
+            observations.append(observer(t, full, amps, positions))
     return StreamResult(
         times=np.asarray(times),
         probe_times=[w.times for w in walks],
@@ -492,9 +493,8 @@ def _branch_pair(spec, extra=None, observe=None):
     del full0  # not held while the components step
     peak = {"l1": -np.inf}
 
-    def observer(t, amps, positions):
+    def observer(t, full, amps, positions):
         w0, w1 = (WaveFunction(grid, a, t) for a in amps)
-        full = WaveFunction(grid, amps[0] + amps[1], t)
         l1 = interference_term(w0, w1)[1]
         # only a larger L1 moves the peak, as np.argmax takes the first
         if l1 > peak["l1"]:
@@ -783,7 +783,10 @@ def run_measurement_scenario(spec):
 # ---------------------------------------------------------------------------
 # preparation
 
-def _preparation_metrics(spec):
+def _preparation_metrics(spec, tr_ref):
+    """Metrics of one preparation run; `tr_ref` is the prepared eigenstate's
+    trajectory on the system axis, which the env coupling and the gate do
+    not touch."""
     grid, params, sched, H = _simulation_of(spec)
     e_ax = _env_axis(spec)
     gate = spec["couplings"]["gate"]
@@ -793,12 +796,11 @@ def _preparation_metrics(spec):
 
     obs_state = {"gate_close": None, "eq3": None}
 
-    def observer(t, amps, positions):
+    def observer(t, full, amps, positions):
         w1, w2 = (WaveFunction(grid, a, t) for a in amps)
         if obs_state["gate_close"] is None and t >= gate["t_off"]:
-            total = WaveFunction(grid, amps[0] + amps[1], t)
-            below, above, gap = _lobe_metrics(total)
-            obs_state["eq3"] = _eq3_residual(total, POINTER_AXIS, 0.0)
+            below, above, gap = _lobe_metrics(full)
+            obs_state["eq3"] = _eq3_residual(full, POINTER_AXIS, 0.0)
             obs_state["gate_close"] = {
                 "t": t, "lobe_mass_below": below, "lobe_mass_above": above,
                 "lobe_gap_rel": gap}
@@ -806,11 +808,6 @@ def _preparation_metrics(spec):
 
     result = coevolve(comps, H, sched, params, [Bundle([x0])], observer)
     probe = result.probe_paths[0][:, 0]
-
-    # reference: the prepared eigenstate alone, on the system axis
-    ref_rec = _system_reference_record(spec, 0)
-    s0 = np.array([[x0[SYSTEM_AXIS]]])
-    tr_ref = simulate_trajectories(ref_rec, s0)[0]
 
     times = result.times
     # the reference trajectory has the same times (same schedule and stride)
@@ -853,8 +850,11 @@ def run_preparation_scenario(spec):
     thr = spec["thresholds"]
     dx = _grid_of(spec).dxs[SYSTEM_AXIS]
 
-    metrics = _preparation_metrics(spec)
-    twin = _preparation_metrics(_twin_spec(spec))
+    # reference: the prepared eigenstate alone, on the system axis
+    s0 = np.array([[_probe_start(spec)[SYSTEM_AXIS]]], float)
+    tr_ref = simulate_trajectories(_system_reference_record(spec, 0), s0)[0]
+    metrics = _preparation_metrics(spec, tr_ref)
+    twin = _preparation_metrics(_twin_spec(spec), tr_ref)
 
     verdicts = {}
     if metrics["r_env_close"] < thr["r_max"]:
@@ -908,14 +908,11 @@ def run_relaxation_scenario(spec):
     rng = rng_for(spec["seed"] + 1)
     box = np.asarray(rx["subbox"], dtype=float)
     x0 = box[:, 0] + rng.random((n, grid.dims)) * (box[:, 1] - box[:, 0])
-    bundles = [Bundle(x0)]
-    control = rx.get("equilibrium_control", True)
-    if control:
-        bundles.append(Bundle(sample_initial(psi0, n, spec["seed"] + 2)))
+    # and the equilibrium control: Born-sampled
+    bundles = [Bundle(x0), Bundle(sample_initial(psi0, n, spec["seed"] + 2))]
 
-    def observer(t, amps, positions):
+    def observer(t, psi, amps, positions):
         """The norm, and H(t) of each bundle."""
-        psi = WaveFunction(grid, amps[0], t)
         return psi.norm(), [h_function(x, psi, rx["coarse_len"])
                             for x in positions]
 
@@ -936,13 +933,12 @@ def run_relaxation_scenario(spec):
                                   0, sched.t_end),
         "trajectories": _some_paths(result.times, result.probe_paths[0]),
     }
-    verdicts = {}
-
-    if control:
-        h_eq = metrics["h_eq_series"] = h[:, 1].tolist()
-        verdicts["equilibrium_flat"] = _vd(max(h_eq) <= thr["eq_h_max"])
-
-    if n < thr["min_particles"]:
+    h_eq = metrics["h_eq_series"] = h[:, 1].tolist()
+    # too few particles for either ensemble's H(t) to decide a verdict
+    small = n < thr["min_particles"]
+    verdicts = {"equilibrium_flat": "inconclusive" if small
+                else _vd(max(h_eq) <= thr["eq_h_max"])}
+    if small:
         metrics["diagnostic"] = "statistical insufficiency: ensemble too small"
         verdicts["relaxation"] = "inconclusive"
     else:

@@ -114,8 +114,9 @@ class TestRun:
                         '"params": {"omega": 1.0}}]'),
         ("measurement", 'potentials=[{"kind": "harmonic", "axes": [0], '
                         '"params": {"omega": 1.0, "center": 0.0}}]'),
-        # an env window that closes before it opens
+        # an env window that closes before it opens, or off the step grid
         ("decoherence", "couplings.env.t_off=-0.1"),
+        ("decoherence", "couplings.env.t_off=0.301"),
     ])
     def test_malformed_term_exit_1_one_line(self, tmp_path, kind, override):
         spec = Path(pilotwave.__file__).parent / "specs" / f"{kind}.json"

@@ -122,8 +122,8 @@ def case_1d():
 
 def case_2d_nodes():
     # ground x first excited along axis 0: a nodal line at x = 0, plus a
-    # windowed well whose edges fall inside steps; the last two starts sit
-    # where the wave is nodal
+    # windowed well over steps 5 to 14; the last two starts sit where the
+    # wave is nodal
     g = make_grid([{"points": 48, "lo": -6.0, "hi": 6.0},
                    {"points": 40, "lo": -5.0, "hi": 5.0}])
     x, y = g.mesh(0), g.mesh(1)
@@ -132,7 +132,7 @@ def case_2d_nodes():
     H = HamiltonianSpec((
         PotentialTerm.make("harmonic", [0], omega=1.0),
         PotentialTerm.make("harmonic", [1], omega=1.0),
-        PotentialTerm.make("harmonic", [1], window=(0.11, 0.29), omega=0.7),
+        PotentialTerm.make("harmonic", [1], window=(0.1, 0.3), omega=0.7),
     ))
     x0s = np.array([[-1.0, 0.5], [-0.3, -0.2], [0.2, 0.1], [1.1, 0.7],
                     [0.5, -1.2], [5.5, 4.5], [-5.5, -4.6]])
@@ -268,9 +268,14 @@ def test_coevolve_bundles_match_record_path(name):
                Bundle(x0s, source=0, stride=stride),
                Bundle(x0s[1:2], stride=stride)]
     seen = []
-    res = coevolve(comps, H, sched, params, bundles,
-                   lambda t, amps, positions: seen.append(
-                       [None if p is None else p.copy() for p in positions]))
+
+    def observer(t, full, amps, positions):
+        # the full wave is the components' sum, formed in component order
+        assert full.time == t
+        assert np.array_equal(full.amplitudes, amps[0] + amps[1])
+        seen.append([None if p is None else p.copy() for p in positions])
+
+    res = coevolve(comps, H, sched, params, bundles, observer)
     recs = [evolve(c, H, sched, params) for c in comps]
     for k, b in enumerate(bundles):
         trs = simulate_trajectories(record_of(recs, b.source, b.stride), b.x0s)
@@ -492,8 +497,8 @@ def test_factored_coevolve_matches_materialized(name):
     g, params, H, sched, x0s, comps = FACTORED[name]()
     assert all(len(c.blocks) > 1 for c in comps)
 
-    def observer(t, amps, positions):
-        return [a.copy() for a in amps]
+    def observer(t, full, amps, positions):
+        return [full.amplitudes.copy()] + [a.copy() for a in amps]
 
     got = coevolve(comps, H, sched, params, [Bundle(x0s)], observer)
     want = coevolve(materialized(comps), H, sched, params, [Bundle(x0s)],

@@ -632,8 +632,9 @@ class TestOneParticleKernel:
         want = sample(vf0, vf1, pts)
         got = [guidance._sample_one(vf0, vf1, guidance._grid_lists(g),
                                     p.tolist()) for p in pts]
-        for k in range(4):
+        for k in range(3):
             assert np.array_equal([s[k] for s in got], want[k])
+        assert np.array_equal([all(s[3]) for s in got], want[3])
         assert want[2].any()
         # the time blend, and the speed cap where a stencil touches a node
         for frac in (0.0, 0.3, 0.75):

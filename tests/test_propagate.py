@@ -12,7 +12,9 @@ from pilotwave.propagate import (
     HamiltonianSpec, PotentialTerm, MeasurementCoupling, Schedule,
     PropagationError, SplitOperator, evolve, potential_grid, _overlap,
 )
-from pilotwave.scenarios import Bundle, coevolve
+from pilotwave.scenarios import (
+    Bundle, _hamiltonian_of, _schedule_of, builtin_spec, coevolve,
+)
 
 
 def grid1d(n=256, lo=-16.0, hi=16.0):
@@ -85,7 +87,7 @@ class TestStep:
 
 
 class TestConditionalDisplacement:
-    """The gate's coupling factor exp(-i g tau x_source p_target), applied as
+    """The gate's coupling factor exp(-i g dt x_source p_target), applied as
     the two half-steps of a Strang step."""
 
     def grid2d(self):
@@ -93,22 +95,21 @@ class TestConditionalDisplacement:
                           {"points": 128, "lo": -8, "hi": 8}])
 
     def displace(self, psi, coupling, tau):
-        """Both coupling half-steps of a gate overlap tau."""
+        """Both coupling half-steps of a gated step of length tau."""
         op = SplitOperator(psi.grid, PhysicalParams(masses=(1.0, 1.0)),
-                           HamiltonianSpec(coupling=coupling), 0.01)
-        amp = op._apply_coupling_half(psi.amplitudes.copy(), tau / 2.0)
-        return WaveFunction(psi.grid, op._apply_coupling_half(amp, tau / 2.0),
-                            psi.time)
+                           HamiltonianSpec(coupling=coupling), tau)
+        amp = op._apply_coupling_half(psi.amplitudes.copy())
+        return WaveFunction(psi.grid, op._apply_coupling_half(amp), psi.time)
 
     def test_zero_coupling_identity(self):
-        # a zero-strength gate has no overlap, so steps skip the coupling
+        # a zero-strength gate is never on, so steps skip the coupling
         g = self.grid2d()
         psi = init_gaussian(g, [0.0, 0.0], [1.0, 0.6])
         params = PhysicalParams(masses=(1.0, 1.0))
         c = MeasurementCoupling(0, 1, 0.0, 0.0, 1.0)
         gated = SplitOperator(g, params, HamiltonianSpec(coupling=c), 0.5)
         plain = SplitOperator(g, params, HamiltonianSpec(), 0.5)
-        assert gated._gate_overlap(0.0) == 0.0
+        assert not gated._gate_on(0.0)
         np.testing.assert_array_equal(gated.step_array(psi.amplitudes, 0.0),
                                       plain.step_array(psi.amplitudes, 0.0))
 
@@ -232,52 +233,52 @@ class TestEvolve:
 
 
 # Reference implementation: the step that evaluates the windowed potential
-# phase afresh with the overlap (t+dt) - t and transforms out of place; it
-# takes the gate's overlap from the operator, whose rule
-# `test_gate_steps_use_dt` and the sliver tests check.
+# phase and the gate's phase afresh, for each window or gate the step
+# overlaps by more than half of dt, and transforms out of place.
+
+def _oracle_inside(window, t, dt):
+    return _overlap(*window, t, t + dt) > dt / 2.0
+
 
 def _oracle_v_half_phase(op, t):
-    active = [(w, v) for (w, v) in op._windowed
-              if _overlap(w[0], w[1], t, t + op.dt) > 0.0]
+    active = [v for w, v in op._windowed if _oracle_inside(w, t, op.dt)]
     if not active:
         return op._exp_v_half_static
     v_eff = op.v_static * op.dt
-    for (t_on, t_off), v in active:
-        v_eff = v_eff + v * _overlap(t_on, t_off, t, t + op.dt)
+    for v in active:
+        v_eff = v_eff + v * op.dt
     return np.exp(-1j * v_eff / 2.0)
 
 
 def _oracle_step_array(op, amp, t):
-    def coupling_half(amp, tau_half):
-        c = op.H.coupling
+    c = op.H.coupling
+    gated = _oracle_inside((c.t_on, c.t_off), t, op.dt)
+
+    def coupling_half(amp):
         ft = sfft.fft(amp, axis=c.target_axis)
-        ft *= np.exp(-1j * c.strength * tau_half * op._src * op._ktarget)
+        ft *= np.exp(-1j * c.strength * (op.dt / 2.0)
+                     * op.grid.mesh(c.source_axis) * op.grid.k_mesh(c.target_axis))
         return sfft.ifft(ft, axis=c.target_axis)
 
     expv = _oracle_v_half_phase(op, t)
-    tau = op._gate_overlap(t)
     amp = expv * amp
-    if tau > 0.0:
-        amp = coupling_half(amp, tau / 2.0)
+    if gated:
+        amp = coupling_half(amp)
     amp = sfft.ifftn(op._kin_phase * sfft.fftn(amp))
-    if tau > 0.0:
-        amp = coupling_half(amp, tau / 2.0)
+    if gated:
+        amp = coupling_half(amp)
     amp = expv * amp
     return amp
 
 
 DT = 0.03
-WINDOW = (0.1, 0.3)
-GATE = (0.35, 0.4)
+WINDOW = (0.09, 0.3)    # steps 3 to 9
+GATE = (0.33, 0.39)     # steps 11 and 12; 0.33 / DT is 11.000000000000002
 TIMES = [i * DT for i in range(15)]   # as Schedule.time_at gives them
 
 
 def inside_window(t):
-    return WINDOW[0] <= t and t + DT <= WINDOW[1]
-
-
-def outside_window(t):
-    return t + DT <= WINDOW[0] or t >= WINDOW[1]
+    return _oracle_inside(WINDOW, t, DT)
 
 
 def windowed_operator(shape):
@@ -294,20 +295,17 @@ def windowed_operator(shape):
     return op, psi.amplitudes
 
 
-STEPS_OUTSIDE = [t for t in TIMES if not inside_window(t)]
-
-
 class TestStepArrayOracle:
-    @pytest.mark.parametrize("t", STEPS_OUTSIDE)
+    @pytest.mark.parametrize("t", TIMES)
     def test_bitwise_equal_to_oracle(self, t):
-        # static steps, steps straddling a window edge and gate steps
+        # static steps, window steps and gate steps
         op, amp = windowed_operator((32, 24))
         kept = amp.copy()
         got = op.step_array(amp, t)
         assert np.array_equal(amp, kept)
         assert np.array_equal(got, _oracle_step_array(op, kept, t))
 
-    @pytest.mark.parametrize("t", STEPS_OUTSIDE)
+    @pytest.mark.parametrize("t", TIMES)
     def test_large_grid_matches_oracle(self, t):
         # From 256 KiB on, numpy may elide the oracle's temporary and swap
         # the operands of its kinetic multiply, which moves the last bit.
@@ -319,45 +317,36 @@ class TestStepArrayOracle:
         np.testing.assert_allclose(got, want, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(want)))
 
-    def test_times_cover_every_kind_of_step(self):
-        op, _ = windowed_operator((32, 24))
-        overlaps = [op._window_overlaps(t)[0] for t in TIMES]
-        gated = [_overlap(*GATE, t, t + DT) for t in TIMES]
-        assert any(0.0 < tau < DT for tau in overlaps)
-        assert any(0.0 < tau < DT for tau in gated)
-        assert any(tau > 0.0 and not inside_window(t)
-                   for tau, t in zip(gated, TIMES))
-
     def test_steps_inside_window_use_dt(self):
         op, amp = windowed_operator((32, 24))
         inexact = 0
         for t in filter(inside_window, TIMES):
-            assert op._window_overlaps(t) == (DT,)
-            inexact += (t + DT) - t != DT
+            assert op._windows_on(t) == (True,)
+            inexact += _overlap(*WINDOW, t, t + DT) != DT
             kept = amp.copy()
             got = op.step_array(amp, t)
             assert np.array_equal(amp, kept)
-            np.testing.assert_allclose(op._v_half_phase(t),
-                                       _oracle_v_half_phase(op, t),
-                                       rtol=1e-14, atol=0.0)
-            want = _oracle_step_array(op, amp, t)
-            np.testing.assert_allclose(got, want, rtol=1e-14,
-                                       atol=1e-14 * np.max(np.abs(want)))
+            assert np.array_equal(op._v_half_phase(t),
+                                  _oracle_v_half_phase(op, t))
+            assert np.array_equal(got, _oracle_step_array(op, amp, t))
             amp = got
-        # the old overlap (t+dt) - t is not dt at some of these steps
+        # the overlap of [t, t+dt) with the window is not dt at some of them
         assert inexact > 0
 
     def test_gate_steps_use_dt(self):
-        # the gate takes the windows' rule: dt exactly for a step inside,
-        # the plain overlap for a step across an edge
+        # the gate takes the windows' rule, and its half-step phase is the
+        # one of dt, built with the operator
         op, _ = windowed_operator((32, 24))
         inexact = 0
         for t in TIMES:
             raw = _overlap(*GATE, t, t + DT)
-            inside = GATE[0] <= t and t + DT <= GATE[1]
-            assert op._gate_overlap(t) == (DT if inside else raw)
-            inexact += inside and raw != DT
+            assert op._gate_on(t) == _oracle_inside(GATE, t, DT)
+            assert raw in (0.0, pytest.approx(DT, abs=1e-15))
+            inexact += op._gate_on(t) and raw != DT
         assert inexact > 0
+        g = op.grid
+        assert np.array_equal(op._gate_half, np.exp(
+            -1j * 2.0 * (DT / 2.0) * g.mesh(0) * g.k_mesh(1)))
 
     def test_one_cached_phase_dropped_after_window(self):
         op, amp = windowed_operator((32, 24))
@@ -365,14 +354,11 @@ class TestStepArrayOracle:
             amp = op.step_array(amp, t)
             cached = op._window_phase
             if inside_window(t):
-                taus, phase = cached
-                assert taus == (DT,)
+                on, phase = cached
+                assert on == (True,)
                 assert op._v_half_phase(t) is phase
-            elif outside_window(t):
-                assert cached is None
             else:
-                # a straddling step computes its phase and does not keep it
-                assert cached is None or cached[0] == (DT,)
+                assert cached is None
         assert op._window_phase is None
 
     def test_components_share_one_phase(self):
@@ -381,6 +367,64 @@ class TestStepArrayOracle:
         op.step_array(amp, 0.15)
         op.step_array(2.0 * amp, 0.15)
         assert op._v_half_phase(0.18) is first
+
+
+class TestEdgesOnSteps:
+    def run(self, H, sched):
+        g = make_grid([{"points": 16, "lo": -8.0, "hi": 8.0}] * 2)
+        psi = init_gaussian(g, [0.0, 0.0], [0.6, 0.6])
+        return evolve(psi, H, sched, PhysicalParams(masses=(1.0, 1.0)))
+
+    @pytest.mark.parametrize("window, gate, match", [
+        ((0.09, 0.301), GATE, r"linear_coupling window edge 0\.301 .*dt=0\.03\)"),
+        (WINDOW, (0.33, 0.4), r"^gate edge 0\.4 is not on the step grid "
+                              r"t_start \+ k\*dt \(dt=0\.03\)$"),
+    ])
+    def test_misaligned_edge_raises_before_any_step(self, window, gate, match,
+                                                    monkeypatch):
+        H = HamiltonianSpec((PotentialTerm.make(
+            "linear_coupling", [0, 1], window=window, strength=3.0),),
+            MeasurementCoupling(0, 1, 2.0, *gate))
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the edge check")
+        for name in ("step_array", "free_flight"):
+            monkeypatch.setattr(SplitOperator, name, no_step)
+        with pytest.raises(FieldError, match=match):
+            self.run(H, Schedule(0.0, 0.42, DT))
+
+    def test_edge_within_rounding_of_a_step_accepted(self):
+        # 0.35 / 0.0125 is 27.999999999999996
+        H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 6.0, 0.35, 0.4))
+        rec = self.run(H, Schedule(0.0, 0.45, 0.0125))
+        assert len(rec.snapshots) == 37
+
+    @pytest.mark.parametrize("kind, overrides, env, gate", [
+        ("interference", (), 0, 0),
+        ("decoherence", (), 150, 0),
+        ("measurement", (), 0, 25),
+        ("preparation", (), 120, 20),
+        ("preparation", ("schedule.t_end=0.45", "schedule.dt=0.0125"), 24, 4),
+        ("relaxation", (), 0, 0),
+    ], ids=["interference", "decoherence", "measurement", "preparation",
+            "preparation_short", "relaxation"])
+    def test_shipped_inside_steps(self, kind, overrides, env, gate):
+        # the steps each shipped spec (and preparation_short's cut) runs
+        # inside the env window and the gate, on a small grid
+        spec = builtin_spec(kind, overrides)
+        sched = _schedule_of(spec)
+        g = make_grid([{"points": 8, "lo": -1.0, "hi": 1.0}] * len(spec["grid"]))
+        op = SplitOperator(g, PhysicalParams((1.0,) * g.dims),
+                           _hamiltonian_of(spec), sched.dt)
+        times = [sched.time_at(i) for i in range(sched.n_steps)]
+        assert sum(any(op._windows_on(t)) for t in times) == env
+        assert sum(op._gate_on(t) for t in times) == gate
+        c = op.H.coupling
+        for t in times:
+            assert op._windows_on(t) == tuple(
+                _oracle_inside(w, t, sched.dt) for w, _ in op._windowed)
+            assert op._gate_on(t) == (
+                c is not None and _oracle_inside((c.t_on, c.t_off), t, sched.dt))
 
 
 class TestFiniteAtObservations:
@@ -460,13 +504,15 @@ class TestFreeFlight:
 
     def test_free_only_where_nothing_overlaps(self):
         op = windowed_free_operator()
-        want = [op._window_overlaps(t) == (0.0,)
+        want = [_overlap(*WINDOW, t, t + DT) == 0.0
                 and _overlap(*GATE, t, t + DT) == 0.0 for t in TIMES]
         assert [op.is_free(t) for t in TIMES] == want
-        assert op.is_free(0.06) and op.is_free(TIMES[10]) and op.is_free(0.42)
-        # last step before the window and the gate (each straddles the edge),
-        # and the first step wholly inside each
-        for t in (0.09, 0.12, 0.33, 0.36):
+        # the last step before the window, between it and the gate, and
+        # after the gate
+        for t in (0.06, TIMES[10], TIMES[13], 0.42):
+            assert op.is_free(t)
+        # the first and last step inside the window, and the gate's steps
+        for t in (0.09, TIMES[9], TIMES[11], 0.36):
             assert not op.is_free(t)
 
     def test_static_potential_never_free(self):
@@ -486,7 +532,7 @@ class TestFreeFlight:
         op, sched, _ = self.sliver_operator()
         t = sched.time_at(27)
         assert 0.0 < _overlap(0.35, 0.4, t, t + sched.dt) <= math.ulp(t + sched.dt)
-        assert op._gate_overlap(t) == 0.0
+        assert not op._gate_on(t)
         assert op.is_free(t) and op.is_free(sched.time_at(26))
         assert not op.is_free(sched.time_at(28))
 
@@ -494,14 +540,14 @@ class TestFreeFlight:
         op, sched, amp = self.sliver_operator()
         calls = []
 
-        def spy(amp, tau_half, _orig=op._apply_coupling_half):
-            calls.append(tau_half)
-            return _orig(amp, tau_half)
+        def spy(amp, _orig=op._apply_coupling_half):
+            calls.append(amp.shape)
+            return _orig(amp)
         monkeypatch.setattr(op, "_apply_coupling_half", spy)
         op.step_array(amp, sched.time_at(27))
         assert calls == []
         op.step_array(amp, sched.time_at(28))
-        assert calls == [sched.dt / 2.0] * 2
+        assert calls == [amp.shape] * 2
 
     def test_window_steps_then_one_jump_per_interval(self, monkeypatch):
         # decoherence's schedule: a window over the first 150 of 1200 steps,

@@ -429,17 +429,17 @@ class TestRelaxationScenario:
     def test_small_ensemble_inconclusive(self):
         spec = builtin_spec("relaxation", (
             "ensemble.n_particles=100", "schedule.t_end=0.2",
-            "relaxation.equilibrium_control=false",
         ))
         rep = run_relaxation_scenario(spec)
         assert rep.verdicts["relaxation"] == "inconclusive"
+        # the equilibrium control is as small
+        assert rep.verdicts["equilibrium_flat"] == "inconclusive"
         assert "insufficiency" in rep.metrics["diagnostic"]
         assert rep.verdict != "fail"
 
     def test_h_function_starts_high_for_subbox_start(self):
         spec = builtin_spec("relaxation", (
             "ensemble.n_particles=2000", "schedule.t_end=0.1",
-            "relaxation.equilibrium_control=true",
             "thresholds={\"min_particles\": 4000}",
         ))
         rep = run_relaxation_scenario(spec)
