@@ -167,10 +167,9 @@ class Schedule:
             raise FieldError("schedule.dt must be positive")
         if self.stride < 1:
             raise FieldError("schedule.stride must be >= 1")
-        if (self.t_end - self.t_start) / self.dt < 0.5 or not self.on_grid(self.t_end):
-            raise FieldError(
-                "(t_end - t_start)/dt must be a positive integer within rounding"
-            )
+        if self.n_steps < 1 or not self.on_grid(self.t_end):
+            raise FieldError("(t_end - t_start)/dt must be a positive integer "
+                             "within rounding")
 
     def on_grid(self, t):
         """True when t is a step time t_start + k*dt, k within 1e-6 of an
@@ -352,18 +351,20 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
     and no term may bind two of them.  A factored component's full array is
     the outer product of its factors, formed at each observation.  Every
     window and gate edge must be a step time (`Schedule.on_grid`), else a
-    FieldError is raised before the first step.  The trailing steps of an observation interval that are all free
-    (`op.is_free`) are taken as one `free_flight` jump, on grids of two or
-    more dimensions and on every factor of a factored component; every
-    other step is a Strang step.  Amplitudes are checked finite at every
-    observation and every 64 Strang steps.
+    FieldError is raised before the first step.  The trailing steps of an
+    observation interval that are all free (`op.is_free`) are taken as one
+    `free_flight` jump, on grids of two or more dimensions and on every
+    factor of a factored component; every other step is a Strang step.
+    Amplitudes are checked finite at every observation and every 64 Strang
+    steps.
     """
     grid = components[0].grid
     blocks = components[0].blocks
     coupled = hamiltonian.blocks(grid)
     if len(params.masses) != grid.dims:
         raise FieldError("need one mass per grid axis")
-    edges = [(f"{t.kind} window", t.window) for t in hamiltonian.terms if t.window]
+    edges = [(f"{t.kind} window", t.window)
+             for t in hamiltonian.terms if t.window]
     gate = hamiltonian.coupling
     if gate is not None:
         edges.append(("gate", (gate.t_on, gate.t_off)))
