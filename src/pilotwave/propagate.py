@@ -22,14 +22,16 @@ observation as one jump.  1-D runs keep Strang steps; there the FFT pair is a
 small share of a run.
 
 The axes fall into blocks (`HamiltonianSpec.blocks`): two axes share one
-when a term or the gate binds both.  Every factor above then splits into one
-per block, so a component that is a product over the blocks (a ProductWave,
-as `scenarios` builds each packet) stays one: the stepping loop advances each
-factor on its block's subgrid under the Hamiltonian restricted to the block,
-and a block that no term touches by one free-flight jump per observation
-interval, whatever its dimension.  Factors are materialized, as their outer
-product, only at observations; observers, records and results see full
-arrays.  A WaveFunction is the case of one block.
+once a term or the gate has acted on both, so blocks merge, and only merge,
+when a binding first acts.  Every factor above splits into one per block, so
+a component that is a product over the blocks (a ProductWave, as `scenarios`
+builds each packet over the blocks of the first step) stays one: the
+stepping loop advances each factor on its block's subgrid under the
+Hamiltonian restricted to the block, a block that no term touches by one
+free-flight jump per observation interval, and merged blocks as the outer
+product of their factors from the merge on.  Factors are materialized only
+at observations; observers, records and results see full arrays.  A
+WaveFunction is the case of one block.
 """
 
 import math
@@ -122,21 +124,28 @@ class HamiltonianSpec:
                 if not 0 <= a < grid.dims:
                     raise FieldError(f"coupling binds missing axis {a}")
 
-    def blocks(self, grid):
-        """The grid's axes in blocks: two axes share a block when a term
-        (windowed or not) or the gate binds both.
+    def blocks(self, grid, t=None, start=None):
+        """The grid's axes in blocks: those of `start` (one axis each by
+        default), merged wherever a term or the gate binds axes of two.
 
-        Each block is sorted, and blocks come in order of their first axis.
+        With `t` None every term and the gate bind, windowed or not; at a
+        time t a windowed term or the gate binds when its window [t_on,
+        t_off) holds t, so the step from s binds what acts at its midpoint
+        s + dt/2 (`_inside`).  Each block is sorted; blocks come in order
+        of their first axis.
         """
         self.validate(grid)
         dims = grid.dims
         label = list(range(dims))  # each axis's block, named by its first axis
-        bindings = [t.axes for t in self.terms]
+        bindings = [(b, None) for b in start or ()]
+        bindings += [(term.axes, term.window) for term in self.terms]
         if self.coupling is not None:
-            bindings.append((self.coupling.source_axis, self.coupling.target_axis))
-        for axes in bindings:
-            merged = {label[a] for a in axes}
-            label = [min(merged) if b in merged else b for b in label]
+            c = self.coupling
+            bindings.append(((c.source_axis, c.target_axis), (c.t_on, c.t_off)))
+        for axes, window in bindings:
+            if t is None or window is None or window[0] <= t < window[1]:
+                merged = {label[a] for a in axes}
+                label = [min(merged) if b in merged else b for b in label]
         return tuple(tuple(a for a in range(dims) if label[a] == b)
                      for b in sorted(set(label)))
 
@@ -336,6 +345,17 @@ def _check_finite(amps, i, schedule):
             )
 
 
+def _coarsened(grid, blocks, new, factors):
+    """`factors` over `blocks` as factors over the coarser `new`: each new
+    block's factor is the outer product of the old factors inside it."""
+    out = []
+    for nb in new:
+        inside = [(tuple(nb.index(a) for a in b), f)
+                  for b, f in zip(blocks, factors) if b[0] in nb]
+        out.append(product_amplitudes(grid.subgrid(nb), *zip(*inside)))
+    return out
+
+
 def _observed_steps(components, hamiltonian, schedule, params, amps):
     """Advance every component through the schedule.
 
@@ -347,20 +367,21 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
     Each component is stepped factor by factor (a WaveFunction is one factor
     over every axis; a ProductWave one per block of axes), every block with
     its own SplitOperator on the block's subgrid under
-    `hamiltonian.restrict(block)`; the components must share their blocks,
-    and no term may bind two of them.  A factored component's full array is
-    the outer product of its factors, formed at each observation.  Every
-    window and gate edge must be a step time (`Schedule.on_grid`), else a
-    FieldError is raised before the first step.  The trailing steps of an
-    observation interval that are all free (`op.is_free`) are taken as one
-    `free_flight` jump, on grids of two or more dimensions and on every
-    factor of a factored component; every other step is a Strang step.
-    Amplitudes are checked finite at every observation and every 64 Strang
-    steps.
+    `hamiltonian.restrict(block)`; the components must share their blocks.
+    Blocks merge when a binding first acts: at step 0 and at each window's
+    and the gate's on-edge, `hamiltonian.blocks` at the step's midpoint
+    joins blocks, whose factors become their outer product on the merged
+    block's subgrid, with a new SplitOperator; other blocks keep theirs.  A
+    factored component's full array is the outer product of its factors,
+    formed at each observation.  Every window and gate edge must be a step
+    time (`Schedule.on_grid`), else a FieldError is raised before the first
+    step.  The trailing free steps (`op.is_free`) before an observation or a
+    merge are taken as one `free_flight` jump, on grids of two or more
+    dimensions; every other step is a Strang step.  Amplitudes are checked
+    finite at every observation and every 64 Strang steps.
     """
     grid = components[0].grid
     blocks = components[0].blocks
-    coupled = hamiltonian.blocks(grid)
     if len(params.masses) != grid.dims:
         raise FieldError("need one mass per grid axis")
     edges = [(f"{t.kind} window", t.window)
@@ -373,36 +394,53 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
             if not schedule.on_grid(e):
                 raise FieldError(f"{name} edge {e!r} is not on the step grid "
                                  f"t_start + k*dt (dt={schedule.dt!r})")
-    if any(c.blocks != blocks for c in components) or any(
-            not any(set(b) <= set(block) for block in blocks) for b in coupled):
-        raise PropagationError(f"components factored over {blocks}, but the "
-                               f"Hamiltonian couples {coupled}")
-    ops = [SplitOperator(grid.subgrid(b),
-                         PhysicalParams(tuple(params.masses[a] for a in b)),
-                         hamiltonian.restrict(b), schedule.dt)
-           for b in blocks]
+    if any(c.blocks != blocks for c in components):
+        raise PropagationError("components factored over different blocks: "
+                               f"{[c.blocks for c in components]}")
+    n = schedule.n_steps
+    merges, current = {}, blocks  # merge step -> the blocks from that step
+    for k in sorted({0} | {round((pair[0] - schedule.t_start) / schedule.dt)
+                           for _, pair in edges} & set(range(n))):
+        new = hamiltonian.blocks(grid, schedule.time_at(k) + 0.5 * schedule.dt,
+                                 current)
+        if new != current:
+            merges[k] = current = new
+
+    def operator(b):
+        return SplitOperator(grid.subgrid(b),
+                             PhysicalParams(tuple(params.masses[a] for a in b)),
+                             hamiltonian.restrict(b), schedule.dt)
+
+    ops = {b: operator(b) for b in blocks}
     factors = [list(c.factors) for c in components]
     amps[:] = [product_amplitudes(grid, blocks, f) for f in factors]
     yield schedule.time_at(0)
-    n = schedule.n_steps
-    jumps = grid.dims > 1 or len(blocks) > 1
+    jumps = grid.dims > 1
     for start in range(0, n, schedule.stride):
         end = min(start + schedule.stride, n)
         amps.clear()
-        for k, op in enumerate(ops):
-            free_from = end
-            while (jumps and free_from > start
-                   and op.is_free(schedule.time_at(free_from - 1))):
-                free_from -= 1
-            for i in range(start, free_from):
-                t = schedule.time_at(i)
-                for f in factors:
-                    f[k] = op.step_array(f[k], t)
-                if (i + 1) % 64 == 0 and i + 1 < end:
-                    _check_finite([f[k] for f in factors], i + 1, schedule)
-            if free_from < end:
-                for f in factors:
-                    f[k] = op.free_flight(f[k], end - free_from)
+        cuts = sorted({start, end} | {m for m in merges if start < m < end})
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo in merges:
+                factors = [_coarsened(grid, blocks, merges[lo], f)
+                           for f in factors]
+                blocks = merges[lo]
+                ops = {b: ops.get(b) or operator(b) for b in blocks}
+            for k, b in enumerate(blocks):
+                op = ops[b]
+                free_from = hi
+                while (jumps and free_from > lo
+                       and op.is_free(schedule.time_at(free_from - 1))):
+                    free_from -= 1
+                for i in range(lo, free_from):
+                    t = schedule.time_at(i)
+                    for f in factors:
+                        f[k] = op.step_array(f[k], t)
+                    if (i + 1) % 64 == 0 and i + 1 < end:
+                        _check_finite([f[k] for f in factors], i + 1, schedule)
+                if free_from < hi:
+                    for f in factors:
+                        f[k] = op.free_flight(f[k], hi - free_from)
         amps.extend(product_amplitudes(grid, blocks, f) for f in factors)
         _check_finite(amps, end, schedule)
         yield schedule.time_at(end)

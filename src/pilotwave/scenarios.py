@@ -246,14 +246,14 @@ def _hamiltonian_of(spec):
     return HamiltonianSpec(_potential_terms(spec), coupling)
 
 
-def _components_of(spec, grid, hamiltonian):
+def _components_of(spec, grid, hamiltonian, schedule):
     """One (unnormalized) wave per packet: c_n times a unit Gaussian.
 
-    Each is held as one factor per block of axes that the Hamiltonian
-    couples (one full-grid factor where it couples every axis), with c_n on
-    the first factor.
+    Each is held as one factor per block of axes that the terms and gate
+    acting in the schedule's first step couple (`_observed_steps` merges
+    blocks as later bindings act), with c_n on the first factor.
     """
-    blocks = hamiltonian.blocks(grid)
+    blocks = hamiltonian.blocks(grid, schedule.t_start + 0.5 * schedule.dt)
     comps = []
     for p in spec["packets"]:
         psi = gaussian_factors(grid, blocks, p["centers"], p["sigmas"],
@@ -305,7 +305,8 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
 
     Components share the Hamiltonian (evolution is linear, so their sum is
     the full wave at all times); each is a WaveFunction, or a ProductWave
-    factored like the others over blocks that no term couples.  At each
+    factored like the others over blocks that no term couples yet, which
+    merge as couplings first act (`_observed_steps`).  At each
     observation every `Bundle` due advances as its own group (`GuidedWalk`;
     a group's fastest particle sets its substeps).  Then the observer, if
     given, gets t, the full wave (a WaveFunction of the components' sum,
@@ -482,7 +483,7 @@ def _branch_pair(spec, extra=None, observe=None):
     (`_supported`), the full wave's axis-0 density at the first L1 maximum
     and observe(w0, w1, full) of both packets and their sum, if given."""
     grid, params, sched, H = _simulation_of(spec)
-    comps = _components_of(spec, grid, H)
+    comps = _components_of(spec, grid, H, sched)
     mid = 0.5 * (spec["packets"][0]["centers"][SYSTEM_AXIS]
                  + spec["packets"][1]["centers"][SYSTEM_AXIS])
     full0 = WaveFunction(grid, comps[0].amplitudes + comps[1].amplitudes)
@@ -699,7 +700,7 @@ def run_measurement_scenario(spec):
     grid, params, sched, H = _simulation_of(spec)
     thr = spec["thresholds"]
 
-    comps = _components_of(spec, grid, H)
+    comps = _components_of(spec, grid, H, sched)
     full0 = WaveFunction(grid, sum(c.amplitudes for c in comps))
     n = spec["ensemble"]["n_particles"]
     x0s = sample_initial(full0, n, spec["seed"])
@@ -791,7 +792,7 @@ def _preparation_metrics(spec, tr_ref):
     e_ax = _env_axis(spec)
     gate = spec["couplings"]["gate"]
 
-    comps = _components_of(spec, grid, H)
+    comps = _components_of(spec, grid, H, sched)
     x0 = np.asarray(_probe_start(spec), float)
 
     obs_state = {"gate_close": None, "eq3": None}

@@ -19,7 +19,10 @@ import pytest
 
 from pilotwave import guidance
 from pilotwave.branches import decompose, halfspace_mask
-from pilotwave.fields import PhysicalParams, WaveFunction, init_gaussian, make_grid, normalize
+from pilotwave.fields import (
+    PhysicalParams, WaveFunction, gaussian_factors, init_gaussian, make_grid,
+    normalize,
+)
 from pilotwave.guidance import (
     advance_interval, gate_kick, simulate_trajectories, velocity_field,
 )
@@ -440,7 +443,7 @@ def factored_case(grid_spec, masses, hamiltonian, packets, schedule, x0s):
         {"coefficient": c, "centers": ce, "sigmas": s, "momenta": m}
         for c, ce, s, m in packets]}
     return g, params, hamiltonian, schedule, np.asarray(x0s, dtype=float), \
-        _components_of(spec, g, hamiltonian)
+        _components_of(spec, g, hamiltonian, schedule)
 
 
 def factored_2d_free():
@@ -483,8 +486,38 @@ def factored_3d_twin_rolled():
         Schedule(0, 0.4, 0.01, 4), [[1.0, -2.0, -1.0], [-0.8, 1.9, 1.2]])
 
 
+def factored_3d_prep(window, gate, t_end):
+    # shaped like preparation's main run: harmonic wells on axes 0 and 1, a
+    # window binding axes 1 and 2 and the gate 0 -> 1
+    H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=1.0),
+                         PotentialTerm.make("harmonic", [1], omega=1.0),
+                         PotentialTerm.make("linear_coupling", [1, 2],
+                                            window=window, strength=4.0)),
+                        MeasurementCoupling(0, 1, 3.0, *gate))
+    return factored_case(
+        [{"points": 40, "lo": -10.0, "hi": 10.0},
+         {"points": 24, "lo": -8.0, "hi": 8.0},
+         {"points": 32, "lo": -12.0, "hi": 12.0}], (1.0, 2.0, 3.0), H,
+        [(0.8, [-2.0, -1.0, 1.0], [0.6, 0.5, 0.8], [0.0, 0.5, 1.0]),
+         (0.6, [2.0, 1.0, -1.0], [0.6, 0.5, 0.9], [0.0, -0.5, -1.0])],
+        Schedule(0, t_end, 0.01, 4), [[-2.0, -1.0, 1.0], [1.9, 1.2, -0.8]])
+
+
+def factored_3d_window():
+    # every axis starts as its own factor; axes 1 and 2 merge at step 5
+    # (inside an observation interval), all three at step 20 (an observation)
+    return factored_3d_prep((0.05, 0.15), (0.2, 0.3), 0.4)
+
+
+def factored_3d_main():
+    # the window acts from t = 0, so the components start as factors over
+    # (0,) and (1, 2), which merge when the gate opens at step 10
+    return factored_3d_prep((0.0, 0.08), (0.1, 0.2), 0.3)
+
+
 FACTORED = {"2d_free": factored_2d_free, "3d_twin": factored_3d_twin,
-            "3d_twin_rolled": factored_3d_twin_rolled}
+            "3d_twin_rolled": factored_3d_twin_rolled,
+            "3d_window": factored_3d_window, "3d_main": factored_3d_main}
 FACTORED_TOL = {"amplitude": 6e-14, "norm": 1e-14, "path": 4e-14}
 
 
@@ -530,6 +563,30 @@ def test_factored_evolve_matches_materialized(name):
         for a, b in zip(got.snapshots, want.snapshots, strict=True):
             np.testing.assert_allclose(a, b, rtol=0, atol=tol["amplitude"] * peak)
         np.testing.assert_allclose(got.norms, want.norms, rtol=0, atol=tol["norm"])
+
+
+def test_finer_factors_merge_before_the_first_step():
+    # one factor per axis under a gate that binds axes 0 and 1 from t = 0:
+    # merged into factors over (0, 1) and (2,) before the first step
+    g = make_grid([{"points": 32, "lo": -8.0, "hi": 8.0},
+                   {"points": 24, "lo": -8.0, "hi": 8.0},
+                   {"points": 24, "lo": -12.0, "hi": 12.0}])
+    params = PhysicalParams(masses=(1.0, 2.0, 3.0))
+    H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 3.0, 0.0, 0.1))
+    sched = Schedule(0, 0.2, 0.01, 4)
+    psi = gaussian_factors(g, ((0,), (1,), (2,)), [-1.0, 0.5, 0.0],
+                           [0.6, 0.5, 0.8], [1.0, 0.0, -0.5])
+    x0s = np.array([[-1.0, 0.5, 0.0]])
+    got = coevolve([psi], H, sched, params, [Bundle(x0s)])
+    want = coevolve(materialized([psi]), H, sched, params, [Bundle(x0s)])
+    tol = FACTORED_TOL
+    peak = np.max(np.abs(want.final_components[0].amplitudes))
+    np.testing.assert_allclose(got.final_components[0].amplitudes,
+                               want.final_components[0].amplitudes, rtol=0,
+                               atol=tol["amplitude"] * peak)
+    np.testing.assert_allclose(got.probe_paths[0], want.probe_paths[0], rtol=0,
+                               atol=tol["path"])
+    assert np.array_equal(got.probe_degenerate[0], want.probe_degenerate[0])
 
 
 @pytest.mark.parametrize("kind", ["measurement", "preparation"])

@@ -670,13 +670,43 @@ class TestBlocks:
 
     def test_shipped_twins_split_and_main_runs_do_not(self):
         from pilotwave.scenarios import _hamiltonian_of, _twin_spec, builtin_spec
-        for kind, twin_blocks in (("preparation", ((0, 1), (2,))),
-                                  ("decoherence", ((0,), (1,)))):
+        # per spec: its blocks in the first step, main run and twin, and
+        # over the whole horizon, where main runs take one block
+        for kind, main_start, twin_start, twin_blocks in (
+                ("preparation", ((0,), (1, 2)), ((0,), (1,), (2,)),
+                 ((0, 1), (2,))),
+                ("decoherence", ((0, 1),), ((0,), (1,)), ((0,), (1,))),
+                ("measurement", ((0,), (1,)), None, None)):
             spec = builtin_spec(kind)
             g = make_grid(spec["grid"])
-            assert _hamiltonian_of(spec).blocks(g) == (tuple(range(g.dims)),)
+            sched = _schedule_of(spec)
+            first = sched.t_start + 0.5 * sched.dt
+            H = _hamiltonian_of(spec)
+            assert H.blocks(g, first) == main_start
+            assert H.blocks(g) == (tuple(range(g.dims)),)
+            if twin_start is None:
+                continue
             # the twin's env coupling of strength 0 adds nothing
-            assert _hamiltonian_of(_twin_spec(spec)).blocks(g) == twin_blocks
+            twin = _hamiltonian_of(_twin_spec(spec))
+            assert twin.blocks(g, first) == twin_start
+            assert twin.blocks(g) == twin_blocks
+
+    def test_blocks_at_a_time(self):
+        H = HamiltonianSpec((
+            PotentialTerm.make("harmonic", [0], omega=1.0),
+            PotentialTerm.make("linear_coupling", [1, 2], window=(0.1, 0.2),
+                               strength=1.0)),
+            MeasurementCoupling(0, 1, 1.0, 0.3, 0.4))
+        g = grid3d()
+        assert H.blocks(g, 0.05) == ((0,), (1,), (2,))
+        # a window holds its on-edge, not its off-edge
+        assert H.blocks(g, 0.1) == ((0,), (1, 2))
+        assert H.blocks(g, 0.2) == ((0,), (1,), (2,))
+        assert H.blocks(g, 0.35) == ((0, 1), (2,))
+        # blocks only coarsen from a starting partition
+        assert H.blocks(g, 0.35, ((0,), (1, 2))) == ((0, 1, 2),)
+        assert H.blocks(g, 0.05, ((0, 2), (1,))) == ((0, 2), (1,))
+        assert H.blocks(g, None) == H.blocks(g) == ((0, 1, 2),)
 
     def test_restrict_renumbers_terms_and_gate(self):
         H = HamiltonianSpec((
@@ -698,17 +728,87 @@ class TestBlocks:
         assert H.restrict((0, 1, 2)) == H
 
     def test_factors_across_a_coupling_rejected(self):
+        # components factored over different blocks cannot be summed; a
+        # component finer than the Hamiltonian is merged, not rejected
+        # (test_finer_factors_merge_at_the_first_step)
         g = grid3d()
         psi = gaussian_factors(g, ((0,), (1,), (2,)), [0.0] * 3, SIGMAS)
-        H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 1.0, 0.0, 0.1))
-        with pytest.raises(PropagationError, match="couples"):
-            evolve(psi, H, Schedule(0, 0.1, 0.01), PhysicalParams(masses=(1.0,) * 3))
-        # components factored over different blocks cannot be summed
         whole = init_gaussian(g, [0.0] * 3, SIGMAS)
-        with pytest.raises(PropagationError, match="factored"):
+        with pytest.raises(PropagationError, match="factored over different"):
             coevolve([psi, whole], FREE, Schedule(0, 0.1, 0.01),
                      PhysicalParams(masses=(1.0,) * 3),
                      [Bundle(np.zeros((1, 3)))])
+
+    @staticmethod
+    def spy_steps(monkeypatch):
+        """Log (shape, t or n) of every step_array and free_flight call."""
+        calls = {"step_array": [], "free_flight": []}
+        for name in calls:
+            orig = getattr(SplitOperator, name)
+
+            def spy(self, amp, arg, _orig=orig, _log=calls[name]):
+                _log.append((amp.shape, arg))
+                return _orig(self, amp, arg)
+            monkeypatch.setattr(SplitOperator, name, spy)
+        return calls
+
+    def test_finer_factors_merge_at_the_first_step(self, monkeypatch):
+        # one factor per axis under a gate that binds axes 0 and 1 from t = 0:
+        # axes 0 and 1 merge before the first step (their run against the
+        # materialized one: test_engine.py)
+        g = grid3d()
+        psi = gaussian_factors(g, ((0,), (1,), (2,)), [0.0] * 3, SIGMAS)
+        H = HamiltonianSpec(coupling=MeasurementCoupling(0, 1, 3.0, 0.0, 0.1))
+        calls = self.spy_steps(monkeypatch)
+        evolve(psi, H, Schedule(0, 0.1, 0.01, 5), PhysicalParams((1.0,) * 3))
+        assert [shape for shape, _ in calls["step_array"]] == [(16, 12)] * 10
+        assert calls["free_flight"] == [((16,), 5)] * 2
+
+    def test_blocks_merge_at_the_step_a_binding_first_acts(self, monkeypatch):
+        # preparation's shape: a static well on axis 0, a window binding
+        # axes 1 and 2 from step 5 (inside the observation interval 4-8) and
+        # the gate binding axes 0 and 1 from step 20 (an observation)
+        g = grid3d()
+        H = HamiltonianSpec((
+            PotentialTerm.make("harmonic", [0], omega=1.0),
+            PotentialTerm.make("linear_coupling", [1, 2], window=(0.05, 0.15),
+                               strength=2.0)),
+            MeasurementCoupling(0, 1, 3.0, 0.2, 0.25))
+        psi = gaussian_factors(g, H.blocks(g, 0.005), [0.0] * 3, SIGMAS)
+        assert psi.blocks == ((0,), (1,), (2,))
+        calls = self.spy_steps(monkeypatch)
+        sched = Schedule(0.0, 0.3, 0.01, 4)
+        rec = evolve(psi, H, sched, PhysicalParams(masses=(1.0, 2.0, 3.0)))
+        assert len(rec.snapshots) == 9
+        steps = {}
+        for shape, t in calls["step_array"]:
+            steps.setdefault(shape, []).append(round(t / sched.dt))
+        assert steps == {(16,): list(range(20)), (12, 16): list(range(5, 15)),
+                         (16, 12, 16): list(range(20, 30))}
+        # the free axes 1 and 2 jump to the observation at step 4, then to
+        # the merge at step 5; their block jumps from the window's close
+        assert calls["free_flight"] == [((12,), 4), ((16,), 4),
+                                        ((12,), 1), ((16,), 1),
+                                        ((12, 16), 1), ((12, 16), 4)]
+
+    def test_preparation_short_full_grid_steps(self, monkeypatch):
+        # the cut workload's main run: 36 steps, the gate's from step 28;
+        # both components take the 8 steps from the gate on on the full grid
+        spec = builtin_spec("preparation", (
+            'grid=[{"points": 64, "lo": -12.0, "hi": 12.0}, '
+            '{"points": 64, "lo": -12.0, "hi": 12.0}, '
+            '{"points": 96, "lo": -18.0, "hi": 18.0}]',
+            "schedule.t_end=0.45", "schedule.dt=0.0125"))
+        from pilotwave.scenarios import _components_of, _simulation_of
+        g, params, sched, H = _simulation_of(spec)
+        with pytest.warns(UserWarning, match="boundary of axis 0"):
+            comps = _components_of(spec, g, H, sched)
+        assert [c.blocks for c in comps] == [((0,), (1, 2))] * 2
+        calls = self.spy_steps(monkeypatch)
+        coevolve(comps, H, sched, params, [])
+        full = [t for shape, t in calls["step_array"] if shape == g.shape]
+        assert len(full) == 16
+        assert {round(t / sched.dt) for t in full} == set(range(28, 36))
 
     def test_free_factor_jumps_once_per_observation(self, monkeypatch):
         # preparation's twin: harmonic on axes 0 and 1, gate 0 -> 1, axis 2
@@ -719,14 +819,7 @@ class TestBlocks:
                              PotentialTerm.make("harmonic", [1], omega=1.0)),
                             MeasurementCoupling(0, 1, 1.0, 0.05, 0.1))
         psi = gaussian_factors(g, H.blocks(g), [0.0] * 3, SIGMAS)
-        calls = {"step_array": [], "free_flight": []}
-        for name in calls:
-            orig = getattr(SplitOperator, name)
-
-            def spy(self, amp, arg, _orig=orig, _log=calls[name]):
-                _log.append((amp.shape, arg))
-                return _orig(self, amp, arg)
-            monkeypatch.setattr(SplitOperator, name, spy)
+        calls = self.spy_steps(monkeypatch)
         sched = Schedule(0.0, 0.3, 0.01, 4)
         rec = evolve(psi, H, sched, PhysicalParams(masses=(1.0, 2.0, 3.0)))
         assert len(rec.snapshots) == 9
@@ -748,7 +841,7 @@ class TestBoundaryTailOfFactors:
         H = HamiltonianSpec((PotentialTerm.make("harmonic", [0], omega=1.0),),
                             MeasurementCoupling(0, 1, 1.0, 0.0, 0.1))
         with pytest.warns(UserWarning) as caught:
-            comps = _components_of(self.spec(sigmas), g, H)
+            comps = _components_of(self.spec(sigmas), g, H, Schedule(0, 0.1, 0.01))
         assert [c.blocks for c in comps] == [((0, 1), (2,))] * 2
         return [str(w.message) for w in caught]
 
