@@ -181,6 +181,9 @@ def cmd_report(run_dir):
     for name, v in report["verdicts"].items():
         print(f"  {name:34s} {v}")
     print(f"overall  : {report['verdict']}")
+    caps = report.get("runtime", {}).get("substep_caps")
+    if caps is not None:
+        print(f"substep caps: {caps} (intervals capped at MAX_SUBSTEPS)")
     return EXIT_PASS
 
 

@@ -302,15 +302,19 @@ def _velocity(sample, frac, cap):
 
 SUBSTEP_CFL = 0.2       # max fraction of a cell traversed per substep
 MAX_SUBSTEPS = 256
+substep_caps = 0        # intervals capped at MAX_SUBSTEPS since import
 _NAN_MSG = "NaN in trajectory output; regularization failed"
 
 
 def _substeps(vmax, dt, grid):
     """Substeps for an interval of length dt at the fastest speed vmax: so
     many that no particle crosses more than SUBSTEP_CFL of a cell in one,
-    at most MAX_SUBSTEPS (a capped interval logs a warning)."""
+    at most MAX_SUBSTEPS (a capped interval is counted in `substep_caps`
+    and logs a warning)."""
+    global substep_caps
     need = math.ceil(vmax * dt / (SUBSTEP_CFL * min(grid.dxs)))
     if need > MAX_SUBSTEPS:
+        substep_caps += 1
         log.warning("substep cap: interval of dt=%g needs %d substeps, "
                     "capped at %d", dt, need, MAX_SUBSTEPS)
     return min(max(need, 1), MAX_SUBSTEPS)
@@ -488,8 +492,8 @@ def advance_interval(vf0, vf1, pts, dt):
     RK4 step can overshoot through a node into the neighboring flow basin,
     which the exact dynamics forbids.  The substep count is chosen so no
     particle traverses more than SUBSTEP_CFL of a cell per substep at the
-    currently observed speeds, at most MAX_SUBSTEPS; a capped interval logs
-    a warning.  The speeds observed at `pts` are also the first substep's
+    currently observed speeds, at most MAX_SUBSTEPS; a capped interval is
+    counted and logs a warning.  The speeds observed at `pts` are also the first substep's
     first RK4 stage.  A non-finite position or speed raises RuntimeError.
 
     A group of one particle runs on Python floats (`_advance_one`), any

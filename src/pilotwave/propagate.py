@@ -15,11 +15,15 @@ step exactly when the step's midpoint lies inside its window (`_inside`).
 Every factor is exactly unitary, making the composition second-order
 accurate and norm-preserving to rounding.
 
-Where no potential acts and no gate is open, the step is exp(-i K dt) alone,
-so n such steps are exactly exp(-i K n dt): on grids of two or more
-dimensions, the stepping loop takes each stretch of them that ends at an
-observation as one jump.  1-D runs keep Strang steps; there the FFT pair is a
-small share of a run.
+The kinetic factor along an axis that no active term binds commutes with
+every other factor, so a step factors exactly into a Strang step over the
+bound axes (`SplitOperator.bound`) and a kinetic jump along the free ones,
+and the jumps of n steps are one, exp(-i K_free n dt).  On grids of two or
+more dimensions a step transforms only its bound axes, and the stepping loop
+takes the free axes' owed steps as one jump (`free_flight`).  A gated step
+applies both coupling half-steps between the target axis's transform and the
+other bound axes'.  1-D runs take one Strang step per step; there the FFT
+pair is a small share of a run.
 
 The axes fall into blocks (`HamiltonianSpec.blocks`): two axes share one
 once a term or the gate has acted on both, so blocks merge, and only merge,
@@ -27,8 +31,7 @@ when a binding first acts.  Every factor above splits into one per block, so
 a component that is a product over the blocks (a ProductWave, as `scenarios`
 builds each packet over the blocks of the first step) stays one: the
 stepping loop advances each factor on its block's subgrid under the
-Hamiltonian restricted to the block, a block that no term touches by one
-free-flight jump per observation interval, and merged blocks as the outer
+Hamiltonian restricted to the block, and merged blocks as the outer
 product of their factors from the merge on.  Factors are materialized only
 at observations; observers, records and results see full arrays.  A
 WaveFunction is the case of one block.
@@ -215,7 +218,12 @@ def _inside(lo, hi, t, dt):
 
 
 class SplitOperator:
-    """Precomputed split-step engine for one (grid, params, H, dt)."""
+    """Precomputed split-step engine for one (grid, params, H, dt).
+
+    Every phase is held in broadcast shape over the axes it depends on: the
+    kinetic phase over the axes it transforms, cached per (steps, axes),
+    the potentials over their terms' axes and the gate's over its two.
+    """
 
     def __init__(self, grid, params, hamiltonian, dt):
         hamiltonian.validate(grid)
@@ -225,39 +233,38 @@ class SplitOperator:
         self.params = params
         self.H = hamiltonian
         self.dt = float(dt)
+        self.axes = tuple(range(grid.dims))
 
-        # kinetic phase: exp(-i dt k^2 / 2m) summed over axes
-        ksq = np.zeros(grid.shape)
-        for i in range(grid.dims):
-            ksq = ksq + grid.k_mesh(i) ** 2 / (2.0 * params.masses[i])
-        self._kin_phase = np.exp(-1j * self.dt * ksq)
-        self._ksq_over = ksq  # k^2 / 2m, reused for <H> and free flight
-        self._free_phases = {}  # n -> exp(-i n dt k^2 / 2m)
+        # k^2 / 2m per axis, reused for the kinetic phases and <H>
+        self._ksq = [grid.k_mesh(i) ** 2 / (2.0 * params.masses[i])
+                     for i in self.axes]
+        self._kin_phases = {}  # (n, axes) -> exp(-i n dt k^2 / 2m) over axes
 
-        self.v_static = np.zeros(grid.shape)
+        self.v_static = np.zeros((1,) * grid.dims)
+        self._static_axes = set()
         self._windowed = []
         for t in hamiltonian.terms:
             v = potential_grid(grid, t)
             if t.window is None:
                 self.v_static = self.v_static + v
+                self._static_axes.update(t.axes)
             else:
-                self._windowed.append((t.window, v))
+                self._windowed.append((t.window, v, t.axes))
         self._exp_v_half_static = np.exp(-1j * self.v_static * self.dt / 2.0)
-        self._has_static = bool(np.any(self.v_static))
         # (windows on, phase) of the last step inside some window; None
         # while no window is on
         self._window_phase = None
 
         c = hamiltonian.coupling
         if c is not None:
-            # exp(-i C dt/2) along the target axis, for every gated step
+            # exp(-i C dt/2) in the (x_source, k_target) representation
             self._gate_half = np.exp(-1j * c.strength * (self.dt / 2.0)
                                      * grid.mesh(c.source_axis)
                                      * grid.k_mesh(c.target_axis))
 
     def _windows_on(self, t):
         """Per window, whether the step from t lies inside it (`_inside`)."""
-        return tuple(_inside(*w, t, self.dt) for w, _ in self._windowed)
+        return tuple(_inside(*w, t, self.dt) for w, _, _ in self._windowed)
 
     def _v_half_phase(self, t):
         """exp(-i V dt / 2) with the windowed terms the step from t lies in;
@@ -268,7 +275,7 @@ class SplitOperator:
             return self._exp_v_half_static
         if self._window_phase is None or self._window_phase[0] != on:
             v_eff = self.v_static * self.dt
-            for (_, v), inside in zip(self._windowed, on):
+            for (_, v, _), inside in zip(self._windowed, on):
                 if inside:
                     v_eff = v_eff + v * self.dt
             self._window_phase = (on, np.exp(-1j * v_eff / 2.0))
@@ -280,57 +287,71 @@ class SplitOperator:
         return (c is not None and c.strength != 0.0
                 and _inside(c.t_on, c.t_off, t, self.dt))
 
-    def _apply_coupling_half(self, amp):
-        """Coupling half-step; overwrites `amp`, which the caller owns."""
-        axis = self.H.coupling.target_axis
-        ft = sfft.fft(amp, axis=axis, overwrite_x=True)
-        ft *= self._gate_half
-        return sfft.ifft(ft, axis=axis, overwrite_x=True)
+    def bound(self, t):
+        """The axes that some term acting on the step from t binds, sorted:
+        the static terms', the windowed terms' inside their window and the
+        gate's while it is open."""
+        c = self.H.coupling
+        axes = self._static_axes.union(*(
+            a for (_, _, a), on in zip(self._windowed, self._windows_on(t)) if on))
+        if self._gate_on(t):
+            axes.update((c.source_axis, c.target_axis))
+        return tuple(sorted(axes))
 
-    def step_array(self, amp, t):
-        """One Strang step of the raw amplitude array from time t.
+    def _kinetic(self, n, axes):
+        """exp(-i n dt k^2 / 2m) summed over `axes`, cached per (n, axes)."""
+        phase = self._kin_phases.get((n, axes))
+        if phase is None:
+            ksq = sum((self._ksq[a] for a in axes), 0.0)
+            phase = self._kin_phases[n, axes] = np.exp(-1j * (n * self.dt) * ksq)
+        return phase
 
-        The caller's array is left unchanged; every later factor works in
-        place on the step's own array.
+    def step_array(self, amp, t, axes=None):
+        """One Strang step of the raw amplitude array from time t, with the
+        kinetic factor over `axes` (every axis by default).
+
+        `axes` must hold every axis that `bound(t)` names: the kinetic factor
+        along the others commutes with the whole step, and the caller owes
+        it (`free_flight`).  A gated step applies both coupling half-steps
+        between the target axis's transform and the other axes'.  The
+        caller's array is left unchanged; every later factor works in place
+        on the step's own array.
         """
+        axes = self.axes if axes is None else axes
+        kin = self._kinetic(1, axes)
         expv = self._v_half_phase(t)
         gated = self._gate_on(t)
         amp = expv * amp
         if gated:
-            amp = self._apply_coupling_half(amp)
-        amp = sfft.fftn(amp, overwrite_x=True)
-        np.multiply(self._kin_phase, amp, out=amp)
-        amp = sfft.ifftn(amp, overwrite_x=True)
+            target = self.H.coupling.target_axis
+            amp = sfft.fft(amp, axis=target, overwrite_x=True)
+            amp *= self._gate_half
+            axes = tuple(a for a in axes if a != target)
+        amp = sfft.fftn(amp, axes=axes, overwrite_x=True)
+        np.multiply(kin, amp, out=amp)
+        amp = sfft.ifftn(amp, axes=axes, overwrite_x=True)
         if gated:
-            amp = self._apply_coupling_half(amp)
+            amp *= self._gate_half
+            amp = sfft.ifft(amp, axis=target, overwrite_x=True)
         np.multiply(expv, amp, out=amp)
         return amp
 
-    def is_free(self, t):
-        """True when the step from t is kinetic only: no static potential,
-        and it lies inside no window and outside the gate."""
-        return not (self._has_static or self._gate_on(t)
-                    or any(self._windows_on(t)))
-
-    def free_flight(self, amp, n):
-        """`n` kinetic-only steps as one exact jump exp(-i K n dt).
-
-        Equal to `n` calls of `step_array` wherever `is_free` holds for each
-        of them.  The caller's array is left unchanged.
+    def free_flight(self, amp, n, axes):
+        """`n` steps' kinetic factor along `axes` as one exact jump
+        exp(-i K n dt): what `n` calls of `step_array` over the other axes
+        leave owed, wherever `bound` names none of `axes`.  The caller's
+        array is left unchanged.
         """
-        phase = self._free_phases.get(n)
-        if phase is None:
-            phase = self._free_phases[n] = np.exp(-1j * (n * self.dt) * self._ksq_over)
-        ft = sfft.fftn(amp)
-        np.multiply(phase, ft, out=ft)
-        return sfft.ifftn(ft, overwrite_x=True)
+        ft = sfft.fftn(amp, axes=axes)
+        np.multiply(self._kinetic(n, axes), ft, out=ft)
+        return sfft.ifftn(ft, axes=axes, overwrite_x=True)
 
     def energy(self, amp, t=None):
         """<H> (kinetic + static potential); None while a window is active."""
         if t is not None and (any(self._windows_on(t)) or self._gate_on(t)):
             return None
         ft = sfft.fftn(amp) / np.sqrt(amp.size)
-        kin = np.sum(np.abs(ft) ** 2 * self._ksq_over)
+        kin = np.sum(np.abs(ft) ** 2 * sum(self._ksq, 0.0))
         # ft normalized so that sum |ft|^2 = sum |amp|^2; convert to integrals
         kin *= self.grid.dV
         pot = np.sum(self.v_static * np.abs(amp) ** 2) * self.grid.dV
@@ -375,10 +396,12 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
     factored component's full array is the outer product of its factors,
     formed at each observation.  Every window and gate edge must be a step
     time (`Schedule.on_grid`), else a FieldError is raised before the first
-    step.  The trailing free steps (`op.is_free`) before an observation or a
-    merge are taken as one `free_flight` jump, on grids of two or more
-    dimensions; every other step is a Strang step.  Amplitudes are checked
-    finite at every observation and every 64 Strang steps.
+    step.  A step transforms the axes its block's active terms bind
+    (`SplitOperator.bound`; every axis on a 1-D grid), none if they bind
+    none; each block owes its free axes their steps, and takes them as one
+    `free_flight` jump when its free set changes, before a merge that joins
+    it and at each observation.  Amplitudes are checked finite at every
+    observation and every 64 Strang steps.
     """
     grid = components[0].grid
     blocks = components[0].blocks
@@ -398,9 +421,10 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
         raise PropagationError("components factored over different blocks: "
                                f"{[c.blocks for c in components]}")
     n = schedule.n_steps
+    edge_steps = [tuple(round((e - schedule.t_start) / schedule.dt)
+                        for e in pair) for _, pair in edges]  # (on, off) each
     merges, current = {}, blocks  # merge step -> the blocks from that step
-    for k in sorted({0} | {round((pair[0] - schedule.t_start) / schedule.dt)
-                           for _, pair in edges} & set(range(n))):
+    for k in sorted({0} | {on for on, _ in edge_steps} & set(range(n))):
         new = hamiltonian.blocks(grid, schedule.time_at(k) + 0.5 * schedule.dt,
                                  current)
         if new != current:
@@ -413,34 +437,47 @@ def _observed_steps(components, hamiltonian, schedule, params, amps):
 
     ops = {b: operator(b) for b in blocks}
     factors = [list(c.factors) for c in components]
+    owed = {}  # block -> (its free axes, the steps they are owed)
+
+    def settle(k, b):
+        """Take block b's owed steps along its free axes (factor k)."""
+        free, steps = owed.pop(b, ((), 0))
+        if free:
+            for f in factors:
+                f[k] = ops[b].free_flight(f[k], steps, free)
+
     amps[:] = [product_amplitudes(grid, blocks, f) for f in factors]
     yield schedule.time_at(0)
     jumps = grid.dims > 1
     for start in range(0, n, schedule.stride):
         end = min(start + schedule.stride, n)
         amps.clear()
-        cuts = sorted({start, end} | {m for m in merges if start < m < end})
+        # no edge inside a piece, so each block binds the same axes throughout
+        cuts = sorted({start, end} | {k for ks in edge_steps for k in ks
+                                       if start < k < end})
         for lo, hi in zip(cuts, cuts[1:]):
             if lo in merges:
+                for k, b in enumerate(blocks):
+                    if b not in merges[lo]:
+                        settle(k, b)
                 factors = [_coarsened(grid, blocks, merges[lo], f)
                            for f in factors]
                 blocks = merges[lo]
                 ops = {b: ops.get(b) or operator(b) for b in blocks}
             for k, b in enumerate(blocks):
                 op = ops[b]
-                free_from = hi
-                while (jumps and free_from > lo
-                       and op.is_free(schedule.time_at(free_from - 1))):
-                    free_from -= 1
-                for i in range(lo, free_from):
-                    t = schedule.time_at(i)
+                bound = op.bound(schedule.time_at(lo)) if jumps else op.axes
+                free = tuple(a for a in op.axes if a not in bound)
+                if b in owed and owed[b][0] != free:
+                    settle(k, b)
+                owed[b] = (free, owed.get(b, ((), 0))[1] + hi - lo)
+                for i in range(lo, hi) if bound else ():
                     for f in factors:
-                        f[k] = op.step_array(f[k], t)
+                        f[k] = op.step_array(f[k], schedule.time_at(i), bound)
                     if (i + 1) % 64 == 0 and i + 1 < end:
                         _check_finite([f[k] for f in factors], i + 1, schedule)
-                if free_from < hi:
-                    for f in factors:
-                        f[k] = op.free_flight(f[k], hi - free_from)
+        for k, b in enumerate(blocks):
+            settle(k, b)
         amps.extend(product_amplitudes(grid, blocks, f) for f in factors)
         _check_finite(amps, end, schedule)
         yield schedule.time_at(end)

@@ -36,6 +36,7 @@ from .propagate import (
     HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule, evolve,
     _observed_steps,
 )
+from . import guidance
 from .guidance import GuidedWalk, simulate_trajectories
 from .ensemble import (
     Ensemble, rng_for, sample_initial, equivariance_test, h_function,
@@ -701,12 +702,13 @@ def run_measurement_scenario(spec):
     thr = spec["thresholds"]
 
     comps = _components_of(spec, grid, H, sched)
-    full0 = WaveFunction(grid, sum(c.amplitudes for c in comps))
     n = spec["ensemble"]["n_particles"]
-    x0s = sample_initial(full0, n, spec["seed"])
+    x0s = sample_initial(WaveFunction(grid, comps[0].amplitudes
+                                      + comps[1].amplitudes), n, spec["seed"])
 
-    result = coevolve([full0], H, sched, params, [Bundle(x0s)])
-    psi_end = result.final_components[0]
+    result = coevolve(comps, H, sched, params, [Bundle(x0s)])
+    end0, end1 = result.final_components
+    psi_end = WaveFunction(grid, end0.amplitudes + end1.amplitudes, sched.t_end)
     positions = result.probe_paths[0]           # (T, N, 2)
 
     metrics = {"times": result.times.tolist()}
@@ -961,8 +963,12 @@ _RUNNERS = {
 
 
 def run_scenario(spec):
-    """Dispatch a validated spec to its runner."""
+    """Dispatch a validated spec to its runner; the report's runtime counts
+    the run's intervals capped at `guidance.MAX_SUBSTEPS`."""
     kind = spec.get("kind")
     if kind not in _RUNNERS:
         raise SpecError(f"kind: unknown scenario kind {kind!r}")
-    return _RUNNERS[kind](spec)
+    caps = guidance.substep_caps
+    report = _RUNNERS[kind](spec)
+    report.runtime["substep_caps"] = guidance.substep_caps - caps
+    return report

@@ -230,6 +230,8 @@ class TestReport:
         for name, v in report["verdicts"].items():
             assert name in out and v in out
         assert report["spec_hash"] in out
+        caps = report["runtime"]["substep_caps"]
+        assert f"substep caps: {caps} " in out
 
     def test_read_only(self, interference_run, capsys):
         before = {p.name: _sha256(p) for p in interference_run.iterdir()

@@ -308,6 +308,19 @@ def interference_report():
 
 
 class TestInterferenceScenario:
+    def test_substep_caps_counted(self, caplog):
+        # the interference benchmark workload at its seed: two intervals
+        # need more than MAX_SUBSTEPS (256)
+        spec = builtin_spec("interference", ("ensemble.n_particles=1000",
+                                             "seed=20250824"))
+        with caplog.at_level("WARNING", logger="pilotwave.guidance"):
+            report = run_scenario(spec)
+        needs = [int(re.search(r"needs (\d+) substeps", r.getMessage())[1])
+                 for r in caplog.records]
+        assert needs == [731, 384]
+        assert report.runtime["substep_caps"] == 2
+        assert report.to_dict()["runtime"]["substep_caps"] == 2
+
     def test_passes(self, interference_report):
         assert interference_report.verdict == "pass", \
             interference_report.verdicts
@@ -416,6 +429,29 @@ class TestMeasurementScenario:
     def test_fidelity(self, report):
         for lab, fid in report.metrics["fidelity"].items():
             assert fid >= 0.99, lab
+
+    def test_steps_factored_components(self, monkeypatch):
+        # both packets are held as 1-D factors, which jump until the gate
+        # merges them at step 100; the gate's 25 steps are the only Strang
+        # steps of the run, over both axes of the full grid
+        from pilotwave import propagate
+        steps, jumps = [], []
+        step, free = (propagate.SplitOperator.step_array,
+                      propagate.SplitOperator.free_flight)
+        monkeypatch.setattr(propagate.SplitOperator, "step_array",
+                            lambda op, amp, t, axes=None: steps.append(
+                                (amp.shape, axes)) or step(op, amp, t, axes))
+        monkeypatch.setattr(propagate.SplitOperator, "free_flight",
+                            lambda op, amp, n, axes: jumps.append(
+                                (amp.shape, n)) or free(op, amp, n, axes))
+        rep = run_measurement_scenario(builtin_spec("measurement",
+                                                    FAST_MEASUREMENT))
+        assert rep.verdict == "pass", rep.verdicts
+        # (the 1-D reference records of the fidelity check step (128,))
+        assert [c for c in steps if c[0] != (128,)] == [((128, 128), (0, 1))] * 50
+        # per component and observation: two 1-D jumps before the gate,
+        # one full-grid jump after it
+        assert jumps == [((128,), 5)] * 80 + [((128, 128), 5)] * 70
 
     def test_poor_separation_diagnosed(self):
         spec = builtin_spec("measurement", FAST_MEASUREMENT + (
