@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldError, WaveFunction, normalize
-from .guidance import _grid_lists, _stencil_one
+from .guidance import _stencil_one
 
 COVERAGE_TOL = 1e-6        # hard error if more probability mass is unmasked
 SUPPORT_FLOOR = 1e-10      # branch support: density above this * its max
@@ -199,7 +199,7 @@ def _supported(grid, amp, point):
     the density on its stencil is not below SUPPORT_FLOOR of the maximum."""
     absamp = np.abs(amp)
     point = np.asarray(point, float).tolist()
-    flat, w, _ = _stencil_one(_grid_lists(grid), point)
+    flat, w, _ = _stencil_one(grid._stencil_lists, point)
     val = 0.0
     for wc, a in zip(w, absamp.reshape(-1).take(flat)):
         val += wc * float(a) ** 2

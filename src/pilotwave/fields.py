@@ -3,7 +3,8 @@
 Everything downstream (propagation, guidance, branch analysis) works on the
 types defined here: a periodic uniform :class:`Grid` of 1-3 axes, a complex
 :class:`WaveFunction` living on it, and real :class:`DensityField` values.
-All operations are pure; none mutate their inputs.
+All operations are pure and mutate no input, except `fold`, which works in
+place.
 """
 
 import math
@@ -60,11 +61,11 @@ class Grid:
         return tuple(math.prod(self.shape[i + 1:]) for i in range(self.dims))
 
     @cached_property
-    def _stencil_arrays(self):
-        """los, dxs (float) and shape, strides (int64) as arrays."""
-        return (np.asarray(self.los, dtype=float), np.asarray(self.dxs, dtype=float),
-                np.asarray(self.shape, dtype=np.int64),
-                np.asarray(self.strides, dtype=np.int64))
+    def _stencil_lists(self):
+        """los, dxs, shape, strides and lengths as lists of Python numbers."""
+        return ([float(v) for v in self.los], [float(v) for v in self.dxs],
+                [int(v) for v in self.shape], [int(v) for v in self.strides],
+                [float(v) for v in self.lengths])
 
     @property
     def lengths(self):
@@ -101,19 +102,16 @@ class Grid:
     def _wrap_arrays(self):
         return np.asarray(self.los, dtype=float), np.asarray(self.lengths, dtype=float)
 
-    def wrap(self, coords):
-        """Map coordinates into [lo, hi) per axis (periodic topology).
+    @cached_property
+    def _ik(self):
+        """i k along each axis: a spectral derivative's factor."""
+        return tuple(1j * self.k_coords(i) for i in range(self.dims))
 
-        Equal bit for bit to lo + mod(x - lo, L): `mod` is exact inside
-        [0, L), so it runs only on offsets outside that range (or NaN).
-        """
+    def wrap(self, coords):
+        """Map coordinates into [lo, hi) per axis (periodic topology): lo
+        plus the offset x - lo, `fold`ed; a wrapped point maps to itself."""
         los, lengths = self._wrap_arrays
-        y = np.asarray(coords, dtype=float) - los
-        outside = ~((y >= 0.0) & (y < lengths))
-        if outside.any():
-            np.mod(y, lengths, out=y, where=outside)
-        y += los
-        return y
+        return fold(np.asarray(coords, dtype=float) - los, lengths) + los
 
     def subgrid(self, axes):
         """Grid restricted to a subset of axes (order as given)."""
@@ -123,6 +121,17 @@ class Grid:
             tuple(self.los[a] for a in axes),
             tuple(self.his[a] for a in axes),
         )
+
+
+def fold(y, lengths):
+    """Fold offsets y = x - lo into [0, L) in place and return y: mod(y, L),
+    which is exact inside [0, L) and so runs only outside it, and 0 for an
+    offset just below 0 that `mod` rounds up to L."""
+    inside = (y >= 0.0) & (y < lengths)
+    if not inside.all():
+        np.mod(y, lengths, out=y, where=~inside)
+        y[y == lengths] = 0.0
+    return y
 
 
 def make_grid(spec):

@@ -25,29 +25,30 @@ vectorized reader `_sampler` completes a probe-local field before it reads
 one.
 
 `advance_interval` advances a group of two or more particles with numpy
-arrays (`_advance_many`), reading both fields from one padded `_sampler`
-table per interval.  A group of exactly one particle, as every probe
-is, runs a kernel on Python floats (`_advance_one`) that skips numpy's
-per-call cost and touches numpy only to read the fields: `.item()` on a
-field's nodal mask and a complete field's components, and `_add_lines` for
-the lines a probe-local field lacks, whose cache holds Python lists.  The
-kernel repeats the vectorized path's IEEE operations in the same order, so
-both give the same bits:
-  - `Grid.wrap` at every stage: x - lo, `np.mod` only outside [0, L), + lo;
+(`_advance_many`), reading both fields through one `_sampler` per interval:
+each field component is one periodically padded flat row, read by a 1-D
+`take` at the lower corner's index from each corner's offset.  Positions
+are one array per axis, the grid's constants Python floats, and each stage
+is formed in place; only the interval's first read wraps the points it
+reads, later substeps start from the points the last one wrapped.  A group
+of one particle, as every probe is, runs on Python floats (`_advance_one`)
+and touches numpy only to read the fields; it reads each field's stencil
+corners once per interval, into a memo per field keyed by the lower corner.
+Both kernels do the same IEEE operations in the same order, so they give
+the same bits:
+  - the wrap: y = x - lo, `np.mod` only outside [0, L) (L reads 0), + lo;
   - the stencil: u = (x - lo) / dx, f = floor(u), frac = u - f; bit i of
-    corner c selects the upper neighbour on axis i (the kernel's integer
-    `mod` and the table's padding find the same cell), and a corner's weight
+    corner c selects the upper neighbour on axis i, and a corner's weight
     is the product of its axes' weights in axis order;
-  - each component accumulated from 0.0 in corner order;
+  - each component summed over the corners in corner order;
   - the time blend (1 - f) * a + f * b;
-  - the nodal speed cap: speed = sqrt(((0 + v0^2) + v1^2) ...), then
-    v * (cap / speed);
-  - the RK4 sum ((k1 + 2 k2) + 2 k3) + k4, and the freeze of a particle
+  - the nodal speed cap: v * (cap / sqrt((v0^2 + v1^2) + ...));
+  - the stage points x + (h / 2) k and x + h k, the RK4 sum
+    x + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), and the freeze of a particle
     whose stencil is nodal everywhere at both time levels.
-A reordering there changes last bits, which a position update can absorb;
-tests compare the kernel's samples with the table's directly.  Where a
-stage point is not finite, the kernel raises RuntimeError at once, and the
-vectorized path at the end of the interval.
+A reordering there changes last bits; tests compare the kernels' samples.  A
+non-finite stage point raises RuntimeError: at once in the one-particle
+kernel, at the end of the interval in the other.
 """
 
 import logging
@@ -58,7 +59,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.ndimage import distance_transform_edt
 
-from .fields import PhysicalParams
+from .fields import PhysicalParams, fold
 from .propagate import _overlap
 
 EPS_NODE = 1e-8
@@ -104,8 +105,8 @@ class VelocityField:
         starts = sorted(starts)
         amp = self.wave.amplitudes.reshape(-1).take(
             np.array(starts)[:, None] + stride * np.arange(n))
-        grad = sfft.ifft(1j * grid.k_coords(i) * sfft.fft(amp, axis=1),
-                         axis=1, overwrite_x=True)
+        grad = sfft.ifft(grid._ik[i] * sfft.fft(amp, axis=1), axis=1,
+                         overwrite_x=True)
         # nodal cells of a line divide by ~0; they are never read
         with np.errstate(all="ignore"):
             v = _guidance(1.0 / params.masses[i], grad, amp)
@@ -206,62 +207,70 @@ def group_field(psi, params, n):
 
 
 def _sampler(fields):
-    """A reader of velocity fields that share one grid, through one table.
+    """A reader of velocity fields that share one grid.
 
-    The table stacks the fields' components, padded periodically by two
-    cells at the upper end of each axis: u = (x - lo) / dx of a wrapped point
-    may round to n, so a stencil's lower corner f on an axis lies in [0, n],
-    and its upper one is f + 1.  Two flags per lower corner mark stencils
-    with some corner nodal in some field (`touched`) and every corner nodal
-    in every field (`inside`).  A probe-local field becomes complete first.
+    Each field component is one flat row, padded periodically by two cells
+    at the upper end of each axis: u = (x - lo) / dx of a wrapped point may
+    round to n, so a stencil's lower corner f on an axis lies in [0, n], and
+    its upper one is f + 1.  Two flags per lower corner mark stencils with
+    some corner nodal in some field (`touched`) and every corner nodal in
+    every field (`inside`).  A probe-local field becomes complete first.
 
-    Returns read and `inside`: read(x), for points x of shape (D, M), gives
-    each field's velocity, shape (L, D, M), each point's `touched` flag and
-    its stencil's lower corner, the index into `inside`.
+    Returns read and `inside`: read(xs, wrap=True), for points as one array
+    per axis (wrapped already if not `wrap`), gives each field's velocity as
+    one array per axis, each point's `touched` flag and its stencil's lower
+    corner, the index into `inside`.
     """
     grid = fields[0].grid
     D = grid.dims
     for vf in fields:
         if vf.components is None:
             vf._complete()
-    pad = ((0, 0),) + ((0, 2),) * D
-    values = np.pad(np.concatenate([vf.components for vf in fields]), pad,
-                    mode="wrap")
-    nodal = np.pad(np.stack([vf.nodal for vf in fields]), pad, mode="wrap")
-    strides = [s // values.itemsize for s in values[0].strides]
-    # corner c takes the upper neighbour along axis i where bit i is set
+    pad = ((0, 2),) * D
+    nodal = np.pad(np.stack([vf.nodal for vf in fields]), ((0, 0),) + pad,
+                   mode="wrap")
+    padded = nodal.shape[1:]
+    # corner c takes the upper neighbour along axis i where bit i is set;
+    # a row is viewed from each corner's offset, read at the lower corner
     bits = [[(c >> i) & 1 for i in range(D)] for c in range(1 << D)]
-    offsets = [int(np.dot(b, strides)) for b in bits]
+    offsets = [sum(b * math.prod(padded[i + 1:]) for i, b in enumerate(bit))
+               for bit in bits]
+    rows = [np.pad(c, pad, mode="wrap").reshape(-1)
+            for vf in fields for c in vf.components]
+    rows = [[row[off:] for off in offsets] for row in rows]
     corners = np.stack([nodal[(slice(None),) + tuple(
         slice(k, k + n + 1) for k, n in zip(b, grid.shape))] for b in bits])
     touched, inside = (np.pad(a, ((0, 1),) * D).reshape(-1) for a in (
         corners.any(axis=(0, 1)), corners.all(axis=(0, 1))))
-    values = values.reshape(len(values), -1)
-    los, dxs = (a[:, None] for a in grid._stencil_arrays[:2])
-    shape = (len(fields), D)
+    los, dxs, _, _, lengths = grid._stencil_lists
 
-    def read(x):
-        u = grid.wrap(x.T).T
-        u -= los
-        u /= dxs
-        f = np.floor(u)
-        frac = np.subtract(u, f, out=u)
-        rest = 1.0 - frac
-        f = f.astype(np.int64)
-        low = f[-1]
-        for i in range(D - 1):
-            low = low + f[i] * strides[i]
-        w = [rest[0], frac[0]]
-        for i in range(1, D):
-            w = [c * rest[i] for c in w] + [c * frac[i] for c in w]
-        # corners accumulate from 0.0 in stencil order, as the kernel does
-        out = np.zeros((len(values), x.shape[1]))
-        corner = np.empty_like(out)
-        for c, off in zip(w, offsets):
-            values.take(low + off, axis=1, out=corner, mode="clip")
-            corner *= c
-            out += corner
-        return (out.reshape(shape + out.shape[1:]),
+    def read(xs, wrap=True):
+        for i, (x, lo, dx, length) in enumerate(zip(xs, los, dxs, lengths)):
+            u = x - lo
+            if wrap:
+                fold(u, length)
+                u += lo
+                u -= lo
+            u /= dx
+            f = np.floor(u)
+            frac = np.subtract(u, f, out=u)
+            rest = 1.0 - frac
+            if i:
+                low = low * padded[i] + f
+                w = [c * rest for c in w] + [c * frac for c in w]
+            else:
+                low, w = f, [rest, frac]
+        low = low.astype(np.intp)
+        # each component is summed over the corners in stencil order
+        vals = []
+        for views in rows:
+            acc = views[0].take(low, mode="clip")
+            acc *= w[0]
+            for c, view in zip(w[1:], views[1:]):
+                corner = view.take(low, mode="clip")
+                acc += np.multiply(corner, c, out=corner)
+            vals.append(acc)
+        return ([vals[k:k + D] for k in range(0, len(vals), D)],
                 touched.take(low, mode="clip"), low)
 
     return read, inside
@@ -276,28 +285,32 @@ def velocity_at_many(vfield, pts):
     lines the stencils need, as when a probe reads it.
     """
     grid = vfield.grid
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if vfield.components is None:
-        g = _grid_lists(grid)
-        read = [_interp_one(vfield, *_stencil_one(g, _wrap_one(g, x)))
+        g, memo = grid._stencil_lists, {}
+        read = [_interp_one(vfield, memo, *_stencil_one(g, _wrap_one(g, x)))
                 for x in pts.tolist()]
         return (np.array([v for v, _ in read]).reshape(-1, grid.dims),
                 np.array([any(nodal) for _, nodal in read], dtype=bool))
     read, _ = _sampler((vfield,))
-    (out,), touched, _ = read(np.ascontiguousarray(pts.T, dtype=float))
-    return out.T, touched
+    (out,), touched, _ = read(list(pts.T))
+    return np.stack(out, axis=1), touched
 
 
 def _velocity(sample, frac, cap):
-    """A stage's velocities (D, M): the time blend and the nodal speed cap."""
+    """A stage's velocities, one array per axis, formed in place of the
+    sample's: the time blend and the nodal speed cap."""
     (a, b), touched, _ = sample
-    v = (1.0 - frac) * a + frac * b
+    for p, q in zip(a, b):
+        p *= 1.0 - frac
+        p += np.multiply(q, frac, out=q)
     if touched.any():
-        speed = np.sqrt(np.sum(v * v, axis=0))
+        speed = np.sqrt(sum(c * c for c in a))
         over = touched & (speed > cap)
         if over.any():
-            v[:, over] *= cap / speed[over]
-    return v
+            for c in a:
+                c[over] *= cap / speed[over]
+    return a
 
 
 SUBSTEP_CFL = 0.2       # max fraction of a cell traversed per substep
@@ -325,7 +338,7 @@ def _substeps(vmax, dt, grid):
 # bitwise the one the vectorized code computes for a group of one.
 
 def _wrap_one(g, x):
-    """`Grid.wrap` of one point x (a list of floats); g is `_grid_lists`.
+    """`Grid.wrap` of one point x (a list of floats); g: `_stencil_lists`.
 
     A non-finite coordinate raises RuntimeError: the stencil's `floor`
     could not take it.
@@ -337,15 +350,9 @@ def _wrap_one(g, x):
             if not math.isfinite(y):
                 raise RuntimeError(_NAN_MSG)
             y = float(np.mod(y, length))
+            y = 0.0 if y == length else y
         out.append(y + lo)
     return out
-
-
-def _grid_lists(grid):
-    """los, dxs, shape, strides and lengths of `grid` as lists of Python
-    numbers."""
-    return ([a.tolist() for a in grid._stencil_arrays]
-            + [grid._wrap_arrays[1].tolist()])
 
 
 def _stencil_one(g, x):
@@ -391,26 +398,29 @@ def _read_corners(vf, flat, index):
     return vals, nodal
 
 
-def _interp_one(vf, flat, w, index):
+def _interp_one(vf, memo, flat, w, index):
     """One field at one stencil of `_stencil_one`: the velocity as a list of
-    floats, and the corners' nodal flags."""
-    vals, nodal = _read_corners(vf, flat, index)
+    floats, and the corners' nodal flags.  `memo` holds the field's corners
+    read so far, keyed by the stencil's lower corner."""
+    if flat[0] not in memo:
+        memo[flat[0]] = _read_corners(vf, flat, index)
+    vals, nodal = memo[flat[0]]
     v = []
     for comp in vals:
-        acc = 0.0
-        for c, val in zip(w, comp):
-            acc += c * val
+        acc = w[0] * comp[0]
+        for j in range(1, len(w)):
+            acc += w[j] * comp[j]
         v.append(acc)
     return v, nodal
 
 
-def _sample_one(vf0, vf1, g, x):
-    """Both fields at one point x, as `_sampler` reads them: (a, b, touched,
-    nodal), with the stencil's corner flags in both fields, whose `all` is
-    `_sampler`'s `inside`."""
-    flat, w, index = _stencil_one(g, _wrap_one(g, x))
-    a, nodal0 = _interp_one(vf0, flat, w, index)
-    b, nodal1 = _interp_one(vf1, flat, w, index)
+def _sample_one(vf0, vf1, memos, g, x):
+    """Both fields at one wrapped point x, as `_sampler` reads them: (a, b,
+    touched, nodal), with the stencil's corner flags in both fields, whose
+    `all` is `_sampler`'s `inside`.  `memos` holds one memo per field."""
+    flat, w, index = _stencil_one(g, x)
+    a, nodal0 = _interp_one(vf0, memos[0], flat, w, index)
+    b, nodal1 = _interp_one(vf1, memos[1], flat, w, index)
     nodal = nodal0 + nodal1
     return a, b, any(nodal), nodal
 
@@ -432,29 +442,32 @@ def _velocity_one(sample, frac, cap):
 def _advance_one(vf0, vf1, pts, dt):
     """`advance_interval` for a group of one particle, pts of shape (1, D)
     and finite, on Python floats."""
-    g = _grid_lists(vf0.grid)
+    g = vf0.grid._stencil_lists
     x, dt = pts[0].tolist(), float(dt)
-    first = _sample_one(vf0, vf1, g, x)
+    memos = ({}, {})
+
+    def sample(point):
+        return _sample_one(vf0, vf1, memos, g, _wrap_one(g, point))
+
+    first = sample(x)
     speeds = first[0] + first[1]
     if not all(map(math.isfinite, speeds)):
         raise RuntimeError(_NAN_MSG)
     n = _substeps(max(map(abs, speeds)), dt, vf0.grid)
     h = dt / n
+    hh = 0.5 * h
     cap = min(vf0.grid.dxs) / h
     frozen = vf0.all_nodal or vf1.all_nodal
     degen_any = False
     for k in range(n):
-        if k:
-            first = _sample_one(vf0, vf1, g, x)
+        if k:  # x is wrapped
+            first = _sample_one(vf0, vf1, memos, g, x)
         f0, f1 = k / n, (k + 1) / n
         fm = 0.5 * (f0 + f1)
         k1 = _velocity_one(first, f0, cap)
-        k2 = _velocity_one(_sample_one(
-            vf0, vf1, g, [p + 0.5 * h * v for p, v in zip(x, k1)]), fm, cap)
-        k3 = _velocity_one(_sample_one(
-            vf0, vf1, g, [p + 0.5 * h * v for p, v in zip(x, k2)]), fm, cap)
-        k4 = _velocity_one(_sample_one(
-            vf0, vf1, g, [p + h * v for p, v in zip(x, k3)]), f1, cap)
+        k2 = _velocity_one(sample([p + hh * v for p, v in zip(x, k1)]), fm, cap)
+        k3 = _velocity_one(sample([p + hh * v for p, v in zip(x, k2)]), fm, cap)
+        k4 = _velocity_one(sample([p + h * v for p, v in zip(x, k3)]), f1, cap)
         # a stencil nodal everywhere at both time levels freezes the particle
         degen = frozen or all(first[3])
         if not degen:
@@ -507,41 +520,54 @@ def advance_interval(vf0, vf1, pts, dt):
 
 
 def _advance_many(vf0, vf1, pts, dt):
-    """`advance_interval` on numpy arrays: both fields read through one
-    `_sampler`, and positions held as (D, M) inside the interval."""
+    """`advance_interval` on numpy arrays, positions held as one array per
+    axis inside the interval."""
     grid = vf0.grid
+    los, _, _, _, lengths = grid._stencil_lists
     read, inside = _sampler((vf0, vf1))
-    x = np.ascontiguousarray(pts.T)
+    x = [np.array(c) for c in pts.T]
     # a non-finite stage point reads a clipped corner; the end check raises
     with np.errstate(invalid="ignore"):
         first = read(x)
-        vmax = float(np.max(np.abs(first[0])))
-        if not math.isfinite(vmax):
+        peaks = [float(np.max(np.abs(c))) for level in first[0] for c in level]
+        if not all(map(math.isfinite, peaks)):
             raise RuntimeError(_NAN_MSG)
-        n = _substeps(vmax, dt, grid)
+        n = _substeps(max(peaks), dt, grid)
         h = dt / n
+        hh, h6 = 0.5 * h, h / 6.0
         cap = min(grid.dxs) / h
         frozen = vf0.all_nodal or vf1.all_nodal
-        degen_any = np.zeros(x.shape[1], dtype=bool)
+        degen_any = np.zeros(len(pts), dtype=bool)
+
         for k in range(n):
             if k:
-                first = read(x)
+                first = read(x, wrap=False)
             f0, f1 = k / n, (k + 1) / n
             fm = 0.5 * (f0 + f1)
             k1 = _velocity(first, f0, cap)
-            k2 = _velocity(read(x + 0.5 * h * k1), fm, cap)
-            k3 = _velocity(read(x + 0.5 * h * k2), fm, cap)
-            k4 = _velocity(read(x + h * k3), f1, cap)
-            new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = _velocity(read([c * hh + p for p, c in zip(x, k1)]), fm, cap)
+            k3 = _velocity(read([c * hh + p for p, c in zip(x, k2)]), fm, cap)
+            k4 = _velocity(read([c * h + p for p, c in zip(x, k3)]), f1, cap)
             # a stencil nodal everywhere at both levels freezes the particle
             degen = inside.take(first[2], mode="clip") | frozen
-            if degen.any():
-                new[:, degen] = x[:, degen]
-            x = grid.wrap(new.T).T
+            for i, (p, a, b, c, d) in enumerate(zip(x, k1, k2, k3, k4)):
+                # the new point, wrapped, formed in place of k2
+                b *= 2.0
+                b += a
+                b += np.multiply(c, 2.0, out=c)
+                b += d
+                b *= h6
+                b += p
+                np.copyto(b, p, where=degen)
+                b -= los[i]
+                fold(b, lengths[i])
+                b += los[i]
+                x[i] = b
             degen_any |= degen
+    x = np.stack(x, axis=1)
     if not np.isfinite(x).all():
         raise RuntimeError(_NAN_MSG)
-    return x.T, degen_any
+    return x, degen_any
 
 
 def advance_group(vf0, vf1, pts, frozen, coupling, t0, t1):

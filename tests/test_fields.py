@@ -201,13 +201,15 @@ def test_normalize_and_phase_properties(center, sigma, momentum, phase):
 
 
 class TestWrap:
-    """Grid.wrap equals lo + mod(x - lo, L) bit for bit."""
+    """Grid.wrap equals lo + mod(x - lo, L) bit for bit, except that an
+    offset which `mod` rounds up to L reads 0."""
 
     @staticmethod
     def oracle(grid, coords):
         coords = np.asarray(coords, dtype=float)
-        los = np.asarray(grid.los)
-        return los + np.mod(coords - los, np.asarray(grid.lengths))
+        los, lengths = np.asarray(grid.los), np.asarray(grid.lengths)
+        offsets = np.mod(coords - los, lengths)
+        return los + np.where(offsets == lengths, 0.0, offsets)
 
     @staticmethod
     def assert_bits_equal(a, b):
@@ -256,16 +258,11 @@ SHIPPED_AXES = sorted({(a["lo"], a["hi"]) for kind in KINDS
 
 
 def assert_wrap_idempotent(lo, hi, x):
-    """wrap(wrap(x)) == wrap(x) bit for bit, except where wrap(x) is hi."""
+    """wrap(x) lies in [lo, hi), and wrap(wrap(x)) == wrap(x) bit for bit."""
     g = make_grid([{"points": 64, "lo": lo, "hi": hi}])
     w = g.wrap([x])
-    ww = g.wrap(w)
-    if w[0] < hi:
-        TestWrap.assert_bits_equal(ww, w)
-    else:
-        # x - lo in (-ulp(L) / 2, 0): mod(x - lo, L) rounds up to L, so wrap
-        # returns hi, which wraps to lo
-        assert w[0] == hi and x < lo and ww[0] == lo
+    assert lo <= w[0] < hi
+    TestWrap.assert_bits_equal(g.wrap(w), w)
 
 
 @pytest.mark.parametrize("lo,hi", SHIPPED_AXES)
@@ -283,10 +280,15 @@ def test_wrap_idempotent_at_edges(lo, hi):
         assert_wrap_idempotent(lo, hi, x)
 
 
-def test_wrap_returns_hi_just_below_lo():
-    # so a point that is already wrapped is wrapped again before sampling:
-    # on the x axis of interference and decoherence, the largest coordinate
-    # below lo wraps to hi, and hi to lo
-    g = make_grid([{"points": 1024, "lo": -20.0, "hi": 20.0}])
-    w = g.wrap([np.nextafter(-20.0, -np.inf)])
-    assert w[0] == 20.0 and g.wrap(w)[0] == -20.0
+def test_wrap_maps_just_below_lo_to_lo():
+    # mod(x - lo, L) rounds the offset of a point just below lo up to L: on
+    # the x axis of interference and decoherence for the largest coordinate
+    # below lo, on relaxation's [0, 2 pi) for -1e-300; wrap reads lo, so a
+    # wrapped point needs no second wrap before it is sampled
+    for lo, hi, x in ((-20.0, 20.0, np.nextafter(-20.0, -np.inf)),
+                      (0.0, 2 * np.pi, -1e-300)):
+        g = make_grid([{"points": 64, "lo": lo, "hi": hi}])
+        assert np.mod(x - lo, hi - lo) == hi - lo
+        w = g.wrap([x])
+        assert w[0] == lo
+        TestWrap.assert_bits_equal(g.wrap(w), w)

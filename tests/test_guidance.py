@@ -298,12 +298,36 @@ def probe_points(g, n=200):
     return pts
 
 
+def drifting_fields(shape, drift):
+    """`noded_fields` with `drift` added to every velocity component, and
+    points that cross the edge the drift points to within an interval of
+    DRIFT_DT: each axis starts within two cells of that edge, and a third of
+    the points start a whole number of periods away, unwrapped.  Level 1
+    has no nodal cell, so no particle freezes; level 0's touch stencils."""
+    g, vf0, vf1 = noded_fields(shape)
+    vfs = [VelocityField(g, vf.components + drift, nodal, vf.time)
+           for vf, nodal in ((vf0, vf0.nodal), (vf1, np.zeros(g.shape, bool)))]
+    rng = np.random.default_rng(17)
+    los, dxs, lengths = (np.asarray(a) for a in (g.los, g.dxs, g.lengths))
+    edge = los + lengths if drift > 0 else los
+    pts = edge - np.sign(drift) * rng.uniform(0.05, 2.0, (30, g.dims)) * dxs
+    pts[::3] += lengths * rng.choice([-2, -1, 1, 3], (10, g.dims))
+    assert not np.all((pts >= los) & (pts < los + lengths))
+    return g, vfs, pts
+
+
+# a drift of 100 moves a point by 1.0 over one interval: 1 to 4 cells of
+# `noded_fields`
+DRIFT_DT = 0.01
+
+
 def sample(vf0, vf1, pts):
-    """Both fields at points (M, D) through one `_sampler` table, as
-    (a, b, touched, inside) with a and b of shape (M, D)."""
+    """Both fields at points (M, D) through one `_sampler`, as (a, b,
+    touched, inside) with a and b of shape (M, D)."""
     read, inside = guidance._sampler((vf0, vf1))
-    (a, b), touched, low = read(pts.T)
-    return a.T, b.T, touched, inside.take(low, mode="clip")
+    (a, b), touched, low = read(list(pts.T))
+    return (np.stack(a, axis=1), np.stack(b, axis=1), touched,
+            inside.take(low, mode="clip"))
 
 
 class TestSharedStencil:
@@ -333,6 +357,18 @@ class TestSharedStencil:
         want = _oracle_advance_interval(vf0, vf1, pts, dt)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("drift", [-100.0, 100.0])
+    def test_points_crossing_an_edge_match_oracle(self, shape, drift):
+        # a substep's first stage reads the points the last one wrapped; the
+        # interval's first read wraps points that start unwrapped
+        g, (vf0, vf1), pts = drifting_fields(shape, drift)
+        start, end = g.wrap(pts), _oracle_advance_interval(vf0, vf1, pts,
+                                                           DRIFT_DT)[0]
+        crossed = end < start if drift > 0 else end > start
+        assert crossed.all(axis=1).any() and crossed.any(axis=0).all()
+        assert_group_matches_oracle(vf0, vf1, pts, DRIFT_DT)
 
     def test_field_built_from_list(self):
         g, vf0, vf1 = noded_fields((32, 24))
@@ -630,8 +666,10 @@ class TestOneParticleKernel:
         g, vf0, vf1 = noded_fields(shape)
         pts = probe_points(g)
         want = sample(vf0, vf1, pts)
-        got = [guidance._sample_one(vf0, vf1, guidance._grid_lists(g),
-                                    p.tolist()) for p in pts]
+        lists = g._stencil_lists
+        got = [guidance._sample_one(vf0, vf1, ({}, {}), lists,
+                                    guidance._wrap_one(lists, p.tolist()))
+               for p in pts]
         for k in range(3):
             assert np.array_equal([s[k] for s in got], want[k])
         assert np.array_equal([all(s[3]) for s in got], want[3])
@@ -646,6 +684,50 @@ class TestOneParticleKernel:
             assert over.any() and not over.all()
             assert np.array_equal(
                 [guidance._velocity_one(s, frac, cap) for s in got], v)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("local", [False, True])
+    def test_corners_read_once_per_field_and_stencil(self, dims, local,
+                                                     monkeypatch):
+        if local:
+            shape = [(48,), (32, 28), (20, 18, 24)][dims - 1]
+            g, params, (psi0, psi1) = two_packet_waves(shape)
+            vfs = [velocity_field(p, params) for p in (psi0, psi1)]
+            pts = np.array([[-1.4] + [0.2] * (g.dims - 1),
+                            [1.5] + [-0.3] * (g.dims - 1)])
+            dt = 2.0
+        else:
+            shape = [(40,), (32, 24), (10, 12, 9)][dims - 1]
+            g, vfs, pts = drifting_fields(shape, 100.0)
+            dt = DRIFT_DT
+        reads, stencils = [], []
+        read, stencil = guidance._read_corners, guidance._stencil_one
+
+        def read_spy(vf, flat, index):
+            reads.append((vf, flat[0]))
+            return read(vf, flat, index)
+
+        def stencil_spy(g, x):
+            out = stencil(g, x)
+            stencils.append(out[0][0])
+            return out
+
+        monkeypatch.setattr(guidance, "_read_corners", read_spy)
+        monkeypatch.setattr(guidance, "_stencil_one", stencil_spy)
+        for p in pts:
+            fields = ([local_field(q, params) for q in (psi0, psi1)] if local
+                      else vfs)
+            reads.clear()
+            stencils.clear()
+            got = advance_interval(*fields, p[None, :], dt)
+            want = _oracle_advance_interval(*vfs, p[None, :], dt)
+            assert np.array_equal(got[0], want[0])
+            # every stencil the stages sampled is read once in each field
+            lows = set(stencils)
+            assert 1 < len(lows) < len(stencils)
+            assert len(reads) == 2 * len(lows)
+            for vf in fields:
+                assert sorted(q for f, q in reads if f is vf) == sorted(lows)
 
     def test_capped_interval_logs_and_matches_oracle(self, caplog):
         # dt 50 needs more than MAX_SUBSTEPS, and speeds over the nodal cap

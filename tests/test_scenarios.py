@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pilotwave.branches import decompose, halfspace_mask, interference_term
 from pilotwave.fields import WaveFunction, make_grid, init_gaussian, density
 from pilotwave.propagate import (
     HamiltonianSpec, MeasurementCoupling, PotentialTerm, Schedule, evolve,
@@ -15,7 +16,8 @@ from pilotwave.scenarios import (
     Bundle, coevolve, overall_verdict,
     run_interference_scenario, run_decoherence_scenario,
     run_measurement_scenario, run_relaxation_scenario,
-    run_preparation_scenario, run_scenario, _hamiltonian_of, _twin_spec,
+    run_preparation_scenario, run_scenario, _eq3_residual, _hamiltonian_of,
+    _twin_spec,
 )
 
 FAST_INTERFERENCE = (
@@ -296,6 +298,45 @@ class TestVerdicts:
     def test_run_scenario_dispatch_unknown(self):
         with pytest.raises(SpecError, match="kind"):
             run_scenario({"kind": "nope"})
+
+
+class TestEq3Residual:
+    """The density identity's residual, taken slab by slab, is the one of
+    the full-grid branches that `decompose` forms."""
+
+    @staticmethod
+    def full_grid(psi, axis, split):
+        lo, hi = decompose(psi, [halfspace_mask(psi.grid, axis, split, side)
+                                 for side in ("below", "above")])
+        acc = np.abs(lo.wave.amplitudes) ** 2 + np.abs(hi.wave.amplitudes) ** 2
+        acc += interference_term(lo.wave, hi.wave)[0]
+        return float(np.max(np.abs(np.abs(psi.amplitudes) ** 2 - acc)))
+
+    @pytest.mark.parametrize("shape,axis", [((40,), 0), ((24, 20), 0),
+                                            ((12, 16, 10), 1)])
+    def test_matches_full_grid_branches(self, shape, axis):
+        g = make_grid([{"points": n, "lo": -3.0, "hi": 4.0} for n in shape])
+        rng = np.random.default_rng(9)
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        nan = amp.copy()
+        nan.flat[7] = np.nan
+        for a in (amp, nan):
+            psi = WaveFunction(g, a)
+            got, want = _eq3_residual(psi, axis, 0.4), self.full_grid(psi, axis, 0.4)
+            assert np.array_equal(np.float64(got).view(np.int64),
+                                  np.float64(want).view(np.int64))
+
+    def test_holds_no_full_grid_array(self):
+        g = make_grid([{"points": n, "lo": -4.0, "hi": 4.0} for n in (64, 64, 32)])
+        rng = np.random.default_rng(10)
+        psi = WaveFunction(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        tracemalloc.start()
+        try:
+            _eq3_residual(psi, 1, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < psi.amplitudes.nbytes / 4, peak
 
 
 # ---------------------------------------------------------------------------
