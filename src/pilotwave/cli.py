@@ -181,9 +181,12 @@ def cmd_report(run_dir):
     for name, v in report["verdicts"].items():
         print(f"  {name:34s} {v}")
     print(f"overall  : {report['verdict']}")
-    caps = report.get("runtime", {}).get("substep_caps")
-    if caps is not None:
-        print(f"substep caps: {caps} (intervals capped at MAX_SUBSTEPS)")
+    runtime = report.get("runtime", {})
+    for key, what in (("substep_caps", "intervals capped at MAX_SUBSTEPS"),
+                      ("speed_caps", "particle stages slowed at nodes"),
+                      ("frozen_particles", "on a stencil nodal everywhere")):
+        if key in runtime:
+            print(f"{key.replace('_', ' ')}: {runtime[key]} ({what})")
     return EXIT_PASS
 
 

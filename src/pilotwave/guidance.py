@@ -25,23 +25,23 @@ vectorized reader `_sampler` completes a probe-local field before it reads
 one.
 
 `advance_interval` advances a group of two or more particles with numpy
-(`_advance_many`), reading both fields through one `_sampler` per interval:
-each field component is one periodically padded flat row, read by a 1-D
-`take` at the lower corner's index from each corner's offset.  Positions
-are one array per axis, the grid's constants Python floats, and each stage
-is formed in place; only the interval's first read wraps the points it
-reads, later substeps start from the points the last one wrapped.  A group
-of one particle, as every probe is, runs on Python floats (`_advance_one`)
-and touches numpy only to read the fields; it reads each field's stencil
-corners once per interval, into a memo per field keyed by the lower corner.
-Both kernels do the same IEEE operations in the same order, so they give
-the same bits:
+(`_advance_many`) through one `_sampler` per interval, which blends the two
+fields' padded rows (`VelocityField._table`, built once per field) once per
+stage fraction f of the interval; a stage reads the one blend by a 1-D
+`take` per corner.  Positions are one array per axis and each stage is
+formed in place; only the interval's first read wraps the points it reads.
+A group of one particle, as every probe is, runs on Python floats
+(`_advance_one`) and touches numpy only to read the fields; per interval it
+reads each field's stencil corners once and blends them once per f, in a
+memo keyed by the stencil's lower corner.  Both kernels do the same IEEE
+operations in the same order, so they give the same bits:
   - the wrap: y = x - lo, `np.mod` only outside [0, L) (L reads 0), + lo;
-  - the stencil: u = (x - lo) / dx, f = floor(u), frac = u - f; bit i of
+  - the stencil: u = (x - lo) / dx, frac = u - floor(u); bit i of
     corner c selects the upper neighbour on axis i, and a corner's weight
     is the product of its axes' weights in axis order;
-  - each component summed over the corners in corner order;
-  - the time blend (1 - f) * a + f * b;
+  - the time blend of each corner, a * (1 - f) + b * f, and at f = 0 and
+    f = 1 a field's own value; each component's blends weighted and summed
+    over the corners in corner order;
   - the nodal speed cap: v * (cap / sqrt((v0^2 + v1^2) + ...));
   - the stage points x + (h / 2) k and x + h k, the RK4 sum
     x + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), and the freeze of a particle
@@ -54,6 +54,7 @@ kernel, at the end of the interval in the other.
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -111,6 +112,25 @@ class VelocityField:
         with np.errstate(all="ignore"):
             v = _guidance(1.0 / params.masses[i], grad, amp)
         self._lines[i].update(zip(starts, v.tolist()))
+
+    @cached_property
+    def _table(self):
+        """The stencil table, built on the first vectorized read and kept:
+        each component a flat row padded periodically by two cells at the
+        upper end of each axis (u of a wrapped point may round to n), and
+        per lower corner two flags: some (`touched`) or every (`inside`)
+        corner nodal.  A probe-local field becomes complete first."""
+        if self.components is None:
+            self._complete()
+        shape, D = self.grid.shape, self.grid.dims
+        pad = ((0, 2),) * D
+        nodal = np.pad(self.nodal, pad, mode="wrap")
+        corners = np.stack([nodal[tuple(slice(k, k + n + 1) for k, n in zip(
+            bit, shape))] for bit in np.ndindex((2,) * D)])
+        touched, inside = (np.pad(a, ((0, 1),) * D).reshape(-1) for a in (
+            corners.any(axis=0), corners.all(axis=0)))
+        return ([np.pad(c, pad, mode="wrap").reshape(-1)
+                 for c in self.components], touched, inside)
 
 
 @dataclass
@@ -206,45 +226,43 @@ def group_field(psi, params, n):
     return velocity_field(psi, params)
 
 
-def _sampler(fields):
-    """A reader of velocity fields that share one grid.
+def _sampler(vf0, vf1):
+    """A reader of the velocity between two fields on one grid, at time
+    fractions f of their interval.  The pair's flags join the fields' own
+    (`_table`): `touched` by |, `inside` by &.  The rows at f are field 0's
+    (f = 0), field 1's (f = 1), or the blend a * (1 - f) + b * f of each
+    cell, kept until another f is read; a row is read by a 1-D `take` from
+    each corner's offset.
 
-    Each field component is one flat row, padded periodically by two cells
-    at the upper end of each axis: u = (x - lo) / dx of a wrapped point may
-    round to n, so a stencil's lower corner f on an axis lies in [0, n], and
-    its upper one is f + 1.  Two flags per lower corner mark stencils with
-    some corner nodal in some field (`touched`) and every corner nodal in
-    every field (`inside`).  A probe-local field becomes complete first.
-
-    Returns read and `inside`: read(xs, wrap=True), for points as one array
-    per axis (wrapped already if not `wrap`), gives each field's velocity as
-    one array per axis, each point's `touched` flag and its stencil's lower
-    corner, the index into `inside`.
+    Returns read and `inside`: read(xs, fracs, wrap=True), for points as one
+    array per axis (wrapped already if not `wrap`), gives the velocity at
+    each fraction of `fracs` as one array per axis, all through one
+    stencil, each point's `touched` flag and its stencil's lower corner, the
+    index into `inside`.
     """
-    grid = fields[0].grid
-    D = grid.dims
-    for vf in fields:
-        if vf.components is None:
-            vf._complete()
-    pad = ((0, 2),) * D
-    nodal = np.pad(np.stack([vf.nodal for vf in fields]), ((0, 0),) + pad,
-                   mode="wrap")
-    padded = nodal.shape[1:]
-    # corner c takes the upper neighbour along axis i where bit i is set;
-    # a row is viewed from each corner's offset, read at the lower corner
-    bits = [[(c >> i) & 1 for i in range(D)] for c in range(1 << D)]
-    offsets = [sum(b * math.prod(padded[i + 1:]) for i, b in enumerate(bit))
-               for bit in bits]
-    rows = [np.pad(c, pad, mode="wrap").reshape(-1)
-            for vf in fields for c in vf.components]
-    rows = [[row[off:] for off in offsets] for row in rows]
-    corners = np.stack([nodal[(slice(None),) + tuple(
-        slice(k, k + n + 1) for k, n in zip(b, grid.shape))] for b in bits])
-    touched, inside = (np.pad(a, ((0, 1),) * D).reshape(-1) for a in (
-        corners.any(axis=(0, 1)), corners.all(axis=(0, 1))))
-    los, dxs, _, _, lengths = grid._stencil_lists
+    (rows0, touched, inside), (rows1, touched1, inside1) = (vf0._table,
+                                                            vf1._table)
+    if vf1 is not vf0:
+        touched, inside = touched | touched1, inside & inside1
+    padded = [n + 2 for n in vf0.grid.shape]
+    # corner c takes the upper neighbour along axis i where bit i is set
+    offsets = [sum(((c >> i) & 1) * math.prod(padded[i + 1:])
+                   for i in range(len(padded))) for c in range(1 << len(padded))]
+    los, dxs, _, _, lengths = vf0.grid._stencil_lists
 
-    def read(xs, wrap=True):
+    def viewed(rows):
+        return [[row[off:] for off in offsets] for row in rows]
+
+    levels = raw = {0.0: viewed(rows0), 1.0: viewed(rows1)}
+
+    def rows_at(f):
+        nonlocal levels
+        if f not in levels:
+            levels = {**raw, f: viewed([a * (1.0 - f) + b * f
+                                        for a, b in zip(rows0, rows1)])}
+        return levels[f]
+
+    def read(xs, fracs, wrap=True):
         for i, (x, lo, dx, length) in enumerate(zip(xs, los, dxs, lengths)):
             u = x - lo
             if wrap:
@@ -262,16 +280,18 @@ def _sampler(fields):
                 low, w = f, [rest, frac]
         low = low.astype(np.intp)
         # each component is summed over the corners in stencil order
-        vals = []
-        for views in rows:
-            acc = views[0].take(low, mode="clip")
-            acc *= w[0]
-            for c, view in zip(w[1:], views[1:]):
-                corner = view.take(low, mode="clip")
-                acc += np.multiply(corner, c, out=corner)
-            vals.append(acc)
-        return ([vals[k:k + D] for k in range(0, len(vals), D)],
-                touched.take(low, mode="clip"), low)
+        out = []
+        for f in fracs:
+            vals = []
+            for views in rows_at(f):
+                acc = views[0].take(low, mode="clip")
+                acc *= w[0]
+                for c, view in zip(w[1:], views[1:]):
+                    corner = view.take(low, mode="clip")
+                    acc += np.multiply(corner, c, out=corner)
+                vals.append(acc)
+            out.append(vals)
+        return out, touched.take(low, mode="clip"), low
 
     return read, inside
 
@@ -288,34 +308,33 @@ def velocity_at_many(vfield, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if vfield.components is None:
         g, memo = grid._stencil_lists, {}
-        read = [_interp_one(vfield, memo, *_stencil_one(g, _wrap_one(g, x)))
+        read = [_sample_one(vfield, vfield, memo, g, _wrap_one(g, x), (0.0,))
                 for x in pts.tolist()]
-        return (np.array([v for v, _ in read]).reshape(-1, grid.dims),
-                np.array([any(nodal) for _, nodal in read], dtype=bool))
-    read, _ = _sampler((vfield,))
-    (out,), touched, _ = read(list(pts.T))
+        return (np.array([v for (v,), _, _ in read]).reshape(-1, grid.dims),
+                np.array([touched for _, touched, _ in read], dtype=bool))
+    read, _ = _sampler(vfield, vfield)
+    (out,), touched, _ = read(list(pts.T), (0.0,))
     return np.stack(out, axis=1), touched
 
 
-def _velocity(sample, frac, cap):
-    """A stage's velocities, one array per axis, formed in place of the
-    sample's: the time blend and the nodal speed cap."""
-    (a, b), touched, _ = sample
-    for p, q in zip(a, b):
-        p *= 1.0 - frac
-        p += np.multiply(q, frac, out=q)
+def _velocity(sample, cap):
+    """A stage's velocities: the sample's first level, one array per axis,
+    with the nodal speed cap applied in place (counted in `speed_caps`)."""
+    global speed_caps
+    (v, *_), touched, _ = sample
     if touched.any():
-        speed = np.sqrt(sum(c * c for c in a))
+        speed = np.sqrt(sum(c * c for c in v))
         over = touched & (speed > cap)
         if over.any():
-            for c in a:
+            speed_caps += int(np.count_nonzero(over))
+            for c in v:
                 c[over] *= cap / speed[over]
-    return a
+    return v
 
 
 SUBSTEP_CFL = 0.2       # max fraction of a cell traversed per substep
 MAX_SUBSTEPS = 256
-substep_caps = 0        # intervals capped at MAX_SUBSTEPS since import
+substep_caps = speed_caps = frozen_particles = 0  # clamps since import
 _NAN_MSG = "NaN in trajectory output; regularization failed"
 
 
@@ -398,43 +417,44 @@ def _read_corners(vf, flat, index):
     return vals, nodal
 
 
-def _interp_one(vf, memo, flat, w, index):
-    """One field at one stencil of `_stencil_one`: the velocity as a list of
-    floats, and the corners' nodal flags.  `memo` holds the field's corners
-    read so far, keyed by the stencil's lower corner."""
-    if flat[0] not in memo:
-        memo[flat[0]] = _read_corners(vf, flat, index)
-    vals, nodal = memo[flat[0]]
-    v = []
-    for comp in vals:
-        acc = w[0] * comp[0]
-        for j in range(1, len(w)):
-            acc += w[j] * comp[j]
-        v.append(acc)
-    return v, nodal
-
-
-def _sample_one(vf0, vf1, memos, g, x):
-    """Both fields at one wrapped point x, as `_sampler` reads them: (a, b,
+def _sample_one(vf0, vf1, memo, g, x, fracs):
+    """The pair at one wrapped point x as `_sampler` reads it: (levels,
     touched, nodal), with the stencil's corner flags in both fields, whose
-    `all` is `_sampler`'s `inside`.  `memos` holds one memo per field."""
+    `all` is `_sampler`'s `inside`.  `memo` holds, per stencil's lower
+    corner, its flags and its corners' values at each f read so far."""
     flat, w, index = _stencil_one(g, x)
-    a, nodal0 = _interp_one(vf0, memos[0], flat, w, index)
-    b, nodal1 = _interp_one(vf1, memos[1], flat, w, index)
-    nodal = nodal0 + nodal1
-    return a, b, any(nodal), nodal
+    if flat[0] not in memo:
+        a, nodal0 = _read_corners(vf0, flat, index)
+        b, nodal1 = (a, nodal0) if vf1 is vf0 else _read_corners(vf1, flat,
+                                                                 index)
+        memo[flat[0]] = nodal0 + nodal1, {0.0: a, 1.0: b}
+    nodal, corners = memo[flat[0]]
+    levels = []
+    for f in fracs:
+        if f not in corners:
+            corners[f] = [[p * (1.0 - f) + q * f for p, q in zip(pc, qc)]
+                          for pc, qc in zip(corners[0.0], corners[1.0])]
+        v = []
+        for comp in corners[f]:
+            acc = w[0] * comp[0]
+            for j in range(1, len(w)):
+                acc += w[j] * comp[j]
+            v.append(acc)
+        levels.append(v)
+    return levels, any(nodal), nodal
 
 
-def _velocity_one(sample, frac, cap):
+def _velocity_one(sample, cap):
     """`_velocity` of one particle."""
-    a, b, touched, _ = sample
-    v = [(1.0 - frac) * p + frac * q for p, q in zip(a, b)]
+    global speed_caps
+    (v, *_), touched, _ = sample
     if touched:
         speed = 0.0
         for c in v:
             speed += c * c
         speed = math.sqrt(speed)
         if speed > cap:
+            speed_caps += 1
             v = [c * (cap / speed) for c in v]
     return v
 
@@ -444,13 +464,14 @@ def _advance_one(vf0, vf1, pts, dt):
     and finite, on Python floats."""
     g = vf0.grid._stencil_lists
     x, dt = pts[0].tolist(), float(dt)
-    memos = ({}, {})
+    memo = {}
 
-    def sample(point):
-        return _sample_one(vf0, vf1, memos, g, _wrap_one(g, point))
+    def stage(point, f):
+        return _velocity_one(_sample_one(vf0, vf1, memo, g, _wrap_one(g, point),
+                                         (f,)), cap)
 
-    first = sample(x)
-    speeds = first[0] + first[1]
+    first = _sample_one(vf0, vf1, memo, g, _wrap_one(g, x), (0.0, 1.0))
+    speeds = first[0][0] + first[0][1]
     if not all(map(math.isfinite, speeds)):
         raise RuntimeError(_NAN_MSG)
     n = _substeps(max(map(abs, speeds)), dt, vf0.grid)
@@ -460,16 +481,16 @@ def _advance_one(vf0, vf1, pts, dt):
     frozen = vf0.all_nodal or vf1.all_nodal
     degen_any = False
     for k in range(n):
-        if k:  # x is wrapped
-            first = _sample_one(vf0, vf1, memos, g, x)
         f0, f1 = k / n, (k + 1) / n
         fm = 0.5 * (f0 + f1)
-        k1 = _velocity_one(first, f0, cap)
-        k2 = _velocity_one(sample([p + hh * v for p, v in zip(x, k1)]), fm, cap)
-        k3 = _velocity_one(sample([p + hh * v for p, v in zip(x, k2)]), fm, cap)
-        k4 = _velocity_one(sample([p + h * v for p, v in zip(x, k3)]), f1, cap)
+        if k:  # x is wrapped
+            first = _sample_one(vf0, vf1, memo, g, x, (f0,))
+        k1 = _velocity_one(first, cap)
+        k2 = stage([p + hh * v for p, v in zip(x, k1)], fm)
+        k3 = stage([p + hh * v for p, v in zip(x, k2)], fm)
+        k4 = stage([p + h * v for p, v in zip(x, k3)], f1)
         # a stencil nodal everywhere at both time levels freezes the particle
-        degen = frozen or all(first[3])
+        degen = frozen or all(first[2])
         if not degen:
             x = [p + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                  for p, a, b, c, d in zip(x, k1, k2, k3, k4)]
@@ -524,11 +545,11 @@ def _advance_many(vf0, vf1, pts, dt):
     axis inside the interval."""
     grid = vf0.grid
     los, _, _, _, lengths = grid._stencil_lists
-    read, inside = _sampler((vf0, vf1))
+    read, inside = _sampler(vf0, vf1)
     x = [np.array(c) for c in pts.T]
     # a non-finite stage point reads a clipped corner; the end check raises
     with np.errstate(invalid="ignore"):
-        first = read(x)
+        first = read(x, (0.0, 1.0))
         peaks = [float(np.max(np.abs(c))) for level in first[0] for c in level]
         if not all(map(math.isfinite, peaks)):
             raise RuntimeError(_NAN_MSG)
@@ -540,14 +561,14 @@ def _advance_many(vf0, vf1, pts, dt):
         degen_any = np.zeros(len(pts), dtype=bool)
 
         for k in range(n):
-            if k:
-                first = read(x, wrap=False)
             f0, f1 = k / n, (k + 1) / n
             fm = 0.5 * (f0 + f1)
-            k1 = _velocity(first, f0, cap)
-            k2 = _velocity(read([c * hh + p for p, c in zip(x, k1)]), fm, cap)
-            k3 = _velocity(read([c * hh + p for p, c in zip(x, k2)]), fm, cap)
-            k4 = _velocity(read([c * h + p for p, c in zip(x, k3)]), f1, cap)
+            if k:
+                first = read(x, (f0,), wrap=False)
+            k1 = _velocity(first, cap)
+            k2 = _velocity(read([c * hh + p for p, c in zip(x, k1)], (fm,)), cap)
+            k3 = _velocity(read([c * hh + p for p, c in zip(x, k2)], (fm,)), cap)
+            k4 = _velocity(read([c * h + p for p, c in zip(x, k3)], (f1,)), cap)
             # a stencil nodal everywhere at both levels freezes the particle
             degen = inside.take(first[2], mode="clip") | frozen
             for i, (p, a, b, c, d) in enumerate(zip(x, k1, k2, k3, k4)):
@@ -574,13 +595,16 @@ def advance_group(vf0, vf1, pts, frozen, coupling, t0, t1):
     """Advance a particle group over [t0, t1] between two velocity fields.
 
     Half the gate kick, the adaptive interval, the other half kick.  A
-    particle flagged degenerate joins `frozen` (updated in place); frozen
-    particles stay where they were at t0.  Returns the new positions.
+    particle flagged degenerate joins `frozen` (updated in place; counted
+    once in `frozen_particles`); frozen particles stay where they were at
+    t0.  Returns the new positions.
     """
+    global frozen_particles
     grid = vf0.grid
     kicked = gate_kick(grid, pts, coupling, t0, t1)
     new, degen = advance_interval(vf0, vf1, kicked, t1 - t0)
     new = gate_kick(grid, new, coupling, t0, t1)
+    frozen_particles += int(np.count_nonzero(degen & ~frozen))
     frozen |= degen
     new[frozen] = pts[frozen]
     return new
@@ -592,24 +616,26 @@ def simulate_trajectory(record, x0):
 
 
 class GuidedWalk:
-    """Particles from x0s (N, D), guided through n waves fed one at a time.
+    """Particles from x0s (N, D), guided through n waves' `group_field`s
+    for N particles, fed one at a time.
 
-    The first wave is their start; each later one advances them from the
-    one before with `advance_group`, every wave read through its
-    `group_field`, and fills a row of `times` (n,) and `path` (n, N, D).
-    Only the last wave's field is kept, so a field that completes frees its
-    wave.  `frozen` (N,) flags frozen particles."""
+    The first field is their start; each later one advances them from the
+    one before with `advance_group`, and fills a row of `times` (n,) and
+    `path` (n, N, D).  Only the last field is kept (a field that completes
+    frees its wave; its `_table` serves the next interval too).  `frozen`
+    (N,) flags frozen particles."""
 
-    def __init__(self, params, coupling, x0s, n):
-        self.params, self.coupling = params, coupling
+    def __init__(self, coupling, x0s, n):
+        self.coupling = coupling
         self.x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
         self.frozen = np.zeros(len(self.x0s), dtype=bool)
         self.times, self.path = np.empty(n), np.empty((n,) + self.x0s.shape)
         self._fed, self._field = 0, None
 
-    def feed(self, psi):
-        """Advance to the wave psi; returns the positions (N, D) at its time."""
-        vf0, vf1 = self._field, group_field(psi, self.params, len(self.frozen))
+    def feed(self, vf1):
+        """Advance to the field vf1; returns the positions (N, D) at its
+        time."""
+        vf0 = self._field
         k, self._field = self._fed, vf1
         if k == 0:
             pts = vf1.grid.wrap(self.x0s)
@@ -628,8 +654,9 @@ def simulate_trajectories(record, x0s):
     Returns a list of Trajectory, one per particle, at every snapshot.
     """
     n = len(record.snapshots)
-    walk = GuidedWalk(record.params, record.hamiltonian.coupling, x0s, n)
+    walk = GuidedWalk(record.hamiltonian.coupling, x0s, n)
     for i in range(n):
-        walk.feed(record.wave_at(i))
+        walk.feed(group_field(record.wave_at(i), record.params,
+                              len(walk.frozen)))
     return [Trajectory(walk.times, walk.path[:, j, :], bool(walk.frozen[j]))
             for j in range(walk.path.shape[1])]

@@ -37,7 +37,7 @@ from .propagate import (
     _observed_steps,
 )
 from . import guidance
-from .guidance import GuidedWalk, simulate_trajectories
+from .guidance import GuidedWalk, group_field, simulate_trajectories
 from .ensemble import (
     Ensemble, rng_for, sample_initial, equivariance_test, h_function,
     _axis_density,
@@ -307,9 +307,10 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
     Components share the Hamiltonian (evolution is linear, so their sum is
     the full wave at all times); each is a WaveFunction, or a ProductWave
     factored like the others over blocks that no term couples yet, which
-    merge as couplings first act (`_observed_steps`).  At each
-    observation every `Bundle` due advances as its own group (`GuidedWalk`;
-    a group's fastest particle sets its substeps).  Then the observer, if
+    merge as couplings first act (`_observed_steps`).  At each observation
+    every `Bundle` due advances as its own group (`GuidedWalk`; a group's
+    fastest particle sets its substeps) through one `group_field` per wave
+    for its groups of one and one for the others.  Then the observer, if
     given, gets t, the full wave (a WaveFunction of the components' sum,
     formed once in component order, which the sum-guided bundles read), the
     list of component amplitude arrays and each bundle's positions (N, D)
@@ -317,7 +318,7 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
     grid = components[0].grid
     # the last observation's index: step 0, then one per stride of steps
     last = len(range(0, schedule.n_steps, schedule.stride))
-    walks = [GuidedWalk(params, hamiltonian.coupling, b.x0s,
+    walks = [GuidedWalk(hamiltonian.coupling, b.x0s,
                         len(range(0, last, b.stride)) + 1) for b in bundles]
     amps, times, observations = [], [], []
     for i, t in enumerate(_observed_steps(components, hamiltonian, schedule,
@@ -327,8 +328,14 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
         full = WaveFunction(grid, sum(amps[1:], amps[0]), t)
         waves = {k: full if k is None else WaveFunction(grid, amps[k], t)
                  for k in {b.source for b, d in zip(bundles, due) if d}}
-        positions = [walk.feed(waves[b.source]) if d else None
-                     for b, walk, d in zip(bundles, walks, due)]
+        fields, positions = {}, []
+        for b, walk, d in zip(bundles, walks, due):
+            # group_field tells a group of one from larger ones
+            key = b.source, len(walk.frozen) == 1
+            if d and key not in fields:
+                fields[key] = group_field(waves[b.source], params,
+                                          len(walk.frozen))
+            positions.append(walk.feed(fields[key]) if d else None)
         if observer is not None:
             observations.append(observer(t, full, amps, positions))
     return StreamResult(
@@ -969,11 +976,14 @@ _RUNNERS = {
 
 def run_scenario(spec):
     """Dispatch a validated spec to its runner; the report's runtime counts
-    the run's intervals capped at `guidance.MAX_SUBSTEPS`."""
+    the run's clamps: guidance's `substep_caps`, `speed_caps` and
+    `frozen_particles`."""
     kind = spec.get("kind")
     if kind not in _RUNNERS:
         raise SpecError(f"kind: unknown scenario kind {kind!r}")
-    caps = guidance.substep_caps
+    counters = ("substep_caps", "speed_caps", "frozen_particles")
+    before = [getattr(guidance, name) for name in counters]
     report = _RUNNERS[kind](spec)
-    report.runtime["substep_caps"] = guidance.substep_caps - caps
+    for name, n in zip(counters, before):
+        report.runtime[name] = getattr(guidance, name) - n
     return report

@@ -385,6 +385,43 @@ def test_local_fields_match_complete_fields(name, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_one_field_per_wave_and_observation(monkeypatch):
+    """coevolve builds one group_field per wave and observation for its
+    groups of one, and one for the larger groups; the walks that read a
+    wave share it, and every path keeps the bits of its bundle run alone."""
+    psi, H, sched, params, x0s = CASES["2d_nodes"]()
+    comps = [b.wave for b in decompose(psi, [
+        halfspace_mask(psi.grid, 0, 0.0, side) for side in ("below", "above")])]
+    bundles = [Bundle(x0s[:1]), Bundle(x0s[1:2]), Bundle(x0s[:1], source=0),
+               Bundle(x0s), Bundle(x0s[2:]), Bundle(x0s[3:4], stride=2)]
+    fed, made = {}, []
+    local_field = guidance.local_field
+    monkeypatch.setattr(guidance, "local_field",
+                        lambda *a: made.append(local_field(*a)) or made[-1])
+    feed = guidance.GuidedWalk.feed
+    monkeypatch.setattr(guidance.GuidedWalk, "feed", lambda walk, vf: (
+        fed.setdefault(walk, []).append(vf) or feed(walk, vf)))
+    res = coevolve(comps, H, sched, params, bundles)
+    # walks feed first in bundle order
+    one, other, branch, group, rest, strided = fed.values()
+    due = [i for i in range(len(one)) if i % 2 == 0 or i == len(one) - 1]
+    assert len(due) == len(strided)
+    assert all(one[i] is vf for i, vf in zip(due, strided))
+    # per observation one probe-local field per wave: the groups of one on
+    # the full wave share one, the branch probe reads its own
+    assert len(made) == 2 * len(one)
+    for i in range(len(one)):
+        assert one[i] is other[i] and branch[i] is not one[i]
+        assert {id(one[i]), id(branch[i])} <= set(map(id, made))
+        assert group[i] is rest[i] and not any(group[i] is m for m in made)
+    monkeypatch.setattr(guidance.GuidedWalk, "feed", feed)
+    for k, b in enumerate(bundles):
+        alone = coevolve(comps, H, sched, params, [b])
+        assert np.array_equal(alone.probe_paths[0], res.probe_paths[k])
+        assert np.array_equal(alone.probe_degenerate[0],
+                              res.probe_degenerate[k])
+
+
 @pytest.mark.parametrize("kind,n,local", [
     ("interference", 10000, False), ("interference", 1, True),
     ("measurement", 10000, False), ("relaxation", 10000, False),

@@ -183,8 +183,9 @@ class TestVelocityAt:
 
 
 # Reference implementation: interpolation with one stencil per time level,
-# built per corner, and an RK4 stage that interpolates each level
-# separately.  The shared-stencil path must reproduce it bit for bit.
+# built per corner, and an RK4 stage that blends the two levels cell by cell
+# and interpolates the blend.  The shared-stencil path must reproduce it bit
+# for bit.
 
 def _oracle_corners(grid, pts):
     M, D = pts.shape
@@ -210,7 +211,10 @@ def _oracle_corners(grid, pts):
     return corners
 
 
-def _oracle_velocity_at_many(vfield, pts):
+def _oracle_velocity_at_many(vfield, pts, components=None):
+    """vfield's velocity at pts, or that of `components` on vfield's grid,
+    and vfield's stencil flags (touched, inside)."""
+    comps = vfield.components if components is None else components
     pts = vfield.grid.wrap(np.atleast_2d(pts))
     M, D = pts.shape
     out = np.zeros((M, D))
@@ -221,25 +225,49 @@ def _oracle_velocity_at_many(vfield, pts):
         touched |= is_nodal
         inside &= is_nodal
         for i in range(D):
-            out[:, i] += w * vfield.components[i][idx]
+            out[:, i] += w * comps[i][idx]
     return out, touched, inside
 
 
-def _oracle_rk4(vf0, vf1, pts, dt, f0, f1):
+def _oracle_blend(vf0, vf1, frac):
+    """The components at time fraction frac between two fields, cell by
+    cell; the fields' own at 0 and 1."""
+    if frac in (0.0, 1.0):
+        return (vf0, vf1)[int(frac)].components
+    return vf0.components * (1.0 - frac) + vf1.components * frac
+
+
+def _oracle_stage(vf0, vf1, p, frac):
+    """The blended velocity at points p, and the pair's flags."""
+    v, na, ia = _oracle_velocity_at_many(vf0, p, _oracle_blend(vf0, vf1, frac))
+    _, nb, ib = _oracle_velocity_at_many(vf1, p)
+    return v, na | nb, ia & ib
+
+
+def _interpolate_then_blend(vf0, vf1, p, frac):
+    """`_oracle_stage` in the order the kernels had before they blended the
+    fields: each level interpolated, then the two blended."""
+    a, na, ia = _oracle_velocity_at_many(vf0, p)
+    b, nb, ib = _oracle_velocity_at_many(vf1, p)
+    return (1.0 - frac) * a + frac * b, na | nb, ia & ib
+
+
+def _oracle_rk4(vf0, vf1, pts, dt, f0, f1, caps=None):
+    """One RK4 substep; `caps`, if given, gets the number of particles each
+    stage slows to the nodal speed cap."""
     grid = vf0.grid
 
     def eval_v(p, frac):
-        a, na, ia = _oracle_velocity_at_many(vf0, p)
-        b, nb, ib = _oracle_velocity_at_many(vf1, p)
-        v = (1.0 - frac) * a + frac * b
-        touched = na | nb
+        v, touched, inside = _oracle_stage(vf0, vf1, p, frac)
         if np.any(touched):
             cap = min(grid.dxs) / dt
             speed = np.sqrt(np.sum(v * v, axis=1))
             over = touched & (speed > cap)
+            if caps is not None:
+                caps.append(int(over.sum()))
             if np.any(over):
                 v[over] *= (cap / speed[over])[:, None]
-        return v, ia & ib
+        return v, inside
 
     fm = 0.5 * (f0 + f1)
     k1, deep = eval_v(pts, f0)
@@ -254,7 +282,7 @@ def _oracle_rk4(vf0, vf1, pts, dt, f0, f1):
     return grid.wrap(new), degen
 
 
-def _oracle_advance_interval(vf0, vf1, pts, dt):
+def _oracle_advance_interval(vf0, vf1, pts, dt, caps=None):
     va, _, _ = _oracle_velocity_at_many(vf0, pts)
     vb, _, _ = _oracle_velocity_at_many(vf1, pts)
     vmax = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 0.0)
@@ -262,7 +290,8 @@ def _oracle_advance_interval(vf0, vf1, pts, dt):
     n = min(max(n, 1), MAX_SUBSTEPS)
     degen_any = np.zeros(len(pts), dtype=bool)
     for k in range(n):
-        pts, degen = _oracle_rk4(vf0, vf1, pts, dt / n, k / n, (k + 1) / n)
+        pts, degen = _oracle_rk4(vf0, vf1, pts, dt / n, k / n, (k + 1) / n,
+                                 caps)
         degen_any |= degen
     return pts, degen_any
 
@@ -321,12 +350,13 @@ def drifting_fields(shape, drift):
 DRIFT_DT = 0.01
 
 
-def sample(vf0, vf1, pts):
-    """Both fields at points (M, D) through one `_sampler`, as (a, b,
-    touched, inside) with a and b of shape (M, D)."""
-    read, inside = guidance._sampler((vf0, vf1))
-    (a, b), touched, low = read(list(pts.T))
-    return (np.stack(a, axis=1), np.stack(b, axis=1), touched,
+def sample(vf0, vf1, pts, fracs=(0.0, 1.0)):
+    """The pair at points (M, D) through one `_sampler`, as (*levels,
+    touched, inside), with the velocity at each fraction of `fracs` of shape
+    (M, D); by default both fields' own, (a, b, touched, inside)."""
+    read, inside = guidance._sampler(vf0, vf1)
+    levels, touched, low = read(list(pts.T), fracs)
+    return (*(np.stack(v, axis=1) for v in levels), touched,
             inside.take(low, mode="clip"))
 
 
@@ -475,6 +505,111 @@ class TestSamplingTable:
         assert degen.tolist() == [True, True, False]
         assert np.array_equal(advance_interval(*fields, pts, 0.01)[0][:2],
                               g.wrap(pts[:2]))
+
+
+def _pair_flags_before(vf0, vf1):
+    """The pair's (touched, inside) tables as the sampler built them before
+    each field kept its own: from the two nodal masks stacked and padded."""
+    D = vf0.grid.dims
+    pad = ((0, 2),) * D
+    nodal = np.pad(np.stack([vf0.nodal, vf1.nodal]), ((0, 0),) + pad,
+                   mode="wrap")
+    bits = [[(c >> i) & 1 for i in range(D)] for c in range(1 << D)]
+    corners = np.stack([nodal[(slice(None),) + tuple(
+        slice(k, k + n + 1) for k, n in zip(b, vf0.grid.shape))] for b in bits])
+    return tuple(np.pad(a, ((0, 1),) * D).reshape(-1) for a in (
+        corners.any(axis=(0, 1)), corners.all(axis=(0, 1))))
+
+
+def third_field(vf0, vf1):
+    """A field after vf1: vf1's components moved on by vf1 - vf0, and a
+    copy of vf0's nodal mask."""
+    return VelocityField(vf1.grid, 2.0 * vf1.components - vf0.components,
+                         vf0.nodal.copy(), 2.0 * vf1.time - vf0.time)
+
+
+class TestBlendFirst:
+    """A stage reads one blend of the interval's two fields."""
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    @pytest.mark.parametrize("frac", [0.3, 0.5, 0.75])
+    def test_stage_velocity_near_interpolate_then_blend(self, shape, frac):
+        # the order before: each field interpolated, then the two blended.
+        # Near a cancelling sum the result's own ulp is far below the
+        # rounding of its terms, so ulps are counted at the stencil's
+        # magnitude, the same interpolation of |a| (1 - f) + |b| f
+        g, vf0, vf1 = noded_fields(shape)
+        pts = probe_points(g)
+        got = sample(vf0, vf1, pts, (frac,))[0]
+        assert np.array_equal(got, _oracle_stage(vf0, vf1, pts, frac)[0])
+        want = _interpolate_then_blend(vf0, vf1, pts, frac)[0]
+        scale = _oracle_velocity_at_many(vf0, pts, np.abs(vf0.components)
+                                         * (1.0 - frac)
+                                         + np.abs(vf1.components) * frac)[0]
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale))
+        assert not np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    def test_raw_fields_at_interval_ends(self, shape):
+        # f = 0 and f = 1 read a field's own values, in both kernels
+        g, vf0, vf1 = noded_fields(shape)
+        pts = probe_points(g)
+        a, b, _, _ = sample(vf0, vf1, pts)
+        for frac, vf, got in ((0.0, vf0, a), (1.0, vf1, b)):
+            want = _oracle_velocity_at_many(vf, pts)[0]
+            assert np.array_equal(got, want)
+            assert np.array_equal(velocity_at_many(vf, pts)[0], want)
+            assert np.array_equal(sample(vf0, vf1, pts, (frac,))[0], want)
+            lists = g._stencil_lists
+            one = [guidance._sample_one(vf0, vf1, {}, lists,
+                                        guidance._wrap_one(lists, p.tolist()),
+                                        (frac,))[0][0] for p in pts]
+            assert np.array_equal(one, want)
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    def test_pair_flags_are_field_flags_combined(self, shape):
+        g, vf0, vf1 = noded_fields(shape)
+        (_, t0, i0), (_, t1, i1) = vf0._table, vf1._table
+        touched, inside = _pair_flags_before(vf0, vf1)
+        assert touched.any() and inside.any() and not inside.all()
+        assert np.array_equal(t0 | t1, touched)
+        assert np.array_equal(i0 & i1, inside)
+        assert np.array_equal(guidance._sampler(vf0, vf1)[1], inside)
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    def test_table_serves_two_intervals(self, shape):
+        # the field a walk keeps reads its second interval from the table
+        # of its first, and neither interval writes to it
+        g, vf0, vf1 = noded_fields(shape)
+        vf2 = third_field(vf0, vf1)
+        pts = probe_points(g)
+        assert_group_matches_oracle(vf0, vf1, pts, 0.05)
+        table = vf1.__dict__["_table"]
+        arrays = [*table[0], *table[1:]]
+        kept = [a.copy() for a in arrays]
+        assert_group_matches_oracle(vf1, vf2, pts, 0.05)
+        assert vf1._table is table
+        for a, b in zip(arrays, kept):
+            assert np.array_equal(a, b)
+
+    def test_walk_pads_each_field_once(self, monkeypatch):
+        g, vf0, vf1 = noded_fields((32, 24))
+        fields = [vf0, vf1, third_field(vf0, vf1)]
+        padded = []
+        pad = np.pad
+
+        def spy(array, *args, **kwargs):
+            padded.append(array)
+            return pad(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "pad", spy)
+        walk = guidance.GuidedWalk(None, probe_points(g, n=20), 3)
+        for vf in fields:
+            walk.feed(vf)
+        # per field: its nodal mask, its two flags, each component's row
+        assert len(padded) == 3 * (3 + g.dims)
+        for vf in fields:
+            assert sum(a is vf.nodal for a in padded) == 1
 
 
 # Probe-local fields: the values a probe reads, at every stencil corner it
@@ -665,25 +800,31 @@ class TestOneParticleKernel:
         # stage sample and velocity are compared on their own
         g, vf0, vf1 = noded_fields(shape)
         pts = probe_points(g)
-        want = sample(vf0, vf1, pts)
         lists = g._stencil_lists
-        got = [guidance._sample_one(vf0, vf1, ({}, {}), lists,
-                                    guidance._wrap_one(lists, p.tolist()))
-               for p in pts]
-        for k in range(3):
-            assert np.array_equal([s[k] for s in got], want[k])
-        assert np.array_equal([all(s[3]) for s in got], want[3])
-        assert want[2].any()
-        # the time blend, and the speed cap where a stencil touches a node
+        memo = {}
+        wrapped = [guidance._wrap_one(lists, p.tolist()) for p in pts]
+        fracs = (0.0, 0.3, 0.5, 0.75, 1.0)
+        want = sample(vf0, vf1, pts, fracs)
+        # one memo serves every point and fraction, as in an interval
+        got = [guidance._sample_one(vf0, vf1, memo, lists, x, fracs)
+               for x in wrapped]
+        for k in range(len(fracs)):
+            assert np.array_equal([s[0][k] for s in got], want[k])
+        assert np.array_equal([s[1] for s in got], want[-2])
+        assert np.array_equal([all(s[2]) for s in got], want[-1])
+        assert want[-2].any()
+        # the speed cap where a stencil touches a node, on fresh memos
         for frac in (0.0, 0.3, 0.75):
-            v = (1.0 - frac) * want[0] + frac * want[1]
+            v, touched, _ = sample(vf0, vf1, pts, (frac,))
             speed = np.sqrt(np.sum(v * v, axis=1))
-            cap = float(np.median(speed[want[2]]))
-            over = want[2] & (speed > cap)
+            cap = float(np.median(speed[touched]))
+            over = touched & (speed > cap)
             v[over] *= (cap / speed[over])[:, None]
             assert over.any() and not over.all()
+            one = [guidance._sample_one(vf0, vf1, {}, lists, x, (frac,))
+                   for x in wrapped]
             assert np.array_equal(
-                [guidance._velocity_one(s, frac, cap) for s in got], v)
+                [guidance._velocity_one(s, cap) for s in one], v)
 
     @pytest.mark.parametrize("dims", [1, 2, 3])
     @pytest.mark.parametrize("local", [False, True])
@@ -825,6 +966,52 @@ class TestOneParticleKernel:
         vf = VelocityField(g, [comps], np.zeros(64, dtype=bool))
         with pytest.raises(RuntimeError, match="NaN in trajectory output"):
             advance_interval(vf, vf, np.array([[1.0], [1.2]])[:n], 1.0)
+
+
+class TestClampCounters:
+    """`speed_caps` counts particle stages slowed to the nodal speed cap,
+    `frozen_particles` particles that a nodal stencil freezes."""
+
+    @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
+    def test_speed_caps_count_the_oracle_stages(self, shape, caplog):
+        # dt 50 needs more than MAX_SUBSTEPS, so stages outrun the cap
+        g, vf0, vf1 = noded_fields(shape)
+        pts = probe_points(g, n=8)
+        counts = []
+        for group in (pts, *(p[None, :] for p in pts)):
+            caps, before = [], guidance.speed_caps
+            got = advance_interval(vf0, vf1, group, 50.0)
+            want = _oracle_advance_interval(vf0, vf1, group, 50.0, caps)
+            assert np.array_equal(got[0], want[0])
+            counts.append(guidance.speed_caps - before)
+            assert counts[-1] == sum(caps)
+        assert any(counts)
+
+    def test_no_speed_caps_without_nodes(self):
+        g, vf0, vf1 = noded_fields((32, 24))
+        clear = [with_nodal(vf, np.zeros(g.shape, dtype=bool))
+                 for vf in (vf0, vf1)]
+        before = guidance.speed_caps
+        advance_interval(*clear, probe_points(g, n=12), 50.0)
+        assert guidance.speed_caps == before
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_frozen_particles_counted_once(self, n):
+        # particles 0 and 1 sit in a block nodal at both levels
+        g, vf0, vf1 = noded_fields((32, 24))
+        block = np.zeros(g.shape, dtype=bool)
+        block[8:20, 6:18] = True
+        fields = [with_nodal(vf, block) for vf in (vf0, vf1)]
+        pts = np.add(g.los, np.multiply(g.dxs, [[12.3, 10.6], [14.0, 12.5],
+                                               [2.5, 3.5]]))[:n]
+        frozen = np.zeros(n, dtype=bool)
+        before = guidance.frozen_particles
+        for t0 in (0.0, 0.01):
+            pts = guidance.advance_group(*fields, pts, frozen, None, t0,
+                                         t0 + 0.01)
+            # a particle already frozen is not counted again
+            assert guidance.frozen_particles - before == min(n, 2)
+        assert frozen.tolist() == [True, True, False][:n]
 
 
 class TestSubstepCap:

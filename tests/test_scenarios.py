@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pilotwave import guidance
 from pilotwave.branches import decompose, halfspace_mask, interference_term
 from pilotwave.fields import WaveFunction, make_grid, init_gaussian, density
 from pilotwave.propagate import (
@@ -349,11 +350,15 @@ def interference_report():
 
 
 class TestInterferenceScenario:
-    def test_substep_caps_counted(self, caplog):
+    def test_substep_caps_counted(self, caplog, monkeypatch):
         # the interference benchmark workload at its seed: two intervals
         # need more than MAX_SUBSTEPS (256)
         spec = builtin_spec("interference", ("ensemble.n_particles=1000",
                                              "seed=20250824"))
+        made = []
+        local_field = guidance.local_field
+        monkeypatch.setattr(guidance, "local_field",
+                            lambda *a: made.append(1) or local_field(*a))
         with caplog.at_level("WARNING", logger="pilotwave.guidance"):
             report = run_scenario(spec)
         needs = [int(re.search(r"needs (\d+) substeps", r.getMessage())[1])
@@ -361,6 +366,25 @@ class TestInterferenceScenario:
         assert needs == [731, 384]
         assert report.runtime["substep_caps"] == 2
         assert report.to_dict()["runtime"]["substep_caps"] == 2
+        # no stage outruns the nodal speed cap, and no particle freezes
+        assert report.runtime["speed_caps"] == 0
+        assert report.runtime["frozen_particles"] == 0
+        # 251 observations: the full-wave and symmetry probes share one
+        # probe-local field, the branch probe reads its own
+        assert len(made) == 2 * 251
+
+    def test_clamp_counters_per_run(self, monkeypatch):
+        # with cells below 1e-2 of the peak nodal, one particle freezes;
+        # each run reports its own count
+        monkeypatch.setattr(guidance, "EPS_NODE", 1e-2)
+        spec = builtin_spec("interference", (
+            "grid.0.points=512", "ensemble.n_particles=200",
+            "schedule.t_end=1.0", "schedule.stride=10"))
+        before = guidance.frozen_particles
+        runs = [run_scenario(spec).runtime for _ in range(2)]
+        assert [r["frozen_particles"] for r in runs] == [1, 1]
+        assert guidance.frozen_particles - before == 2
+        assert all(r["speed_caps"] == 0 for r in runs)
 
     def test_passes(self, interference_report):
         assert interference_report.verdict == "pass", \
