@@ -74,6 +74,10 @@ def _series_table(metrics):
 # run
 
 def cmd_run(spec_path, out_dir, overrides=(), seed=None, threads=None):
+    if threads is not None and threads < 1:
+        print(f"error: --threads must be at least 1, got {threads}",
+              file=sys.stderr)
+        return EXIT_ERROR
     overrides = list(overrides)
     if seed is not None:
         overrides.append(f"seed={seed}")
@@ -265,8 +269,8 @@ def build_parser():
     pr.add_argument("--seed", type=int, default=None,
                     help="override the spec seed")
     pr.add_argument("--threads", type=int, default=None,
-                    help="FFT worker threads (default: hardware count); "
-                         "bitwise reproducibility requires --threads 1")
+                    help="FFT worker threads, at least 1 (default: hardware "
+                         "count); bitwise reproducibility requires --threads 1")
     pr.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override a spec entry (dotted path, JSON value); "
                          "applied before hashing")

@@ -9,32 +9,21 @@ in units where ħ = 1, with the gradient evaluated spectrally.  Cells where
 filled from the nearest non-nodal cell and, when a query stencil touches a
 nodal cell during stepping, the speed is capped at dx/dt for that step.
 
-A group of one particle (`group_field`) reads a probe-local field instead
-of a complete one.  It holds the wave and the nodal mask, and evaluates the
-velocity only at the stencil corners the particle reads: the spectral
-derivative of each grid line through such a corner is taken once, batched
-per axis (`_add_lines`), and cached on the field in a dict per axis, keyed
-by the raveled index of the line's first cell.  Line by line the transforms
-are bitwise those of the full axis, so the values are the complete field's;
-on a 1-D grid the one line is the whole axis.  When a requested corner is
-nodal, the field builds the complete `velocity_field` once, global
-nearest-cell fill included, and reads from it from then on.  A probe-local
-field has one reader, the one-particle kernel's `_read_corners`, which
-`velocity_at_many` also uses on such a field, point by point; the
-vectorized reader `_sampler` completes a probe-local field before it reads
-one.
+A group of one particle (`group_field`) reads a probe-local field
+(`local_field`): the spectral derivative is taken only along the grid lines
+through the stencil corners the particle reads (`_add_lines`), each line's
+transform bitwise that of the full axis, so the values are the complete
+field's.  A nodal corner makes the field complete, once, nearest-cell fill
+included.  Its one reader is `_read_corners`, which `velocity_at_many` also
+uses on it; `_sampler` completes such a field before it reads one.
 
-`advance_interval` advances a group of two or more particles with numpy
-(`_advance_many`) through one `_sampler` per interval, which blends the two
-fields' padded rows (`VelocityField._table`, built once per field) once per
-stage fraction f of the interval; a stage reads the one blend by a 1-D
-`take` per corner.  Positions are one array per axis and each stage is
-formed in place; only the interval's first read wraps the points it reads.
+`advance_interval` advances a group of two or more particles on numpy
+arrays (`_advance_many`) through one `_sampler` per interval, whose blend
+each stage reads; only the interval's first read wraps the points it reads.
 A group of one particle, as every probe is, runs on Python floats
-(`_advance_one`) and touches numpy only to read the fields; per interval it
-reads each field's stencil corners once and blends them once per f, in a
-memo keyed by the stencil's lower corner.  Both kernels do the same IEEE
-operations in the same order, so they give the same bits:
+(`_advance_one`) and reads each field's stencil corners once per interval
+(`_sample_one`'s memo).  Both kernels do the same IEEE operations in the
+same order, so they give the same bits:
   - the wrap: y = x - lo, `np.mod` only outside [0, L) (L reads 0), + lo;
   - the stencil: u = (x - lo) / dx, frac = u - floor(u); bit i of
     corner c selects the upper neighbour on axis i, and a corner's weight
@@ -49,6 +38,11 @@ operations in the same order, so they give the same bits:
 A reordering there changes last bits; tests compare the kernels' samples.  A
 non-finite stage point raises RuntimeError: at once in the one-particle
 kernel, at the end of the interval in the other.
+
+One particle loop, `GuidedWalk`, fed one wave's `group_field` at a time,
+serves `simulate_trajectories` and every bundle of `scenarios.coevolve`.
+It keeps only where its particles are; each `feed` returns a new (N, D)
+array, so a caller that reads paths keeps the rows it needs.
 """
 
 import logging
@@ -231,8 +225,8 @@ def _sampler(vf0, vf1):
     fractions f of their interval.  The pair's flags join the fields' own
     (`_table`): `touched` by |, `inside` by &.  The rows at f are field 0's
     (f = 0), field 1's (f = 1), or the blend a * (1 - f) + b * f of each
-    cell, kept until another f is read; a row is read by a 1-D `take` from
-    each corner's offset.
+    cell, formed in the first product and kept until another f is read; a
+    row is read by a 1-D `take` from each corner's offset.
 
     Returns read and `inside`: read(xs, fracs, wrap=True), for points as one
     array per axis (wrapped already if not `wrap`), gives the velocity at
@@ -258,8 +252,11 @@ def _sampler(vf0, vf1):
     def rows_at(f):
         nonlocal levels
         if f not in levels:
-            levels = {**raw, f: viewed([a * (1.0 - f) + b * f
-                                        for a, b in zip(rows0, rows1)])}
+            levels = raw  # the last blend goes before the next is formed
+            blend = [a * (1.0 - f) for a in rows0]
+            for row, b in zip(blend, rows1):
+                row += b * f
+            levels = {**raw, f: viewed(blend)}
         return levels[f]
 
     def read(xs, fracs, wrap=True):
@@ -591,60 +588,46 @@ def _advance_many(vf0, vf1, pts, dt):
     return x, degen_any
 
 
-def advance_group(vf0, vf1, pts, frozen, coupling, t0, t1):
-    """Advance a particle group over [t0, t1] between two velocity fields.
-
-    Half the gate kick, the adaptive interval, the other half kick.  A
-    particle flagged degenerate joins `frozen` (updated in place; counted
-    once in `frozen_particles`); frozen particles stay where they were at
-    t0.  Returns the new positions.
-    """
-    global frozen_particles
-    grid = vf0.grid
-    kicked = gate_kick(grid, pts, coupling, t0, t1)
-    new, degen = advance_interval(vf0, vf1, kicked, t1 - t0)
-    new = gate_kick(grid, new, coupling, t0, t1)
-    frozen_particles += int(np.count_nonzero(degen & ~frozen))
-    frozen |= degen
-    new[frozen] = pts[frozen]
-    return new
-
-
 def simulate_trajectory(record, x0):
     """Integrate one particle through an EvolutionRecord's snapshots."""
     return simulate_trajectories(record, np.asarray(x0, float)[None, :])[0]
 
 
 class GuidedWalk:
-    """Particles from x0s (N, D), guided through n waves' `group_field`s
-    for N particles, fed one at a time.
+    """Particles from x0s (N, D), guided through the `group_field`s of N
+    particles fed one at a time.
 
-    The first field is their start; each later one advances them from the
-    one before with `advance_group`, and fills a row of `times` (n,) and
-    `path` (n, N, D).  Only the last field is kept (a field that completes
-    frees its wave; its `_table` serves the next interval too).  `frozen`
-    (N,) flags frozen particles."""
+    The first field is their start.  Each later one advances them from the
+    one before, over [t0, t1] between the two fields' times: half the gate
+    kick, the adaptive interval, the other half kick.  A particle flagged
+    degenerate joins `frozen` (N,), counted once in `frozen_particles`, and
+    stays where it froze.  The walk keeps only where the particles are,
+    `frozen` and the last field (a field that completes frees its wave; its
+    `_table` serves the next interval too)."""
 
-    def __init__(self, coupling, x0s, n):
+    def __init__(self, coupling, x0s):
         self.coupling = coupling
-        self.x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-        self.frozen = np.zeros(len(self.x0s), dtype=bool)
-        self.times, self.path = np.empty(n), np.empty((n,) + self.x0s.shape)
-        self._fed, self._field = 0, None
+        self._pts = np.atleast_2d(np.asarray(x0s, dtype=float))
+        self.frozen = np.zeros(len(self._pts), dtype=bool)
+        self._field = None
 
     def feed(self, vf1):
         """Advance to the field vf1; returns the positions (N, D) at its
-        time."""
-        vf0 = self._field
-        k, self._field = self._fed, vf1
-        if k == 0:
-            pts = vf1.grid.wrap(self.x0s)
-        else:
-            pts = advance_group(vf0, vf1, self.path[k - 1], self.frozen,
-                                self.coupling, vf0.time, vf1.time)
-        self.times[k], self.path[k] = vf1.time, pts
-        self._fed = k + 1
-        return pts
+        time, a new array that the walk does not write again."""
+        global frozen_particles
+        vf0, pts, self._field = self._field, self._pts, vf1
+        if vf0 is None:
+            self._pts = vf1.grid.wrap(pts)
+            return self._pts
+        grid, t0, t1, frozen = vf1.grid, vf0.time, vf1.time, self.frozen
+        kicked = gate_kick(grid, pts, self.coupling, t0, t1)
+        new, degen = advance_interval(vf0, vf1, kicked, t1 - t0)
+        new = gate_kick(grid, new, self.coupling, t0, t1)
+        frozen_particles += int(np.count_nonzero(degen & ~frozen))
+        frozen |= degen
+        new[frozen] = pts[frozen]
+        self._pts = new
+        return new
 
 
 def simulate_trajectories(record, x0s):
@@ -653,10 +636,10 @@ def simulate_trajectories(record, x0s):
     x0s: array (N, D) of initial configurations at record.times[0].
     Returns a list of Trajectory, one per particle, at every snapshot.
     """
-    n = len(record.snapshots)
-    walk = GuidedWalk(record.hamiltonian.coupling, x0s, n)
-    for i in range(n):
-        walk.feed(group_field(record.wave_at(i), record.params,
-                              len(walk.frozen)))
-    return [Trajectory(walk.times, walk.path[:, j, :], bool(walk.frozen[j]))
-            for j in range(walk.path.shape[1])]
+    walk = GuidedWalk(record.hamiltonian.coupling, x0s)
+    n = len(walk.frozen)
+    path = np.stack([walk.feed(group_field(record.wave_at(i), record.params, n))
+                     for i in range(len(record.snapshots))])
+    times = np.array(record.times, dtype=float)
+    return [Trajectory(times, path[:, j], bool(walk.frozen[j]))
+            for j in range(path.shape[1])]

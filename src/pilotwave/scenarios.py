@@ -5,7 +5,9 @@ verdicts are derivable from the recorded metrics and the echoed thresholds
 alone.  Every runner makes one streaming pass (`coevolve`): its components
 are stepped together, particle bundles (single probes or whole ensembles)
 advance at the observation times, and observers reduce each observation to
-what the analyses need, so no full snapshot record is ever materialized.
+what the analyses need, so no snapshot record and no path is held that the
+report does not read: an observer keeps the probe rows, ensemble rows or
+first 8 particles its report reads.
 
 Scenario kinds:
   interference  two converging packets, fringe check, empty-branch steering
@@ -294,8 +296,7 @@ class Bundle:
 @dataclass
 class StreamResult:
     times: np.ndarray                  # observation times
-    probe_times: list                  # per bundle: the times it advanced to
-    probe_paths: list                  # per bundle: paths (T_b, N, D)
+    final_positions: list              # per bundle: last positions (N, D)
     probe_degenerate: list             # per bundle: frozen flags (N,)
     observations: list                 # per observation: observer return value
     final_components: list             # WaveFunction per component
@@ -314,12 +315,12 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
     given, gets t, the full wave (a WaveFunction of the components' sum,
     formed once in component order, which the sum-guided bundles read), the
     list of component amplitude arrays and each bundle's positions (N, D)
-    or None; its return values are collected."""
+    or None, new arrays that nothing writes again; its return values are
+    collected.  No path is stored: an observer keeps the rows it needs."""
     grid = components[0].grid
     # the last observation's index: step 0, then one per stride of steps
     last = len(range(0, schedule.n_steps, schedule.stride))
-    walks = [GuidedWalk(hamiltonian.coupling, b.x0s,
-                        len(range(0, last, b.stride)) + 1) for b in bundles]
+    walks = [GuidedWalk(hamiltonian.coupling, b.x0s) for b in bundles]
     amps, times, observations = [], [], []
     for i, t in enumerate(_observed_steps(components, hamiltonian, schedule,
                                           params, amps)):
@@ -340,8 +341,7 @@ def coevolve(components, hamiltonian, schedule, params, bundles, observer=None):
             observations.append(observer(t, full, amps, positions))
     return StreamResult(
         times=np.asarray(times),
-        probe_times=[w.times for w in walks],
-        probe_paths=[w.path for w in walks],
+        final_positions=positions,  # every bundle is due at the last
         probe_degenerate=[w.frozen for w in walks],
         observations=observations,
         final_components=[WaveFunction(grid, a, schedule.t_end) for a in amps],
@@ -386,7 +386,7 @@ def _report(spec, t0, metrics, verdicts, twin=None):
     return ScenarioReport(
         kind=spec["kind"], spec=spec, spec_hash=spec_hash(spec),
         metrics=metrics, verdicts=verdicts, twin=twin,
-        runtime={"seconds": _time.time() - t0, "steps": steps})
+        runtime={"seconds": _time.perf_counter() - t0, "steps": steps})
 
 
 def overall_verdict(verdicts):
@@ -478,7 +478,8 @@ def _probe_start(spec):
 class _PairStream:
     """What both two-packet runners read off one stream of their packets."""
 
-    result: StreamResult       # bundles: full-wave probe, branch probe, extra
+    times: np.ndarray          # observation times
+    degenerate: list           # per bundle: frozen flags (N,)
     l1: np.ndarray             # interference-term L1 per observation
     norm_drift: float          # of the full wave
     dev: object                # DeviationResult: full wave vs packet 0
@@ -486,6 +487,7 @@ class _PairStream:
     mid: float                 # packets' midpoint on the system axis
     eq3: float                 # density identity at t=0, split at mid
     seen: list                 # per observation: observe's value
+    paths: list                # per bundle: `_stacked` times and rows
 
 
 def _branch_pair(spec, extra=None, observe=None):
@@ -493,8 +495,9 @@ def _branch_pair(spec, extra=None, observe=None):
     the full wave and by packet 0 alone, then the bundles `extra(full0,
     mid)` gives for the full wave at t = 0 and the packets' midpoint.  The
     observer keeps L1, the full wave's norm, the branch probe's support flag
-    (`_supported`), the full wave's axis-0 density at the first L1 maximum
-    and observe(w0, w1, full) of both packets and their sum, if given."""
+    (`_supported`), the full wave's axis-0 density at the first L1 maximum,
+    observe(w0, w1, full) of both packets and their sum, if given, and
+    every bundle's rows."""
     grid, params, sched, H = _simulation_of(spec)
     comps = _components_of(spec, grid, H, sched)
     mid = 0.5 * (spec["packets"][0]["centers"][SYSTEM_AXIS]
@@ -514,16 +517,17 @@ def _branch_pair(spec, extra=None, observe=None):
         if l1 > peak["l1"]:
             peak.update(l1=l1, density=_axis_density(full, SYSTEM_AXIS))
         return (l1, full.norm(), _supported(grid, amps[0], positions[1][0]),
-                None if observe is None else observe(w0, w1, full))
+                None if observe is None else observe(w0, w1, full), positions)
 
     result = coevolve(comps, H, sched, params, bundles, observer)
-    l1, norms, supported, seen = zip(*result.observations)
-    full, branch = (p[:, 0] for p in result.probe_paths[:2])
+    l1, norms, supported, seen, rows = zip(*result.observations)
+    paths = [_stacked(result.times, r) for r in zip(*rows)]
+    full, branch = (p[:, 0] for _, p in paths[:2])
     return _PairStream(
-        result, np.asarray(l1),
+        result.times, result.probe_degenerate, np.asarray(l1),
         float(np.max(np.abs(np.subtract(norms, norms[0])))),
         single_branch_error(grid, result.times, full, branch, supported),
-        peak["density"], mid, eq3, list(seen))
+        peak["density"], mid, eq3, list(seen), paths)
 
 
 def _density_block(rho, axis, t):
@@ -536,6 +540,12 @@ def _trajectory_block(times, paths, labels):
     """Plot-source block: a handful of labelled paths, each (T, D)."""
     return {"times": np.asarray(times).tolist(), "labels": list(labels),
             "paths": [np.asarray(p).tolist() for p in paths]}
+
+
+def _stacked(times, rows):
+    """The times and stacked rows (T_b, N, D) of a bundle's non-None rows."""
+    kept = [(t, r) for t, r in zip(times, rows) if r is not None]
+    return np.array([t for t, _ in kept]), np.stack([r for _, r in kept])
 
 
 def _some_paths(times, positions):
@@ -551,7 +561,7 @@ def _some_paths(times, positions):
 def run_interference_scenario(spec):
     if spec["kind"] != "interference":
         raise SpecError("kind: expected interference")
-    t0 = _time.time()
+    t0 = _time.perf_counter()
     thr = spec["thresholds"]
     grid = _grid_of(spec)
     dx = grid.dxs[0]
@@ -566,7 +576,7 @@ def run_interference_scenario(spec):
     # the axis-0 density at every observation, for the equivariance test
     pair = _branch_pair(spec, extra,
                         lambda w0, w1, full: _axis_density(full, 0))
-    result, l1, times = pair.result, pair.l1, pair.result.times
+    l1, times = pair.l1, pair.times
     i_peak = int(np.argmax(l1))
     metrics = {"times": times.tolist(), "l1_series": l1.tolist(),
                "l1_peak": float(l1[i_peak]), "t_peak": float(times[i_peak]),
@@ -599,13 +609,12 @@ def run_interference_scenario(spec):
         dev.max_deviation >= thr["deviation_min_dx"] * dx)
 
     # symmetry probe at the midpoint between the packets
-    sym_dev = float(np.max(np.abs(result.probe_paths[2][:, 0, 0] - pair.mid)))
+    sym_dev = float(np.max(np.abs(pair.paths[2][1][:, 0, 0] - pair.mid)))
     metrics["symmetry_max_dev"] = sym_dev
     verdicts["symmetry"] = _vd(sym_dev <= thr["symmetry_max_dx"] * dx)
 
     # equilibrium ensemble: no-crossing, node safety, equivariance
-    ens = Ensemble(result.probe_times[3], result.probe_paths[3],
-                   result.probe_degenerate[3], spec["seed"])
+    ens = Ensemble(*pair.paths[3], pair.degenerate[3], spec["seed"])
     metrics["degenerate_fraction"] = ens.degenerate_fraction()
     metrics["order_preserved"] = _order_preserved(ens.positions)
     verdicts["no_crossing"] = _vd(metrics["order_preserved"])
@@ -637,7 +646,7 @@ def _decoherence_metrics(spec):
     e_ax = _env_axis(spec)
     pair = _branch_pair(
         spec, observe=lambda w0, w1, full: overlap_factor(w0, w1, e_ax))
-    result, dev, times = pair.result, pair.dev, pair.result.times
+    dev, times = pair.dev, pair.times
     r_series = pair.seen
     i_gate = _index_at(times, spec["couplings"]["env"]["t_off"])
     i_rec = int(np.argmax(pair.l1))
@@ -658,7 +667,7 @@ def _decoherence_metrics(spec):
         "eq3_residual": pair.eq3,
         "density": _density_block(pair.peak, SYSTEM_AXIS, times[i_rec]),
         "trajectories": _trajectory_block(
-            times, [p[:, 0] for p in result.probe_paths],
+            times, [p[:, 0] for _, p in pair.paths],
             ["full_wave_probe", "single_branch_probe"]),
     }
 
@@ -666,7 +675,7 @@ def _decoherence_metrics(spec):
 def run_decoherence_scenario(spec):
     if spec["kind"] != "decoherence":
         raise SpecError("kind: expected decoherence")
-    t0 = _time.time()
+    t0 = _time.perf_counter()
     thr = spec["thresholds"]
     dx = _grid_of(spec).dxs[SYSTEM_AXIS]
 
@@ -709,7 +718,7 @@ def _system_reference_record(spec, packet_index):
 def run_measurement_scenario(spec):
     if spec["kind"] != "measurement":
         raise SpecError("kind: expected measurement")
-    t0 = _time.time()
+    t0 = _time.perf_counter()
     grid, params, sched, H = _simulation_of(spec)
     thr = spec["thresholds"]
 
@@ -718,10 +727,12 @@ def run_measurement_scenario(spec):
     x0s = sample_initial(WaveFunction(grid, comps[0].amplitudes
                                       + comps[1].amplitudes), n, spec["seed"])
 
-    result = coevolve(comps, H, sched, params, [Bundle(x0s)])
+    # a copy of each row's first 8 particles (a view would keep the row)
+    result = coevolve(comps, H, sched, params, [Bundle(x0s)],
+                      lambda t, full, amps, positions: positions[0][:8].copy())
     end0, end1 = result.final_components
     psi_end = WaveFunction(grid, end0.amplitudes + end1.amplitudes, sched.t_end)
-    positions = result.probe_paths[0]           # (T, N, 2)
+    end = result.final_positions[0]             # (N, 2)
 
     metrics = {"times": result.times.tolist()}
     verdicts = {}
@@ -750,7 +761,7 @@ def run_measurement_scenario(spec):
         side = "below" if sgn * s_c < 0 else "above"
         masks.append(halfspace_mask(grid, POINTER_AXIS, 0.0, side, f"R{side}"))
 
-    labels = occupancy_labels(grid, positions[-1], masks)
+    labels = occupancy_labels(grid, end, masks)
     metrics["occupancy"] = {}
     metrics["fidelity"] = {}
     occupancy_ok, fidelity_ok = True, True
@@ -763,7 +774,7 @@ def run_measurement_scenario(spec):
         if w > 0 and abs(frac - w) > max(band, 1e-12):
             occupancy_ok = False
         # effective wave at a representative occupant of this branch
-        occupants = positions[-1][labels == m.label]
+        occupants = end[labels == m.label]
         if len(occupants) == 0:
             metrics["fidelity"][m.label] = None
             continue
@@ -785,7 +796,8 @@ def run_measurement_scenario(spec):
 
     metrics["density"] = _density_block(
         _axis_density(psi_end, POINTER_AXIS), POINTER_AXIS, sched.t_end)
-    metrics["trajectories"] = _some_paths(result.times, positions)
+    metrics["trajectories"] = _some_paths(result.times,
+                                          np.stack(result.observations))
 
     # identity check on the pointer's two halfspaces at 0
     metrics["eq3_residual"] = _eq3_residual(psi_end, POINTER_AXIS, 0.0)
@@ -819,10 +831,12 @@ def _preparation_metrics(spec, tr_ref):
             obs_state["gate_close"] = {
                 "t": t, "lobe_mass_below": below, "lobe_mass_above": above,
                 "lobe_gap_rel": gap}
-        return overlap_factor(w1, w2, e_ax), interference_term(w1, w2)[1]
+        return (overlap_factor(w1, w2, e_ax), interference_term(w1, w2)[1],
+                positions[0][0])
 
     result = coevolve(comps, H, sched, params, [Bundle([x0])], observer)
-    probe = result.probe_paths[0][:, 0]
+    r_series, l1_series, probe = (list(c) for c in zip(*result.observations))
+    probe = np.array(probe)
 
     times = result.times
     # the reference trajectory has the same times (same schedule and stride)
@@ -831,7 +845,6 @@ def _preparation_metrics(spec, tr_ref):
                         tr_ref.positions)
     post = times >= gate["t_off"]
 
-    r_series, l1_series = (list(c) for c in zip(*result.observations))
     i_env = _index_at(times, spec["couplings"]["env"]["t_off"])
 
     return {
@@ -861,7 +874,7 @@ def _preparation_metrics(spec, tr_ref):
 def run_preparation_scenario(spec):
     if spec["kind"] != "preparation":
         raise SpecError("kind: expected preparation")
-    t0 = _time.time()
+    t0 = _time.perf_counter()
     thr = spec["thresholds"]
     dx = _grid_of(spec).dxs[SYSTEM_AXIS]
 
@@ -912,7 +925,7 @@ def _box_modes_state(grid, n_modes, seed):
 def run_relaxation_scenario(spec):
     if spec["kind"] != "relaxation":
         raise SpecError("kind: expected relaxation")
-    t0 = _time.time()
+    t0 = _time.perf_counter()
     grid, params, sched, H = _simulation_of(spec)
     thr = spec["thresholds"]
     rx = spec["relaxation"]
@@ -927,12 +940,12 @@ def run_relaxation_scenario(spec):
     bundles = [Bundle(x0), Bundle(sample_initial(psi0, n, spec["seed"] + 2))]
 
     def observer(t, psi, amps, positions):
-        """The norm, and H(t) of each bundle."""
-        return psi.norm(), [h_function(x, psi, rx["coarse_len"])
-                            for x in positions]
+        """The norm, each bundle's H(t) and bundle 0's first 8 particles."""
+        return (psi.norm(), [h_function(x, psi, rx["coarse_len"])
+                             for x in positions], positions[0][:8].copy())
 
     result = coevolve([psi0], H, sched, params, bundles, observer)
-    norms, h = (np.asarray(c) for c in zip(*result.observations))
+    norms, h, some = (np.asarray(c) for c in zip(*result.observations))
     h_series = h[:, 0].tolist()
     degenerate = float(np.mean(result.probe_degenerate[0]))
 
@@ -946,7 +959,7 @@ def run_relaxation_scenario(spec):
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "density": _density_block(_axis_density(result.final_components[0], 0),
                                   0, sched.t_end),
-        "trajectories": _some_paths(result.times, result.probe_paths[0]),
+        "trajectories": _some_paths(result.times, some),
     }
     h_eq = metrics["h_eq_series"] = h[:, 1].tolist()
     # too few particles for either ensemble's H(t) to decide a verdict

@@ -89,6 +89,17 @@ class TestRun:
         assert err[0].startswith("error: invalid spec: override 'grid.5'")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exit_1_one_line(self, tmp_path, capsys,
+                                               threads):
+        spec = write_spec(tmp_path, "interference", FAST_INTERFERENCE)
+        code = main(["run", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                     "--threads", threads])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --threads must be at least 1, got {threads}"]
+        assert not (tmp_path / "o").exists()
+
     def test_nan_trajectory_exit_1_one_line(self, tmp_path, capsys,
                                             monkeypatch):
         def nan_run(spec):

@@ -15,6 +15,8 @@ keeps the bits.  Components held as factors are checked at the end, against
 the same calls given their materialized product.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,19 @@ from pilotwave.propagate import (
     EvolutionRecord, HamiltonianSpec, MeasurementCoupling, PotentialTerm,
     Schedule, SplitOperator, evolve,
 )
-from pilotwave.scenarios import Bundle, _components_of, builtin_spec, coevolve
+from pilotwave.scenarios import (
+    Bundle, _components_of, _stacked, builtin_spec, coevolve,
+)
+
+
+def keep_rows(t, full, amps, positions):
+    """A `coevolve` observer that keeps every bundle's rows."""
+    return positions
+
+
+def path_of(res, k=0):
+    """Bundle k's rows (T_b, N, D), from a run observed by `keep_rows`."""
+    return _stacked(res.times, [obs[k] for obs in res.observations])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +252,10 @@ def test_trajectories_match_reference(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_coevolve_probes_match_reference(name):
     psi, H, sched, params, x0s = CASES[name]()
-    res = coevolve([psi], H, sched, params, [Bundle(x0s)])
+    res = coevolve([psi], H, sched, params, [Bundle(x0s)], keep_rows)
     path, frozen = reference_probes(psi, H, sched, params, x0s)
-    assert_matches(name, "path", res.probe_paths[0], path)
+    assert_matches(name, "path", path_of(res), path)
+    assert np.array_equal(res.final_positions[0], path_of(res)[-1])
     assert np.array_equal(res.probe_degenerate[0], frozen)
     ref = reference_evolve(psi, H, sched, params)
     assert np.array_equal(res.times, ref.times)
@@ -266,7 +281,8 @@ def test_coevolve_bundles_match_record_path(name):
     """Bundles of one `coevolve` call on two components (the halves of the
     case's wave either side of x0 = 0): each keeps the bits of
     `simulate_trajectories` over an `evolve` record of its source at its
-    stride, and the observer sees its path row at every time it advances."""
+    stride, which the observer sees as a new row at every time it
+    advances and None at every other."""
     psi, H, sched, params, x0s = CASES[name]()
     comps = [b.wave for b in decompose(psi, [
         halfspace_mask(psi.grid, 0, 0.0, side) for side in ("below", "above")])]
@@ -282,24 +298,41 @@ def test_coevolve_bundles_match_record_path(name):
         # the full wave is the components' sum, formed in component order
         assert full.time == t
         assert np.array_equal(full.amplitudes, amps[0] + amps[1])
-        seen.append([None if p is None else p.copy() for p in positions])
+        seen.append(positions)
 
     res = coevolve(comps, H, sched, params, bundles, observer)
     recs = [evolve(c, H, sched, params) for c in comps]
     for k, b in enumerate(bundles):
         trs = simulate_trajectories(record_of(recs, b.source, b.stride), b.x0s)
-        assert np.array_equal(res.probe_times[k], trs[0].times)
-        assert np.array_equal(res.probe_paths[k],
+        mine = [row[k] for row in seen]
+        times, path = _stacked(res.times, mine)
+        assert np.array_equal(times, trs[0].times)
+        assert np.array_equal(path,
                               np.stack([tr.positions for tr in trs], axis=1))
+        assert res.final_positions[k] is mine[-1]
         assert np.array_equal(res.probe_degenerate[k],
                               [tr.degenerate for tr in trs])
         rows = [i for i in range(last + 1) if i % b.stride == 0 or i == last]
-        for i, row in enumerate(seen):
-            if i in rows:
-                assert np.array_equal(row[k],
-                                      res.probe_paths[k][rows.index(i)])
-            else:
-                assert row[k] is None
+        assert [i for i, row in enumerate(mine) if row is not None] == rows
+
+
+def test_coevolve_stores_no_paths():
+    """Over T observations of one N-particle bundle, with an observer that
+    keeps nothing, coevolve peaks below one (T, N, D) array of paths."""
+    g = make_grid([{"points": 64, "lo": -16.0, "hi": 16.0}])
+    psi = init_gaussian(g, [0.0], [1.0], [0.5])
+    sched = Schedule(0, 1.0, 0.01, 1)
+    x0s = np.linspace(-2.5, 2.5, 4000)[:, None]
+    tracemalloc.start()
+    try:
+        res = coevolve([psi], HamiltonianSpec(), sched, PhysicalParams(),
+                       [Bundle(x0s)], lambda t, full, amps, positions: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    paths = len(res.times) * x0s.size * 8
+    assert peak < paths, peak / paths
+    assert len(res.times) == 101 and res.final_positions[0].shape == x0s.shape
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +351,9 @@ def test_frozen_particle_stays_put_under_gate():
     psi, H, sched, params = gated_gaussian()
     x0 = np.array([[6.0, 3.0]])
     tr = simulate_trajectories(evolve(psi, H, sched, params), x0)[0]
-    res = coevolve([psi], H, sched, params, [Bundle(x0)])
+    res = coevolve([psi], H, sched, params, [Bundle(x0)], keep_rows)
     for path, frozen in ((tr.positions, tr.degenerate),
-                         (res.probe_paths[0][:, 0], res.probe_degenerate[0][0])):
+                         (path_of(res)[:, 0], res.probe_degenerate[0][0])):
         assert frozen
         assert len(path) == 5
         assert np.all(path == [6.0, 3.0])
@@ -364,11 +397,11 @@ def test_local_fields_match_complete_fields(name, monkeypatch):
     def alone():
         """Each particle run alone: paths and frozen flags of both runs."""
         trs = [simulate_trajectories(rec, x0[None, :])[0] for x0 in x0s]
-        res = [coevolve([psi], H, sched, params, [Bundle(x0[None, :])])
-               for x0 in x0s]
+        res = [coevolve([psi], H, sched, params, [Bundle(x0[None, :])],
+                        keep_rows) for x0 in x0s]
         return (np.stack([tr.positions for tr in trs]),
                 [tr.degenerate for tr in trs],
-                np.stack([r.probe_paths[0] for r in res]),
+                np.stack([path_of(r) for r in res]),
                 np.stack([r.probe_degenerate[0] for r in res]))
 
     got = alone()
@@ -401,7 +434,7 @@ def test_one_field_per_wave_and_observation(monkeypatch):
     feed = guidance.GuidedWalk.feed
     monkeypatch.setattr(guidance.GuidedWalk, "feed", lambda walk, vf: (
         fed.setdefault(walk, []).append(vf) or feed(walk, vf)))
-    res = coevolve(comps, H, sched, params, bundles)
+    res = coevolve(comps, H, sched, params, bundles, keep_rows)
     # walks feed first in bundle order
     one, other, branch, group, rest, strided = fed.values()
     due = [i for i in range(len(one)) if i % 2 == 0 or i == len(one) - 1]
@@ -416,8 +449,8 @@ def test_one_field_per_wave_and_observation(monkeypatch):
         assert group[i] is rest[i] and not any(group[i] is m for m in made)
     monkeypatch.setattr(guidance.GuidedWalk, "feed", feed)
     for k, b in enumerate(bundles):
-        alone = coevolve(comps, H, sched, params, [b])
-        assert np.array_equal(alone.probe_paths[0], res.probe_paths[k])
+        alone = coevolve(comps, H, sched, params, [b], keep_rows)
+        assert np.array_equal(path_of(alone), path_of(res, k))
         assert np.array_equal(alone.probe_degenerate[0],
                               res.probe_degenerate[k])
 
@@ -446,11 +479,11 @@ def test_one_particle_kernel_matches_vector_path(name, monkeypatch):
 
     def alone():
         trs = [simulate_trajectories(rec, x0[None, :])[0] for x0 in x0s]
-        res = [coevolve([psi], H, sched, params, [Bundle(x0[None, :])])
-               for x0 in x0s]
+        res = [coevolve([psi], H, sched, params, [Bundle(x0[None, :])],
+                        keep_rows) for x0 in x0s]
         return (np.stack([tr.positions for tr in trs]),
                 [tr.degenerate for tr in trs],
-                np.stack([r.probe_paths[0] for r in res]),
+                np.stack([path_of(r) for r in res]),
                 np.stack([r.probe_degenerate[0] for r in res]))
 
     runs = []
@@ -574,20 +607,21 @@ def test_factored_coevolve_matches_materialized(name):
     assert all(len(c.blocks) > 1 for c in comps)
 
     def observer(t, full, amps, positions):
-        return [full.amplitudes.copy()] + [a.copy() for a in amps]
+        return [full.amplitudes.copy()] + [a.copy() for a in amps] + positions
 
     got = coevolve(comps, H, sched, params, [Bundle(x0s)], observer)
     want = coevolve(materialized(comps), H, sched, params, [Bundle(x0s)],
                     observer)
     tol = FACTORED_TOL
-    peak = max(np.max(np.abs(a)) for obs in want.observations for a in obs)
+    peak = max(np.max(np.abs(a)) for obs in want.observations
+               for a in obs[:-1])
     assert np.array_equal(got.times, want.times)
     assert len(got.observations) == len(want.observations) == len(want.times)
     for a_obs, b_obs in zip(got.observations, want.observations):
-        for a, b in zip(a_obs, b_obs):
+        for a, b in zip(a_obs[:-1], b_obs[:-1]):
             np.testing.assert_allclose(a, b, rtol=0, atol=tol["amplitude"] * peak)
-    np.testing.assert_allclose(got.probe_paths[0], want.probe_paths[0], rtol=0,
-                               atol=tol["path"])
+        np.testing.assert_allclose(a_obs[-1], b_obs[-1], rtol=0,
+                                   atol=tol["path"])
     assert np.array_equal(got.probe_degenerate[0], want.probe_degenerate[0])
     for a, b in zip(got.final_components, want.final_components):
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, rtol=0,
@@ -620,14 +654,15 @@ def test_finer_factors_merge_before_the_first_step():
     psi = gaussian_factors(g, ((0,), (1,), (2,)), [-1.0, 0.5, 0.0],
                            [0.6, 0.5, 0.8], [1.0, 0.0, -0.5])
     x0s = np.array([[-1.0, 0.5, 0.0]])
-    got = coevolve([psi], H, sched, params, [Bundle(x0s)])
-    want = coevolve(materialized([psi]), H, sched, params, [Bundle(x0s)])
+    got = coevolve([psi], H, sched, params, [Bundle(x0s)], keep_rows)
+    want = coevolve(materialized([psi]), H, sched, params, [Bundle(x0s)],
+                    keep_rows)
     tol = FACTORED_TOL
     peak = np.max(np.abs(want.final_components[0].amplitudes))
     np.testing.assert_allclose(got.final_components[0].amplitudes,
                                want.final_components[0].amplitudes, rtol=0,
                                atol=tol["amplitude"] * peak)
-    np.testing.assert_allclose(got.probe_paths[0], want.probe_paths[0], rtol=0,
+    np.testing.assert_allclose(path_of(got), path_of(want), rtol=0,
                                atol=tol["path"])
     assert np.array_equal(got.probe_degenerate[0], want.probe_degenerate[0])
 

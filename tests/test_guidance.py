@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,6 +550,42 @@ class TestBlendFirst:
         assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale))
         assert not np.array_equal(got, want)
 
+    @pytest.mark.parametrize("shape", [(16,), (16, 8), (8, 16, 8)])
+    def test_node_reads_give_the_blend_rows(self, shape):
+        # on a grid of dyadic spacing a node's stencil weights are exactly 1
+        # and 0, so a read at every node returns the blended rows; formed in
+        # the first product, they keep every bit of a * (1 - f) + b * f
+        g = make_grid([{"points": n, "lo": -4.0, "hi": 4.0} for n in shape])
+        rng = np.random.default_rng(5)
+        a, b = (rng.normal(size=(g.dims, *shape)) for _ in range(2))
+        vf0, vf1 = (VelocityField(g, c, np.zeros(shape, bool)) for c in (a, b))
+        nodes = np.stack([np.broadcast_to(g.mesh(i), shape).ravel()
+                          for i in range(g.dims)], axis=1)
+        for frac in (0.1, 1.0 / 3.0, 0.5, 0.75, 0.9):
+            got = sample(vf0, vf1, nodes, (frac,))[0]
+            want = (a * (1 - frac) + b * frac).reshape(g.dims, -1).T
+            assert np.array_equal(got, want)
+
+    def test_next_blend_replaces_the_last(self):
+        # reading a new fraction drops the last blend before it forms the
+        # next: two reads hold at most the pair's two blend rows and one
+        # product at once, three rows (five if the last blend were kept)
+        g = make_grid([{"points": 256, "lo": -16.0, "hi": 16.0}] * 2)
+        waves = [init_gaussian(g, [x, 0.0], [1.0, 1.0], [1.0, -0.5])
+                 for x in (0.0, 0.1)]
+        vf0, vf1 = (velocity_field(w) for w in waves)
+        read, _ = guidance._sampler(vf0, vf1)
+        pts = [np.array([0.05]), np.array([-0.1])]
+        row = vf0._table[0][0].nbytes
+        tracemalloc.start()
+        try:
+            read(pts, (0.25,))
+            read(pts, (0.5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * row < peak < 3.5 * row
+
     @pytest.mark.parametrize("shape", [(40,), (32, 24), (10, 12, 9)])
     def test_raw_fields_at_interval_ends(self, shape):
         # f = 0 and f = 1 read a field's own values, in both kernels
@@ -603,7 +640,7 @@ class TestBlendFirst:
             return pad(array, *args, **kwargs)
 
         monkeypatch.setattr(np, "pad", spy)
-        walk = guidance.GuidedWalk(None, probe_points(g, n=20), 3)
+        walk = guidance.GuidedWalk(None, probe_points(g, n=20))
         for vf in fields:
             walk.feed(vf)
         # per field: its nodal mask, its two flags, each component's row
@@ -1001,17 +1038,15 @@ class TestClampCounters:
         g, vf0, vf1 = noded_fields((32, 24))
         block = np.zeros(g.shape, dtype=bool)
         block[8:20, 6:18] = True
-        fields = [with_nodal(vf, block) for vf in (vf0, vf1)]
         pts = np.add(g.los, np.multiply(g.dxs, [[12.3, 10.6], [14.0, 12.5],
                                                [2.5, 3.5]]))[:n]
-        frozen = np.zeros(n, dtype=bool)
+        walk = guidance.GuidedWalk(None, pts)
         before = guidance.frozen_particles
-        for t0 in (0.0, 0.01):
-            pts = guidance.advance_group(*fields, pts, frozen, None, t0,
-                                         t0 + 0.01)
+        for t, vf in ((0.0, vf0), (0.01, vf1), (0.02, vf0)):
+            walk.feed(VelocityField(g, vf.components, block, t))
             # a particle already frozen is not counted again
-            assert guidance.frozen_particles - before == min(n, 2)
-        assert frozen.tolist() == [True, True, False][:n]
+            assert guidance.frozen_particles - before == min(n, 2) * (t > 0)
+        assert walk.frozen.tolist() == [True, True, False][:n]
 
 
 class TestSubstepCap:

@@ -277,9 +277,11 @@ class TestCoevolve:
         psi = init_gaussian(g, [-4.0], [1.0], [2.0])
         sched = Schedule(0.0, 2.0, 0.005, 20)
         res = coevolve([psi], HamiltonianSpec(()), sched, params,
-                       [Bundle(np.array([[-4.0]]))])
-        end = res.probe_paths[0][-1, 0, 0]
+                       [Bundle(np.array([[-4.0]]))],
+                       lambda t, full, amps, positions: positions[0][0, 0])
+        end = res.observations[-1]
         assert end == pytest.approx(0.0, abs=0.05)
+        assert end == res.final_positions[0][0, 0]
 
 
 # ---------------------------------------------------------------------------
